@@ -30,10 +30,10 @@ from .corpus import (
 )
 from .embeddings import load_token_matrices, load_vectors
 from .evaluation import (
-    depth_sweep,
     evaluate_run,
     fuse_runs,
     load_splits,
+    sweep_table,
     write_report,
     write_report_json,
     write_sweep_table,
@@ -46,9 +46,11 @@ from .rankers import (
     KernelBank,
     KernelScorer,
     LateInteractionScorer,
+    MissingEmbeddingError,
     dense_retrieve,
     load_weights,
     rerank,
+    score_candidates,
     train_kernel_weights,
     write_weights,
 )
@@ -173,45 +175,64 @@ def _kernel_bank(args, config: dict) -> KernelBank:
     return KernelBank(tuple(mus), tuple(sigmas))
 
 
+def _matrix_inputs(args) -> dict[str, Path]:
+    return {
+        "query_matrices": _require(args.query_matrices, "query matrices"),
+        "passage_matrices": _require(args.passage_matrices, "passage matrices"),
+    }
+
+
 def _build_scorer(args, config: dict):
+    """The scorer the flags select, and the files it read by manifest input name."""
     kind = args.scorer
     if kind == "dense":
         if not (args.query_vectors and args.passage_vectors):
             raise CommandError("dense scorer needs --query-vectors and --passage-vectors")
-        return DenseScorer(
-            load_vectors(_require(args.query_vectors, "query vectors")),
-            load_vectors(_require(args.passage_vectors, "passage vectors")),
+        inputs = {
+            "query_vectors": _require(args.query_vectors, "query vectors"),
+            "passage_vectors": _require(args.passage_vectors, "passage vectors"),
+        }
+        scorer = DenseScorer(
+            load_vectors(inputs["query_vectors"]),
+            load_vectors(inputs["passage_vectors"]),
             similarity=args.similarity or "dot",
         )
+        return scorer, inputs
     if kind == "colbert":
         if not (args.query_matrices and args.passage_matrices):
             raise CommandError("colbert scorer needs --query-matrices and --passage-matrices")
-        return LateInteractionScorer(
-            load_token_matrices(_require(args.query_matrices, "query matrices")),
-            load_token_matrices(_require(args.passage_matrices, "passage matrices")),
+        inputs = _matrix_inputs(args)
+        scorer = LateInteractionScorer(
+            load_token_matrices(inputs["query_matrices"]),
+            load_token_matrices(inputs["passage_matrices"]),
             similarity=args.similarity or "dot",
         )
+        return scorer, inputs
     if kind == "kernel":
         if not (args.query_matrices and args.passage_matrices and args.weights):
             raise CommandError(
                 "kernel scorer needs --query-matrices, --passage-matrices and --weights"
             )
-        bank, weights = load_weights(_require(args.weights, "weights file"))
-        return KernelScorer(
-            load_token_matrices(_require(args.query_matrices, "query matrices")),
-            load_token_matrices(_require(args.passage_matrices, "passage matrices")),
+        inputs = {"weights": _require(args.weights, "weights file"), **_matrix_inputs(args)}
+        bank, weights = load_weights(inputs["weights"])
+        scorer = KernelScorer(
+            load_token_matrices(inputs["query_matrices"]),
+            load_token_matrices(inputs["passage_matrices"]),
             bank,
             weights,
             similarity=args.similarity or "cosine",
         )
+        return scorer, inputs
     if kind == "scores":
         if not args.scores:
             raise CommandError("scores scorer needs --scores")
-        return ExternalScoreScorer.from_file(_require(args.scores, "score file"))
+        inputs = {"scores": _require(args.scores, "score file")}
+        return ExternalScoreScorer.from_file(inputs["scores"]), inputs
     if kind == "oracle":
         if not args.qrels:
             raise CommandError("oracle scorer needs --qrels")
-        return GradeOracleScorer(load_qrels(_require(args.qrels, "qrels")))
+        inputs = {"qrels": _require(args.qrels, "qrels")}
+        return GradeOracleScorer(load_qrels(inputs["qrels"])), inputs
     raise CommandError(f"unknown scorer {kind!r}")
 
 
@@ -352,8 +373,14 @@ def _cmd_triples_text(args, config: dict) -> int:
     return 0
 
 
+def _dropped(first_stage: RankedRun, depth: int, kept) -> int:
+    """Candidates offered to the scorer minus those it scored."""
+    offered = sum(min(depth, len(entries)) for entries in first_stage.results.values())
+    return offered - sum(len(entries) for entries in kept.values())
+
+
 def _cmd_rerank(args, config: dict) -> int:
-    scorer = _build_scorer(args, config)
+    scorer, scorer_inputs = _build_scorer(args, config)
     run_path = _input(args, "run", "run file")
     out = _arg(args, "out", "run output path")
     first_stage = read_run(run_path)
@@ -365,12 +392,21 @@ def _cmd_rerank(args, config: dict) -> int:
     write_manifest(
         manifest_path_for(out),
         "rerank",
-        {"depth": depth, "scorer": args.scorer, "on_missing": args.on_missing},
+        {
+            "depth": depth,
+            "scorer": args.scorer,
+            "on_missing": args.on_missing,
+            "similarity": getattr(scorer, "similarity", None),
+        },
         None,
-        {"run": run_path},
+        {"run": run_path, **scorer_inputs},
         {"run": out},
     )
-    print(f"re-ranked {len(reranked)} queries at depth {depth} -> {out}")
+    dropped = _dropped(first_stage, depth, reranked.results)
+    print(
+        f"re-ranked {len(reranked)} queries at depth {depth} "
+        f"(dropped {dropped} candidates the scorer could not score) -> {out}"
+    )
     return 0
 
 
@@ -517,26 +553,36 @@ def _cmd_fuse(args, config: dict) -> int:
 
 
 def _cmd_sweep(args, config: dict) -> int:
-    scorer = _build_scorer(args, config)
+    scorer, scorer_inputs = _build_scorer(args, config)
     run_path = _input(args, "run", "run file")
     qrels_path = _input(args, "qrels", "qrels")
     out = _arg(args, "out", "table output path")
     first_stage = read_run(run_path)
     qrels = load_qrels(qrels_path)
     depths = _int_list(args.depths)
-    table = depth_sweep(first_stage, scorer, depths, qrels, on_missing=args.on_missing)
+    if not depths:
+        raise CommandError("need at least one depth")
+    scored = score_candidates(first_stage, max(depths), scorer, on_missing=args.on_missing)
+    table = sweep_table(first_stage, scored, depths, qrels)
     write_sweep_table(table, out)
     write_manifest(
         manifest_path_for(out),
         "sweep",
-        {"depths": depths, "scorer": args.scorer},
+        {
+            "depths": depths,
+            "scorer": args.scorer,
+            "on_missing": args.on_missing,
+            "similarity": getattr(scorer, "similarity", None),
+        },
         None,
-        {"run": run_path, "qrels": qrels_path},
+        {"run": run_path, "qrels": qrels_path, **scorer_inputs},
         {"table": out},
     )
     for depth in sorted(table):
         metrics = " ".join(f"{m}={v:.4f}" for m, v in table[depth].items())
         print(f"depth {depth}: {metrics}")
+    dropped = _dropped(first_stage, max(depths), scored)
+    print(f"dropped {dropped} of the top-{max(depths)} candidates the scorer could not score")
     return 0
 
 
@@ -740,10 +786,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         _apply_config_paths(args, config)
         return args.handler(args, config)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (CommandError, MissingEmbeddingError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,48 +31,59 @@ _U32 = struct.Struct("<I")
 
 
 class VectorStore:
-    """Immutable id -> vector map with one shared dimensionality."""
+    """Immutable id -> vector map with one shared dimensionality.
+
+    The vectors live in one contiguous read-only (n, dim) float32 matrix,
+    rows in insertion order, with an id -> row map beside it.
+    """
 
     def __init__(self, dim: int, vectors: Mapping[str, np.ndarray]):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = int(dim)
-        self._vectors: dict[str, np.ndarray] = {}
+        rows = []
         for vid, vec in vectors.items():
             arr = np.asarray(vec, dtype=np.float32)
-            if arr.shape != (self.dim,):
-                raise ValueError(
-                    f"vector {vid!r}: expected shape ({self.dim},), got {arr.shape}"
-                )
+            if arr.shape != (dim,):
+                raise ValueError(f"vector {vid!r}: expected shape ({dim},), got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"vector {vid!r} contains a non-finite component")
-            self._vectors[vid] = arr
+            rows.append(arr)
+        matrix = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
+        self._adopt(list(vectors), matrix)
+
+    def _adopt(self, ids: list[str], matrix: np.ndarray) -> None:
+        """Take over a checked matrix: finite rows, one per distinct id."""
+        self.dim = int(matrix.shape[1])
+        self._ids = ids
+        self._rows = {vid: i for i, vid in enumerate(ids)}
+        self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+        self._matrix.flags.writeable = False
+        # each row's position in ascending-id order: the tie-break of rankings
+        self.id_rank = np.empty(len(ids), dtype=np.int64)
+        self.id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._ids)
 
     def __contains__(self, vid: str) -> bool:
-        return vid in self._vectors
+        return vid in self._rows
 
     @property
     def ids(self) -> list[str]:
-        return list(self._vectors)
+        return list(self._ids)
 
     def vector(self, vid: str) -> np.ndarray:
         try:
-            return self._vectors[vid]
+            return self._matrix[self._rows[vid]]
         except KeyError:
             raise KeyError(f"no vector for id {vid!r}") from None
 
     def as_matrix(self) -> tuple[list[str], np.ndarray]:
-        """All vectors stacked into an (n, dim) float32 matrix, ids aligned."""
-        ids = self.ids
-        if not ids:
-            return ids, np.zeros((0, self.dim), dtype=np.float32)
-        return ids, np.stack([self._vectors[i] for i in ids])
+        """The (n, dim) float32 matrix, ids aligned with its rows."""
+        return self.ids, self._matrix
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self._vectors.items())
+        return zip(self._ids, self._matrix)
 
 
 class TokenMatrixStore:
@@ -177,16 +188,18 @@ def load_vectors(path: str | Path) -> VectorStore:
     ids = [reader.ident() for _ in range(count)]
     payload = reader.take(count * dim * 4)
     reader.done()
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-    vectors: dict[str, np.ndarray] = {}
-    for i, vid in enumerate(ids):
-        if vid in vectors:
+    seen: set[str] = set()
+    for vid in ids:
+        if vid in seen:
             raise ValueError(f"{path}: duplicate id {vid!r}")
-        row = matrix[i]
-        if not np.all(np.isfinite(row)):
-            raise ValueError(f"{path}: vector for id {vid!r} has a non-finite component")
-        vectors[vid] = row.copy()
-    return VectorStore(dim, vectors)
+        seen.add(vid)
+    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(np.float32)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: vector for id {ids[bad[0]]!r} has a non-finite component")
+    store = VectorStore.__new__(VectorStore)
+    store._adopt(ids, matrix)
+    return store
 
 
 def write_token_matrices(store: TokenMatrixStore, path: str | Path) -> None:

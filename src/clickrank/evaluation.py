@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Qrels
-from .rankers import rerank
+from .rankers import score_candidates
 from .runs import RankedRun, canonical_order, runs_cover_same_queries
 
 logger = logging.getLogger(__name__)
@@ -352,21 +352,47 @@ def depth_sweep(
 
     The re-ranking-depth robustness diagnostic: a well-trained scorer keeps
     improving (or holds steady) as more candidates are exposed to it, while
-    a scorer poisoned by false-negative training degrades.
+    a scorer poisoned by false-negative training degrades. Each query's top
+    ``max(depths)`` candidates are scored once (``score_candidates``).
     """
-    depths = list(depths)
-    if any(d < 1 for d in depths):
-        raise ValueError("depths must be >= 1")
-    if any(a >= b for a, b in zip(depths, depths[1:])):
-        raise ValueError(f"depths must be strictly ascending, got {depths}")
+    depths = _check_depths(depths)
+    if not depths:
+        return {}
+    scored = score_candidates(first_stage, depths[-1], scorer, on_missing)
+    return sweep_table(first_stage, scored, depths, qrels, rank_cutoff, recall_cutoffs)
+
+
+def sweep_table(
+    first_stage: RankedRun,
+    scored: Mapping[str, list[tuple[str, float]]],
+    depths: Sequence[int],
+    qrels: Qrels,
+    rank_cutoff: int = DEFAULT_RANK_CUTOFF,
+    recall_cutoffs: Sequence[int] = DEFAULT_RECALL_CUTOFFS,
+) -> dict[int, dict[str, float]]:
+    """The ``depth_sweep`` table from candidates that ``score_candidates``
+    already scored to at least the deepest depth: each depth re-ranks the
+    scored ones among each query's top ``depth``."""
     table: dict[int, dict[str, float]] = {}
-    for depth in depths:
-        reranked = rerank(first_stage, depth, scorer, on_missing=on_missing)
+    for depth in _check_depths(depths):
+        reranked = RankedRun(name=first_stage.name, stage="rerank")
+        for qid, entries in first_stage.results.items():
+            top = {pid for pid, _ in entries[:depth]}
+            reranked.add(qid, [e for e in scored[qid] if e[0] in top])
         report = evaluate_run(
             reranked, qrels, None, rank_cutoff=rank_cutoff, recall_cutoffs=recall_cutoffs
         )
         table[depth] = dict(report.splits["all"].metrics)
     return table
+
+
+def _check_depths(depths: Sequence[int]) -> list[int]:
+    depths = list(depths)
+    if any(d < 1 for d in depths):
+        raise ValueError("depths must be >= 1")
+    if any(a >= b for a, b in zip(depths, depths[1:])):
+        raise ValueError(f"depths must be strictly ascending, got {depths}")
+    return depths
 
 
 def write_sweep_table(table: Mapping[int, Mapping[str, float]], path: str | Path) -> None:

@@ -10,6 +10,16 @@ Three scoring families over ingested embeddings:
 
 Scores from an opaque external model can be routed through the same
 re-ranking path via a score file (``query_id<TAB>passage_id<TAB>score``).
+
+Every scorer implements one protocol: ``name`` and
+``score_batch(query_id, passage_ids) -> np.ndarray``, one float64 score per
+passage id in order. It raises ``MissingEmbeddingError`` naming the first
+id it cannot score; the error's ``passage_ids`` lists every unscorable
+candidate, so ``score_candidates`` can drop them under ``on_missing="skip"``.
+``rerank`` and ``evaluation.depth_sweep`` make one call per query. A pair's
+score does not depend on the other candidates of the batch: the batched
+heads return bit for bit what scoring the pair alone returns, and
+``score(query_id, passage_id)`` is that one-pair call.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,9 +39,22 @@ logger = logging.getLogger(__name__)
 
 KERNEL_EPSILON = 1e-10
 
+# Upper bound on the bytes of the largest array a batched head forms for one
+# block of candidates: late interaction's (query tokens, passage tokens, dim)
+# products, the kernel head's (kernels, passages, query tokens, tokens) values.
+BLOCK_BYTES = 1 << 23
+
 
 class MissingEmbeddingError(LookupError):
-    """A scorer had no representation for a query or passage id."""
+    """A scorer had no representation for a query or passage id.
+
+    ``passage_ids`` holds the candidates of the failed ``score_batch`` call
+    that cannot be scored: all of them when the query id is unknown.
+    """
+
+    def __init__(self, message: str, passage_ids: Sequence[str] = ()):
+        super().__init__(message)
+        self.passage_ids = tuple(passage_ids)
 
 
 @dataclass(frozen=True)
@@ -159,8 +182,13 @@ def dense_retrieve(
         if zero.size:
             raise ValueError(f"zero-norm passage vector {ids[zero[0]]!r}")
         scores = scores / (norms * qn)
-    ranked = sorted(zip(ids, scores.tolist()), key=lambda e: (-e[1], e[0]))
-    return ranked[:k]
+    top = np.arange(len(ids))
+    if k < len(ids):
+        # every row tied with the k-th best score, so the id tie-break decides
+        kth = np.partition(scores, len(ids) - k)[len(ids) - k]
+        top = np.flatnonzero(scores >= kth)
+    top = top[np.lexsort((store.id_rank[top], -scores[top]))][:k]
+    return [(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())]
 
 
 def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot") -> float:
@@ -180,13 +208,51 @@ def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot"
         raise ValueError("token matrices must have at least one row")
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
+    return _late_interaction_scores(Q, [D], similarity)[0]
+
+
+def _late_interaction_scores(Q: np.ndarray, Ds: Sequence[np.ndarray], similarity: str) -> list[float]:
+    """``late_interaction_score(Q, D)`` for every D in Ds, bit for bit."""
+    Q = np.asarray(Q, dtype=np.float64)
     if similarity == "cosine":
-        Q, D = _normalized_rows(Q, "query"), _normalized_rows(D, "passage")
+        Q = _normalized_rows(Q, "query")
+        Ds = [_normalized_rows(np.asarray(D, dtype=np.float64), "passage") for D in Ds]
+    longest = max((len(D) for D in Ds), default=1)
+    per_block = max(1, BLOCK_BYTES // (Q.shape[0] * longest * Q.shape[1] * 8))
+    scores: list[float] = []
+    for start in range(0, len(Ds), per_block):
+        scores.extend(_late_interaction_block(Q, Ds[start : start + per_block]))
+    return scores
+
+
+def _late_interaction_block(Q: np.ndarray, Ds: Sequence[np.ndarray]) -> list[float]:
+    """Exact late-interaction scores of one block of candidates.
+
+    A token row's exact dot product is ``math.fsum`` of its products; a
+    plain float sum of ``dim`` terms is within ``(dim - 1) * 2**-53 *
+    sum|p|`` of it in any summation order, and ``bound`` is twice that.
+    Within a passage, a row whose upper bound lies below another row's
+    lower bound cannot hold the maximum, so only the remaining rows (about
+    two per query token) are summed exactly. The maxima are then those of
+    the exact sums over all rows.
+    """
+    lengths = [len(D) for D in Ds]
+    D = np.concatenate(Ds).astype(np.float64, copy=False)
     products = Q[:, None, :] * D[None, :, :]
-    per_token_best = [
-        max(math.fsum(lane) for lane in row) for row in products.tolist()
-    ]
-    return math.fsum(per_token_best)
+    approx = products.sum(axis=2)
+    bound = (2.0 * Q.shape[1] * 2.0**-53) * np.abs(products).sum(axis=2)
+    starts = np.cumsum([0] + lengths[:-1])
+    floor = np.maximum.reduceat(approx - bound, starts, axis=1)
+    # a NaN or infinite bound compares False and keeps its row
+    keep = ~(approx + bound < np.repeat(floor, lengths, axis=1))
+    token, row = np.nonzero(keep)
+    exact = np.array([math.fsum(lane) for lane in products[token, row].tolist()])
+    passage = np.repeat(np.arange(len(Ds)), lengths)[row]
+    best = np.full((Q.shape[0], len(Ds)), -np.inf)
+    # maximum.at keeps the later of equal values; reversed, that is the
+    # first row, as max() over the rows picks it (the sign of a zero)
+    np.maximum.at(best, (token[::-1], passage[::-1]), exact[::-1])
+    return [math.fsum(column) for column in best.T.tolist()]
 
 
 def _normalized_rows(M: np.ndarray, name: str) -> np.ndarray:
@@ -216,16 +282,52 @@ def kernel_features(
         raise ValueError("expected non-empty 2-d token matrices")
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
+    return _kernel_feature_rows(Q, [D], bank, eps, similarity)[0]
+
+
+def _kernel_feature_rows(
+    Q: np.ndarray,
+    Ds: Sequence[np.ndarray],
+    bank: KernelBank,
+    eps: float = KERNEL_EPSILON,
+    similarity: str = "cosine",
+) -> np.ndarray:
+    """``kernel_features(Q, D)`` for every D in Ds as rows of one array.
+
+    Passages with the same token count are stacked and matched against Q
+    in one batched matmul, and all kernels are evaluated at once. Every
+    reduction still runs along the same axis and length as for a single
+    passage, so each feature is bit-identical.
+    """
+    if not Ds:
+        return np.empty((0, len(bank)), dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    lengths = np.array([len(D) for D in Ds])
+    starts = np.cumsum(lengths) - lengths
+    D = np.concatenate(Ds).astype(np.float64, copy=False)
     if similarity == "cosine":
-        M = _normalized_rows(Q, "query") @ _normalized_rows(D, "passage").T
-        # rounding can push |cos| marginally past 1; the kernels assume [-1, 1]
-        M = np.clip(M, -1.0, 1.0)
-    else:
-        M = Q @ D.T
-    features = np.empty(len(bank), dtype=np.float64)
-    for k, (mu, sigma) in enumerate(zip(bank.mus, bank.sigmas)):
-        kernel = np.exp(-((M - mu) ** 2) / (2.0 * sigma * sigma))
-        features[k] = np.log(eps + kernel.sum(axis=1)).sum()
+        Q = _normalized_rows(Q, "query")
+        norms = np.linalg.norm(D, axis=1)
+        if not norms.all():
+            row = int(np.argmin(norms != 0.0))
+            first = np.searchsorted(starts, row, side="right") - 1
+            raise ValueError(f"zero-norm passage token row at index {row - starts[first]}")
+        D = D / norms[:, None]
+    mus = np.array(bank.mus)[:, None, None, None]
+    sigmas = np.array(bank.sigmas)[:, None, None, None]
+    widths = 2.0 * sigmas * sigmas
+    features = np.empty((len(Ds), len(bank)), dtype=np.float64)
+    for length in np.unique(lengths).tolist():
+        same = np.flatnonzero(lengths == length)
+        per_block = max(1, BLOCK_BYTES // (len(bank) * Q.shape[0] * length * 8))
+        for block in np.array_split(same, -(-len(same) // per_block)):
+            tokens = (starts[block][:, None] + np.arange(length)).ravel()
+            M = Q @ D[tokens].reshape(len(block), length, -1).transpose(0, 2, 1)
+            if similarity == "cosine":
+                # rounding can push |cos| marginally past 1; the kernels assume [-1, 1]
+                M = np.clip(M, -1.0, 1.0)
+            kernel = np.exp(-((M - mus) ** 2) / widths)
+            features[block] = np.log(eps + kernel.sum(axis=3)).sum(axis=2).T
     return features
 
 
@@ -339,19 +441,8 @@ def train_kernel_weights(
     Triples whose query or passages have no stored token matrix are skipped
     and counted; it is an error if none remain.
     """
-    pos_rows = []
-    neg_rows = []
+    resolved = []
     skipped = 0
-    feature_cache: dict[tuple[str, str], np.ndarray] = {}
-
-    def features(qid: str, pid: str) -> np.ndarray:
-        key = (qid, pid)
-        if key not in feature_cache:
-            feature_cache[key] = kernel_features(
-                query_matrices.matrix(qid), passage_matrices.matrix(pid), bank
-            )
-        return feature_cache[key]
-
     for triple in triples:
         if (
             triple.query_id not in query_matrices
@@ -360,12 +451,26 @@ def train_kernel_weights(
         ):
             skipped += 1
             continue
-        pos_rows.append(features(triple.query_id, triple.positive_id))
-        neg_rows.append(features(triple.query_id, triple.negative_id))
-    if not pos_rows:
+        resolved.append(triple)
+    if not resolved:
         raise ValueError("no training triples with resolvable token matrices")
     if skipped:
         logger.warning("skipped %d triples with missing token matrices", skipped)
+
+    # each query's distinct passages go through the batched feature path once
+    by_query: dict[str, dict[str, None]] = {}
+    for triple in resolved:
+        by_query.setdefault(triple.query_id, {}).update(
+            {triple.positive_id: None, triple.negative_id: None}
+        )
+    features: dict[tuple[str, str], np.ndarray] = {}
+    for qid, pids in by_query.items():
+        rows = _kernel_feature_rows(
+            query_matrices.matrix(qid), [passage_matrices.matrix(pid) for pid in pids], bank
+        )
+        features.update(((qid, pid), row) for pid, row in zip(pids, rows))
+    pos_rows = [features[(t.query_id, t.positive_id)] for t in resolved]
+    neg_rows = [features[(t.query_id, t.negative_id)] for t in resolved]
 
     w, bias, telemetry = fit_hinge(
         np.stack(pos_rows), np.stack(neg_rows), lr=lr, epochs=epochs, margin=margin, seed=seed
@@ -375,8 +480,17 @@ def train_kernel_weights(
 
 
 # ---------------------------------------------------------------------------
-# Scorers: a uniform (query_id, passage_id) -> score interface for re-ranking.
+# Scorers: score_batch(query_id, passage_ids) -> one float64 score per id.
 # ---------------------------------------------------------------------------
+
+
+def _check_ids(query_id: str, passage_ids: Sequence[str], queries, passages, what: str) -> None:
+    """The missing-id check of the scorers that look both ids up in stores."""
+    if query_id not in queries:
+        raise MissingEmbeddingError(f"no query {what} for {query_id!r}", passage_ids)
+    missing = [pid for pid in passage_ids if pid not in passages]
+    if missing:
+        raise MissingEmbeddingError(f"no passage {what} for {missing[0]!r}", missing)
 
 
 class DenseScorer:
@@ -394,15 +508,14 @@ class DenseScorer:
         self.similarity = similarity
 
     def score(self, query_id: str, passage_id: str) -> float:
-        if query_id not in self.query_vectors:
-            raise MissingEmbeddingError(f"no query vector for {query_id!r}")
-        if passage_id not in self.passage_vectors:
-            raise MissingEmbeddingError(f"no passage vector for {passage_id!r}")
-        return dense_score(
-            self.query_vectors.vector(query_id),
-            self.passage_vectors.vector(passage_id),
-            similarity=self.similarity,
-        )
+        return float(self.score_batch(query_id, [passage_id])[0])
+
+    def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
+        _check_ids(query_id, passage_ids, self.query_vectors, self.passage_vectors, "vector")
+        q = self.query_vectors.vector(query_id).astype(np.float64)
+        vector = self.passage_vectors.vector
+        scores = [dense_score(q, vector(pid), self.similarity) for pid in passage_ids]
+        return np.array(scores, dtype=np.float64)
 
 
 class LateInteractionScorer:
@@ -420,15 +533,16 @@ class LateInteractionScorer:
         self.similarity = similarity
 
     def score(self, query_id: str, passage_id: str) -> float:
-        if query_id not in self.query_matrices:
-            raise MissingEmbeddingError(f"no query token matrix for {query_id!r}")
-        if passage_id not in self.passage_matrices:
-            raise MissingEmbeddingError(f"no passage token matrix for {passage_id!r}")
-        return late_interaction_score(
+        return float(self.score_batch(query_id, [passage_id])[0])
+
+    def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
+        _check_ids(query_id, passage_ids, self.query_matrices, self.passage_matrices, "token matrix")
+        scores = _late_interaction_scores(
             self.query_matrices.matrix(query_id),
-            self.passage_matrices.matrix(passage_id),
-            similarity=self.similarity,
+            [self.passage_matrices.matrix(pid) for pid in passage_ids],
+            self.similarity,
         )
+        return np.array(scores, dtype=np.float64)
 
 
 class KernelScorer:
@@ -452,17 +566,17 @@ class KernelScorer:
         self.similarity = similarity
 
     def score(self, query_id: str, passage_id: str) -> float:
-        if query_id not in self.query_matrices:
-            raise MissingEmbeddingError(f"no query token matrix for {query_id!r}")
-        if passage_id not in self.passage_matrices:
-            raise MissingEmbeddingError(f"no passage token matrix for {passage_id!r}")
-        feats = kernel_features(
+        return float(self.score_batch(query_id, [passage_id])[0])
+
+    def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
+        _check_ids(query_id, passage_ids, self.query_matrices, self.passage_matrices, "token matrix")
+        features = _kernel_feature_rows(
             self.query_matrices.matrix(query_id),
-            self.passage_matrices.matrix(passage_id),
+            [self.passage_matrices.matrix(pid) for pid in passage_ids],
             self.bank,
             similarity=self.similarity,
         )
-        return kernel_score(feats, self.weights)
+        return np.array([kernel_score(f, self.weights) for f in features], dtype=np.float64)
 
 
 class ExternalScoreScorer:
@@ -503,12 +617,15 @@ class ExternalScoreScorer:
         return cls(scores)
 
     def score(self, query_id: str, passage_id: str) -> float:
-        try:
-            return self.scores[(query_id, passage_id)]
-        except KeyError:
+        return float(self.score_batch(query_id, [passage_id])[0])
+
+    def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
+        missing = [pid for pid in passage_ids if (query_id, pid) not in self.scores]
+        if missing:
             raise MissingEmbeddingError(
-                f"no external score for ({query_id!r}, {passage_id!r})"
-            ) from None
+                f"no external score for ({query_id!r}, {missing[0]!r})", missing
+            )
+        return np.array([self.scores[(query_id, pid)] for pid in passage_ids], dtype=np.float64)
 
 
 class GradeOracleScorer:
@@ -524,8 +641,48 @@ class GradeOracleScorer:
         self.qrels = qrels
 
     def score(self, query_id: str, passage_id: str) -> float:
-        grade = self.qrels.grade(query_id, passage_id)
-        return float(grade) if grade is not None else 0.0
+        return float(self.score_batch(query_id, [passage_id])[0])
+
+    def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
+        grades = [self.qrels.grade(query_id, pid) for pid in passage_ids]
+        return np.array([0.0 if g is None else float(g) for g in grades], dtype=np.float64)
+
+
+def score_candidates(
+    first_stage: RankedRun,
+    depth: int,
+    scorer,
+    on_missing: str = "error",
+) -> dict[str, list[tuple[str, float]]]:
+    """Score the top ``depth`` candidates of every query, one
+    ``scorer.score_batch`` call per query, keeping first-stage order.
+
+    ``on_missing`` controls what happens when the scorer has no
+    representation for an item: "error" raises, "skip" drops the
+    candidates it cannot score and counts them.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if on_missing not in ("error", "skip"):
+        raise ValueError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
+    scored: dict[str, list[tuple[str, float]]] = {}
+    skipped = 0
+    for qid, entries in first_stage.results.items():
+        pids = [pid for pid, _ in entries[:depth]]
+        try:
+            scores = scorer.score_batch(qid, pids) if pids else ()
+        except MissingEmbeddingError as exc:
+            if on_missing == "error":
+                raise
+            unscorable = set(exc.passage_ids)
+            kept = [pid for pid in pids if pid not in unscorable]
+            skipped += len(pids) - len(kept)
+            pids = kept
+            scores = scorer.score_batch(qid, pids) if pids else ()
+        scored[qid] = list(zip(pids, np.asarray(scores, dtype=np.float64).tolist()))
+    if skipped:
+        logger.warning("rerank dropped %d candidates without embeddings", skipped)
+    return scored
 
 
 def rerank(
@@ -538,27 +695,10 @@ def rerank(
     """Rescore the top ``depth`` candidates of every query and resort.
 
     Candidates beyond ``depth`` are dropped. The output never contains a
-    passage absent from the first stage. ``on_missing`` controls what happens
-    when the scorer has no representation for an item: "error" raises,
-    "skip" drops the item and counts it.
+    passage absent from the first stage. ``on_missing`` is as for
+    ``score_candidates``.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if on_missing not in ("error", "skip"):
-        raise ValueError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
+    scored = score_candidates(first_stage, depth, scorer, on_missing)
     name = run_name or f"{first_stage.name}+{scorer.name}"
-    out = RankedRun(name=name, stage="rerank")
-    skipped = 0
-    for qid, entries in first_stage.results.items():
-        rescored: list[tuple[str, float]] = []
-        for pid, _ in entries[:depth]:
-            try:
-                rescored.append((pid, scorer.score(qid, pid)))
-            except MissingEmbeddingError:
-                if on_missing == "error":
-                    raise
-                skipped += 1
-        out.results[qid] = canonical_order(rescored)
-    if skipped:
-        logger.warning("rerank dropped %d candidates without embeddings", skipped)
-    return out
+    results = {qid: canonical_order(entries) for qid, entries in scored.items()}
+    return RankedRun(name=name, stage="rerank", results=results)

@@ -503,6 +503,9 @@ class _CorruptedScorer:
             return 2.0 + grade
         return (h % 1000) / 1000.0
 
+    def score_batch(self, qid, pids):
+        return [self.score(qid, pid) for pid in pids]
+
 
 def test_depth_sweep_diagnostic(planted_bm25_run, planted_qrels):
     with criterion("depth-robustness-diagnostic"):

@@ -265,3 +265,78 @@ class TestConfigFile:
         ) == 0
         meta = json.loads((idx_b / "meta.json").read_text())
         assert meta["k1"] == 0.8 and meta["b"] == 0.6
+
+
+class TestRerankAndSweepManifests:
+    @pytest.fixture(scope="class")
+    def bm25_run(self, fixture_dir, tmp_path_factory):
+        work = tmp_path_factory.mktemp("rerank")
+        assert main(
+            ["index", "build", "--collection", str(fixture_dir / "collection.tsv"),
+             "--out", str(work / "index")]
+        ) == 0
+        run_path = work / "bm25.trec"
+        assert main(
+            ["index", "search", "--index", str(work / "index"),
+             "--queries", str(fixture_dir / "queries.tsv"), "--k", "30", "--out", str(run_path)]
+        ) == 0
+        return run_path
+
+    def _colbert(self, command, bm25_run, fixture_dir, matrices, out, *extra):
+        args = [command, "--run", str(bm25_run), "--scorer", "colbert",
+                "--query-matrices", str(fixture_dir / "query_matrices.tkm"),
+                "--passage-matrices", str(matrices), "--out", str(out), *extra]
+        if command == "sweep":
+            args += ["--qrels", str(fixture_dir / "qrels.trec"), "--depths", "10,30"]
+        return main(args)
+
+    def test_scorer_files_pinned(self, fixture_dir, bm25_run, tmp_path):
+        edited = tmp_path / "passage_matrices.tkm"
+        blob = bytearray((fixture_dir / "passage_matrices.tkm").read_bytes())
+        blob[-4] ^= 1  # lowest mantissa bit of the last float
+        edited.write_bytes(bytes(blob))
+        for command in ("rerank", "sweep"):
+            manifests = []
+            for tag, matrices in (("orig", fixture_dir / "passage_matrices.tkm"), ("edit", edited)):
+                out = tmp_path / f"{command}_{tag}.out"
+                assert self._colbert(command, bm25_run, fixture_dir, matrices, out) == 0
+                manifests.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text()))
+            orig, edit = manifests
+            assert {"run", "query_matrices", "passage_matrices"} <= set(orig["inputs"])
+            assert orig["config"]["similarity"] == "dot"
+            assert orig["config"]["on_missing"] == "error"
+            assert orig["inputs"]["passage_matrices"]["digest"] != edit["inputs"]["passage_matrices"]["digest"]
+            assert orig["inputs"]["run"] == edit["inputs"]["run"]
+
+    def test_oracle_qrels_and_kernel_weights_pinned(self, fixture_dir, bm25_run, tmp_path):
+        out = tmp_path / "oracle.trec"
+        assert main(
+            ["rerank", "--run", str(bm25_run), "--scorer", "oracle",
+             "--qrels", str(fixture_dir / "qrels.trec"), "--out", str(out)]
+        ) == 0
+        manifest = json.loads((tmp_path / "oracle.trec.manifest.json").read_text())
+        assert set(manifest["inputs"]) == {"run", "qrels"}
+        assert manifest["config"]["similarity"] is None
+
+    def test_dropped_candidates_reported(self, fixture_dir, bm25_run, tmp_path, capsys):
+        from clickrank.embeddings import TokenMatrixStore, load_token_matrices, write_token_matrices
+
+        store = load_token_matrices(fixture_dir / "passage_matrices.tkm")
+        first = bm25_run.read_text().split()[2]
+        offered = sum(line.split()[2] == first for line in bm25_run.read_text().splitlines())
+        missing = tmp_path / "missing.tkm"
+        write_token_matrices(
+            TokenMatrixStore(store.dim, {p: m for p, m in store.items() if p != first}), missing
+        )
+        for command in ("rerank", "sweep"):
+            out = tmp_path / f"{command}.out"
+            capsys.readouterr()
+            assert self._colbert(command, bm25_run, fixture_dir, missing, out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and first in err and err.count("\n") == 1
+            assert self._colbert(
+                command, bm25_run, fixture_dir, missing, out, "--on-missing", "skip"
+            ) == 0
+            assert f"dropped {offered} " in capsys.readouterr().out
+            assert self._colbert(command, bm25_run, fixture_dir, fixture_dir / "passage_matrices.tkm", out) == 0
+            assert "dropped 0 " in capsys.readouterr().out

@@ -360,8 +360,8 @@ class TestDepthSweep:
         class Constant:
             name = "const"
 
-            def score(self, qid, pid):
-                return 1.0
+            def score_batch(self, qid, pids):
+                return [1.0] * len(pids)
 
         from clickrank.rankers import rerank
 

@@ -111,6 +111,17 @@ class TestDenseRetrieve:
             got = dense_retrieve(store, q, 50)
             assert [p for p, _ in got] == [p for p, _ in oracle]
 
+    def test_ties_straddling_the_kth_position(self):
+        # insertion order is not id order; p3, p5 and p8 tie for ranks 3-5
+        vectors = {f"p{i}": [float(10 - i), 0.0] for i in range(10)}
+        for pid in ("p8", "p5", "p3"):
+            vectors[pid] = [7.0, 0.0]
+        store = VectorStore(2, dict(reversed(list(vectors.items()))))
+        q = np.array([1.0, 0.0])
+        oracle = sorted(((p, v[0]) for p, v in vectors.items()), key=lambda e: (-e[1], e[0]))
+        for k in range(1, 11):
+            assert dense_retrieve(store, q, k) == oracle[:k]
+
     def test_empty_store(self):
         store = VectorStore(2, {})
         with pytest.raises(ValueError, match="empty"):
@@ -391,8 +402,8 @@ class TestRerank:
         class Constant:
             name = "const"
 
-            def score(self, qid, pid):
-                return 0.5
+            def score_batch(self, qid, pids):
+                return [0.5] * len(pids)
 
         out = rerank(run, 30, Constant())
         for qid, entries in out.results.items():
@@ -423,11 +434,130 @@ class TestRerank:
             rerank(run, 2, scorer, on_missing="error")
         out = rerank(run, 2, scorer, on_missing="skip")
         assert [p for p, _ in out["q1"]] == ["a"]
+        # an unknown query id makes every candidate of that query unscorable
+        run = RankedRun(name="r", results={"q1": [("a", 1.0)], "q9": [("a", 1.0), ("b", 0.5)]})
+        with pytest.raises(MissingEmbeddingError, match="q9"):
+            rerank(run, 2, scorer, on_missing="error")
+        out = rerank(run, 2, scorer, on_missing="skip")
+        assert out["q9"] == [] and [p for p, _ in out["q1"]] == ["a"]
 
     def test_depth_validation(self):
         run = self._first_stage()
         with pytest.raises(ValueError, match="depth"):
             rerank(run, 0, ExternalScoreScorer.from_run(run))
+
+
+class TestScoreBatch:
+    """score_batch against the per-pair path, and independence of a pair's
+    score from the other candidates of the batch."""
+
+    @pytest.fixture(scope="class")
+    def heads(self, small_fixture, small_qrels):
+        fx = small_fixture
+        rng = np.random.default_rng(21)
+        bank = KernelBank.default()
+        weights = KernelWeights(rng.standard_normal(len(bank)), 0.2)
+        scores = {
+            (qid, pid): float(rng.standard_normal())
+            for qid in fx.query_matrices.ids
+            for pid in fx.passage_matrices.ids
+        }
+        scorers = [ExternalScoreScorer(scores), GradeOracleScorer(small_qrels)]
+        for similarity in ("dot", "cosine"):
+            scorers += [
+                DenseScorer(fx.query_vectors, fx.passage_vectors, similarity),
+                LateInteractionScorer(fx.query_matrices, fx.passage_matrices, similarity),
+                KernelScorer(fx.query_matrices, fx.passage_matrices, bank, weights, similarity),
+            ]
+        return scorers
+
+    def test_batch_equals_per_pair_bitwise(self, heads, small_fixture):
+        rng = np.random.default_rng(22)
+        pids = small_fixture.passage_matrices.ids
+        for scorer in heads:
+            for qid in sorted(small_fixture.query_matrices.ids)[:4]:
+                batch = [str(p) for p in rng.choice(pids, 60, replace=False)]
+                got = scorer.score_batch(qid, batch)
+                assert got.dtype == np.float64
+                assert got.tolist() == [scorer.score(qid, pid) for pid in batch], scorer.name
+
+    def test_pair_score_independent_of_other_candidates(self, heads, small_fixture):
+        rng = np.random.default_rng(23)
+        pids = small_fixture.passage_matrices.ids
+        for scorer in heads:
+            qid = sorted(small_fixture.query_matrices.ids)[5]
+            batch = [str(p) for p in rng.choice(pids, 80, replace=False)]
+            base = dict(zip(batch, scorer.score_batch(qid, batch).tolist()))
+            shuffled = [batch[i] for i in rng.permutation(len(batch))]
+            subset = shuffled[: len(batch) // 3]
+            extended = subset + [p for p in pids if p not in base][:40]
+            for variant in (shuffled, subset, extended):
+                got = dict(zip(variant, scorer.score_batch(qid, variant).tolist()))
+                assert all(got[p] == base[p] for p in variant if p in base), scorer.name
+
+    def test_blocks_do_not_change_scores(self, heads, small_fixture, monkeypatch):
+        import clickrank.rankers as rankers
+
+        qid = small_fixture.query_matrices.ids[3]
+        batch = small_fixture.passage_matrices.ids[:50]
+        whole = [scorer.score_batch(qid, batch).tolist() for scorer in heads]
+        monkeypatch.setattr(rankers, "BLOCK_BYTES", 1)  # one passage per block
+        assert [scorer.score_batch(qid, batch).tolist() for scorer in heads] == whole
+
+    def test_empty_batch(self, heads, small_fixture):
+        qid = small_fixture.query_matrices.ids[0]
+        for scorer in heads:
+            assert scorer.score_batch(qid, []).shape == (0,)
+
+    def test_late_interaction_near_ties_exact(self):
+        # the rows' dot products with q differ by one ulp
+        q = np.array([[1.0, 1.0]], dtype=np.float32)
+        rows = np.array([[1.0, 0.0], [1.0, 2.0**-52]], dtype=np.float32)
+        assert late_interaction_score(q, rows) == 1.0 + 2.0**-52
+        assert late_interaction_score(q, rows[::-1]) == 1.0 + 2.0**-52
+        # a plain float sum of the first row reads 0.0 (1e16 + 1 rounds to
+        # 1e16) and ranks it below the second; its exact dot product is 1.0
+        q = np.array([[1.0, 1.0, 1.0]])
+        rows = np.array([[1e16, 1.0, -1e16], [0.5, 0.0, 0.0]])
+        assert late_interaction_score(q, rows) == 1.0
+        # the same through a scorer batch, beside other candidates
+        q_store = TokenMatrixStore(2, {"q": np.array([[1.0, 1.0], [0.5, -0.25]])})
+        p_store = TokenMatrixStore(
+            2,
+            {
+                "tie": np.array([[1.0, 0.0], [1.0, 2.0**-52], [0.0, 1.0]]),
+                "low": np.array([[0.25, 0.25]]),
+                "flip": np.array([[1.0, 2.0**-52], [1.0, 0.0]]),
+            },
+        )
+        scorer = LateInteractionScorer(q_store, p_store)
+        got = scorer.score_batch("q", ["tie", "low", "flip"]).tolist()
+        oracle = [
+            math.fsum(
+                max(math.fsum(float(a) * float(b) for a, b in zip(qi, dj)) for dj in p_store.matrix(p))
+                for qi in q_store.matrix("q")
+            )
+            for p in ("tie", "low", "flip")
+        ]
+        assert got == oracle
+        assert got[0] == got[2]
+
+    def test_late_interaction_matches_loop_oracle_on_ties(self):
+        # small integer entries make many token rows tie exactly
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            Q = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), 4)).astype(np.float64)
+            Ds = [
+                rng.integers(-2, 3, size=(int(rng.integers(1, 6)), 4)).astype(np.float64)
+                for _ in range(6)
+            ]
+            q_store = TokenMatrixStore(4, {"q": Q})
+            p_store = TokenMatrixStore(4, {f"d{i}": D for i, D in enumerate(Ds)})
+            got = LateInteractionScorer(q_store, p_store).score_batch("q", p_store.ids)
+            oracle = [
+                math.fsum(max(math.fsum(qi * dj) for dj in D) for qi in Q) for D in Ds
+            ]
+            assert got.tolist() == oracle
 
 
 class TestScorers:
