@@ -6,7 +6,7 @@ Run with: python3 demos/01_first_stage_retrieval.py
 import tempfile
 from pathlib import Path
 
-from clickrank.bm25 import InvertedIndex, build_index, search, tokenize
+from clickrank.bm25 import InvertedIndex, build_index, tokenize
 from clickrank.corpus import Passage, PassageStore
 from clickrank.runs import RankedRun, write_run
 
@@ -31,12 +31,12 @@ print(f"indexed {index.doc_count} passages, avgdl={index.avg_doc_length:.2f}")
 # Top-k search. Scores are classic saturated-tf BM25 with a smoothed,
 # always-positive idf; ties break by ascending passage id.
 for query in ("heart attack", "chest pain exercise", "broken leg"):
-    results = search(index, query, k=3)
+    results = index.search(query, k=3)
     print(f"query {query!r:28} ->", [(pid, round(s, 3)) for pid, s in results])
 
 # Runs travel between tools as TREC files: qid Q0 pid rank score run_name.
 run = RankedRun(name="bm25-demo", stage="first-stage")
-run.add("q1", search(index, "heart attack", 10))
+run.add("q1", index.search("heart attack", 10))
 
 with tempfile.TemporaryDirectory() as tmp:
     run_path = Path(tmp) / "demo.trec"
@@ -47,5 +47,5 @@ with tempfile.TemporaryDirectory() as tmp:
     # The index persists to a directory and round-trips exactly.
     index.save(Path(tmp) / "index")
     reloaded = InvertedIndex.load(Path(tmp) / "index")
-    assert reloaded.search("heart attack", 3) == search(index, "heart attack", 3)
+    assert reloaded.search("heart attack", 3) == index.search("heart attack", 3)
     print("reloaded index reproduces the search results exactly")

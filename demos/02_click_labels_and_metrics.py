@@ -3,7 +3,7 @@
 Run with: python3 demos/02_click_labels_and_metrics.py
 """
 
-from clickrank.corpus import ClickRecord, build_qrels_from_clicks, ctr
+from clickrank.corpus import ClickRecord, build_qrels_from_clicks
 from clickrank.evaluation import evaluate_run, judged_at_k, mrr_at_k, ndcg_at_k
 from clickrank.runs import RankedRun
 
@@ -14,7 +14,7 @@ records = [
     ClickRecord("q1", "p3", impressions=12, clicks=0),   # seen, never clicked
     ClickRecord("q2", "p4", impressions=5, clicks=1),
 ]
-print("click-through rates:", [round(ctr(r), 2) for r in records])
+print("click-through rates:", [round(r.clicks / r.impressions, 2) for r in records])
 
 # Two labeling modes. "raw": one click anywhere makes the pair grade 1.
 raw = build_qrels_from_clicks(records, mode="raw")

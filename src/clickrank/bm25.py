@@ -209,14 +209,6 @@ def build_index(
     return InvertedIndex(postings, doc_lengths, k1=k1, b=b, stopwords=stopwords)
 
 
-def bm25_score(index: InvertedIndex, query_tokens: list[str], passage_id: str) -> float:
-    return index.score(query_tokens, passage_id)
-
-
-def search(index: InvertedIndex, query_text: str, k: int) -> list[tuple[str, float]]:
-    return index.search(query_text, k)
-
-
 def batch_search(index: InvertedIndex, queries, k: int, run_name: str = "bm25") -> RankedRun:
     """Search every query in a QuerySet; results keyed and ordered by query id."""
     run = RankedRun(name=run_name, stage="first-stage")

@@ -84,11 +84,38 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+_KIND_NAMES = {str: "a string", list: "a list of numbers", float: "a number"}
+
+
+def _is_kind(value, kind: type) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(_is_kind(v, float) for v in value)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _config_value(config: dict, section: str, key: str, default, kind: type):
+    """The config file's ``section.key``, or ``default`` when it is unset.
+
+    Every section must be a JSON object, and a set value a ``kind``: str,
+    list (of numbers) or float (any JSON number).
+    """
+    entries = config.get(section, {})
+    if not isinstance(entries, dict):
+        raise CommandError(f"config section {section} must be a JSON object, got {entries!r}")
+    value = entries.get(key, default)
+    if key in entries and not _is_kind(value, kind):
+        kind_name = _KIND_NAMES[kind]
+        raise CommandError(f"config value {section}.{key} must be {kind_name}, got {value!r}")
+    return value
+
+
 def _cfg(cli_value, config: dict, section: str, key: str, default):
-    """Resolution order: explicit flag, config file entry, built-in default."""
+    """Resolution order: explicit flag, config file number, built-in default."""
     if cli_value is not None:
         return cli_value
-    return config.get(section, {}).get(key, default)
+    return _config_value(config, section, key, default, float)
 
 
 # flags whose values the config file's "paths" section may preseed
@@ -113,10 +140,9 @@ _PATH_KEYS = (
 
 
 def _apply_config_paths(args, config: dict) -> None:
-    paths = config.get("paths", {})
     for key in _PATH_KEYS:
-        if hasattr(args, key) and getattr(args, key) is None and key in paths:
-            setattr(args, key, str(paths[key]))
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, _config_value(config, "paths", key, None, str))
 
 
 def _arg(args, name: str, what: str) -> str:
@@ -133,7 +159,7 @@ def _seed(args, config: dict, section: str) -> int:
         return int(args.seed)
     if getattr(args, "global_seed", None) is not None:
         return int(args.global_seed)
-    return int(config.get(section, {}).get("seed", 0))
+    return int(_config_value(config, section, "seed", 0, float))
 
 
 def _require(path_str: str, what: str) -> Path:
@@ -162,17 +188,25 @@ def _float_list(text: str) -> list[float]:
 
 
 def _kernel_bank(args, config: dict) -> KernelBank:
-    mus = _float_list(args.mus) if getattr(args, "mus", None) else config.get(
-        "kernel_bank", {}
-    ).get("mus")
-    sigmas = _float_list(args.sigmas) if getattr(args, "sigmas", None) else config.get(
-        "kernel_bank", {}
-    ).get("sigmas")
+    mus = _float_list(args.mus) if getattr(args, "mus", None) else _config_value(
+        config, "kernel_bank", "mus", None, list
+    )
+    sigmas = _float_list(args.sigmas) if getattr(args, "sigmas", None) else _config_value(
+        config, "kernel_bank", "sigmas", None, list
+    )
     if mus is None and sigmas is None:
         return KernelBank.default()
     if mus is None or sigmas is None:
         raise CommandError("kernel bank needs both centers and widths")
     return KernelBank(tuple(mus), tuple(sigmas))
+
+
+_INDEX_FILES = ("meta.json", "postings.json", "doc_lengths.json")
+
+
+def _index_inputs(index_dir: Path) -> dict[str, Path]:
+    """Every file of an index directory, named for a manifest's inputs."""
+    return {f"index_{name.removesuffix('.json')}": index_dir / name for name in _INDEX_FILES}
 
 
 def _matrix_inputs(args) -> dict[str, Path]:
@@ -263,7 +297,7 @@ def _cmd_index_build(args, config: dict) -> int:
         {"k1": k1, "b": b, "stopwords": sorted(stopwords)},
         None,
         inputs,
-        {name: out / name for name in ("meta.json", "postings.json", "doc_lengths.json")},
+        {name: out / name for name in _INDEX_FILES},
     )
     print(f"indexed {index.doc_count} passages -> {out}")
     return 0
@@ -283,7 +317,7 @@ def _cmd_index_search(args, config: dict) -> int:
         "index search",
         {"k": k, "run_name": args.run_name, "split": args.split},
         None,
-        {"index": index_dir / "meta.json", "queries": queries_path},
+        {**_index_inputs(index_dir), "queries": queries_path},
         {"run": out},
     )
     print(f"searched {len(run)} queries at k={k} -> {out}")
@@ -297,7 +331,7 @@ def _cmd_qrels_build(args, config: dict) -> int:
     thresholds = (
         _float_list(args.thresholds)
         if args.thresholds
-        else config.get("qrels", {}).get("thresholds", list(DEFAULT_CTR_THRESHOLDS))
+        else _config_value(config, "qrels", "thresholds", list(DEFAULT_CTR_THRESHOLDS), list)
     )
     qrels = build_qrels_from_clicks(clicks, args.mode, thresholds)
     write_qrels(qrels, out)
@@ -341,7 +375,7 @@ def _cmd_triples_generate(args, config: dict) -> int:
             "split": args.split,
         },
         sampling.seed,
-        {"index": index_dir / "meta.json", "queries": queries_path, "qrels": qrels_path},
+        {**_index_inputs(index_dir), "queries": queries_path, "qrels": qrels_path},
         {"triples": out},
     )
     print(
@@ -500,7 +534,7 @@ def _cmd_eval(args, config: dict) -> int:
     cutoffs = _int_list(
         args.cutoffs
         if args.cutoffs
-        else config.get("eval", {}).get("cutoffs", "10,100,200,1000")
+        else _config_value(config, "eval", "cutoffs", "10,100,200,1000", str)
     )
     if not cutoffs:
         raise CommandError("need at least one cutoff")

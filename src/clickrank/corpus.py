@@ -261,13 +261,6 @@ def load_clicks(path: str | Path) -> list[ClickRecord]:
     return records
 
 
-def ctr(record: ClickRecord) -> float:
-    """Click-through rate of a record: clicks / impressions."""
-    if record.impressions < 1:
-        raise ValueError("click-through rate undefined for zero impressions")
-    return record.clicks / record.impressions
-
-
 def build_qrels_from_clicks(
     records: Sequence[ClickRecord],
     mode: str = "dctr",

@@ -9,20 +9,15 @@ Two binary interchange formats, both little-endian with float32 payloads:
 ``TKM1`` (one token matrix per id)
     magic ``TKM1`` | u32 count | u32 dim
     | count x (u32 id_len, id utf-8, u32 n_tokens, n_tokens*dim float32).
-
-Static word embeddings use the common text format ``term v1 ... v_dim``.
 """
 
 from __future__ import annotations
 
-import logging
 import struct
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 VECTOR_MAGIC = b"TKV1"
 MATRIX_MAGIC = b"TKM1"
@@ -237,89 +232,3 @@ def load_token_matrices(path: str | Path) -> TokenMatrixStore:
         matrices[mid] = mat
     reader.done()
     return TokenMatrixStore(dim, matrices)
-
-
-class StaticEmbedding:
-    """Per-term word vectors (non-contextual)."""
-
-    def __init__(self, dim: int, table: Mapping[str, np.ndarray]):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = int(dim)
-        self._table: dict[str, np.ndarray] = {}
-        for term, vec in table.items():
-            arr = np.asarray(vec, dtype=np.float32)
-            if arr.shape != (self.dim,):
-                raise ValueError(
-                    f"term {term!r}: expected shape ({self.dim},), got {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"term {term!r} has a non-finite component")
-            self._table[term] = arr
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._table
-
-    def vector(self, term: str) -> np.ndarray:
-        return self._table[term]
-
-
-def load_static_embedding(path: str | Path) -> StaticEmbedding:
-    """Load ``term v1 ... v_dim`` lines; duplicate terms are an error."""
-    path = Path(path)
-    table: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            term, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ValueError(f"{path}: line {lineno}: no vector components")
-            if len(values) != dim:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim} components, got {len(values)}"
-                )
-            if term in table:
-                raise ValueError(f"{path}: line {lineno}: duplicate term {term!r}")
-            try:
-                table[term] = np.array([float(v) for v in values], dtype=np.float32)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric component") from None
-    if dim is None:
-        raise ValueError(f"{path}: empty embedding file")
-    return StaticEmbedding(dim, table)
-
-
-def write_static_embedding(embedding: StaticEmbedding, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for term in sorted(embedding._table):
-            components = " ".join(repr(float(v)) for v in embedding.vector(term))
-            f.write(f"{term} {components}\n")
-
-
-def embed_tokens_static(
-    text: str,
-    embedding: StaticEmbedding,
-    tokenizer: Callable[[str], list[str]],
-) -> np.ndarray:
-    """Stack the embedding vectors of the in-vocabulary tokens of ``text``.
-
-    Out-of-vocabulary tokens are dropped (the drop count is logged at DEBUG
-    level). A text whose tokens are all out of vocabulary is an error, since
-    a token matrix must have at least one row.
-    """
-    tokens = tokenizer(text)
-    rows = [embedding.vector(t) for t in tokens if t in embedding]
-    dropped = len(tokens) - len(rows)
-    if dropped:
-        logger.debug("dropped %d out-of-vocabulary tokens", dropped)
-    if not rows:
-        raise ValueError("no in-vocabulary tokens in text")
-    return np.stack(rows)

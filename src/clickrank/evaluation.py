@@ -174,19 +174,6 @@ def load_splits(path: str | Path) -> dict[str, str]:
     return split_of
 
 
-def splits_from_sets(sets: Mapping[str, Iterable[str]]) -> dict[str, str]:
-    """Build a query -> split map from per-split id sets; overlaps are an error."""
-    split_of: dict[str, str] = {}
-    for split, qids in sets.items():
-        for qid in qids:
-            if qid in split_of:
-                raise ValueError(
-                    f"query {qid!r} assigned to both {split_of[qid]!r} and {split!r}"
-                )
-            split_of[qid] = split
-    return split_of
-
-
 @dataclass
 class SplitReport:
     split: str

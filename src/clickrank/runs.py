@@ -53,15 +53,6 @@ class RankedRun:
     def __len__(self) -> int:
         return len(self.results)
 
-    def truncated(self, depth: int) -> "RankedRun":
-        """Copy of this run keeping only the top ``depth`` entries per query."""
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        out = RankedRun(name=self.name, stage=self.stage)
-        for qid, entries in self.results.items():
-            out.results[qid] = list(entries[:depth])
-        return out
-
 
 def write_run(run: RankedRun, path: str | Path) -> None:
     """Write a run in TREC format; queries sorted by id for stable bytes.

@@ -21,6 +21,7 @@ import numpy as np
 
 from .bm25 import tokenize
 from .corpus import (
+    DEFAULT_CTR_THRESHOLDS,
     ClickRecord,
     Passage,
     PassageStore,
@@ -29,16 +30,7 @@ from .corpus import (
     build_qrels_from_clicks,
     write_qrels,
 )
-from .embeddings import (
-    StaticEmbedding,
-    TokenMatrixStore,
-    VectorStore,
-    write_static_embedding,
-    write_token_matrices,
-    write_vectors,
-)
-
-CTR_THRESHOLDS = (0.1, 0.3)
+from .embeddings import TokenMatrixStore, VectorStore, write_token_matrices, write_vectors
 
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
@@ -76,7 +68,6 @@ class Fixture:
     relevant: dict[str, dict[str, int]]  # query -> passage -> planted grade
     query_vectors: VectorStore
     passage_vectors: VectorStore
-    static_embedding: StaticEmbedding
     query_matrices: TokenMatrixStore
     passage_matrices: TokenMatrixStore
     split_of: dict[str, str]
@@ -92,7 +83,6 @@ class Fixture:
             "splits": out / "splits.tsv",
             "query_vectors": out / "query_vectors.tkv",
             "passage_vectors": out / "passage_vectors.tkv",
-            "static_embedding": out / "static_embedding.txt",
             "query_matrices": out / "query_matrices.tkm",
             "passage_matrices": out / "passage_matrices.tkm",
         }
@@ -107,13 +97,14 @@ class Fixture:
                 f.write(
                     f"{rec.query_id}\t{rec.passage_id}\t{rec.impressions}\t{rec.clicks}\n"
                 )
-        write_qrels(build_qrels_from_clicks(self.clicks, "dctr", CTR_THRESHOLDS), paths["qrels"])
+        write_qrels(
+            build_qrels_from_clicks(self.clicks, "dctr", DEFAULT_CTR_THRESHOLDS), paths["qrels"]
+        )
         with open(paths["splits"], "w", encoding="utf-8", newline="\n") as f:
             for qid in sorted(self.split_of):
                 f.write(f"{qid}\t{self.split_of[qid]}\n")
         write_vectors(self.query_vectors, paths["query_vectors"])
         write_vectors(self.passage_vectors, paths["passage_vectors"])
-        write_static_embedding(self.static_embedding, paths["static_embedding"])
         write_token_matrices(self.query_matrices, paths["query_matrices"])
         write_token_matrices(self.passage_matrices, paths["passage_matrices"])
         return paths
@@ -237,12 +228,11 @@ def generate_fixture(spec: FixtureSpec = FixtureSpec()) -> Fixture:
     term_table = {}
     for term in vocabulary:
         v = rng.standard_normal(spec.term_dim)
-        term_table[term] = v / np.linalg.norm(v)
-    static = StaticEmbedding(spec.term_dim, term_table)
+        term_table[term] = (v / np.linalg.norm(v)).astype(np.float32)
 
     def matrices_for(texts: dict[str, str]) -> TokenMatrixStore:
         mats = {
-            ident: np.stack([static.vector(t) for t in tokenize(text)])
+            ident: np.stack([term_table[t] for t in tokenize(text)])
             for ident, text in texts.items()
         }
         return TokenMatrixStore(spec.term_dim, mats)
@@ -258,7 +248,6 @@ def generate_fixture(spec: FixtureSpec = FixtureSpec()) -> Fixture:
         relevant=relevant,
         query_vectors=query_vectors,
         passage_vectors=passage_vectors,
-        static_embedding=static,
         query_matrices=query_matrices,
         passage_matrices=passage_matrices,
         split_of=split_of,

@@ -136,14 +136,12 @@ def generate_triples(
         rng = np.random.default_rng(stable_query_seed(config.seed, qid))
         produced = 0
         for positive in positives:
+            candidates = pool
             if config.legacy_mode:
-                negatives = _legacy_sample(
-                    pool, positive, set(positives), config.max_negatives_per_positive, rng
-                )
-            else:
-                negatives = sample_negatives(
-                    pool, set(positives), config.max_negatives_per_positive, rng
-                )
+                candidates = pool[: pool.index(positive)] if positive in pool else []
+            negatives = sample_negatives(
+                candidates, set(positives), config.max_negatives_per_positive, rng
+            )
             for negative in negatives:
                 triples.append(TrainingTriple(qid, positive, negative))
                 produced += 1
@@ -172,27 +170,6 @@ def generate_triples(
         report.truncated = True
     report.triples = shuffled
     return report
-
-
-def _legacy_sample(
-    candidates: Sequence[str],
-    positive: str,
-    clicked: set[str],
-    max_n: int,
-    rng: np.random.Generator,
-) -> list[str]:
-    # known-bad policy: non-clicked candidates ranked above the positive;
-    # nothing protects against unclicked-but-relevant passages up there
-    try:
-        cut = candidates.index(positive)
-    except ValueError:
-        return []
-    eligible = [c for c in candidates[:cut] if c not in clicked]
-    if not eligible:
-        return []
-    n = min(max_n, len(eligible))
-    picks = rng.choice(len(eligible), size=n, replace=False)
-    return [eligible[i] for i in picks]
 
 
 def write_triples(triples: Iterable[TrainingTriple], path: str | Path) -> None:

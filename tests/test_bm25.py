@@ -8,9 +8,7 @@ from clickrank.bm25 import (
     DEFAULT_K1,
     InvertedIndex,
     batch_search,
-    bm25_score,
     build_index,
-    search,
     tokenize,
 )
 from clickrank.corpus import Passage, PassageStore, Query, QuerySet
@@ -106,11 +104,11 @@ class TestBuildIndex:
 class TestScore:
     def test_no_matching_terms_scores_zero(self):
         index = build_index(_store({"d1": "alpha beta"}))
-        assert bm25_score(index, ["gamma"], "d1") == 0.0
+        assert index.score(["gamma"], "d1") == 0.0
 
     def test_single_doc_matches_scalar_formula(self):
         index = build_index(_store({"d1": "a b"}))
-        got = bm25_score(index, ["a", "b"], "d1")
+        got = index.score(["a", "b"], "d1")
         # direct evaluation: N=1, df=1, tf=1, len=avgdl=2
         idf = math.log(1 + (1 - 1 + 0.5) / (1 + 0.5))
         norm = 1 - DEFAULT_B + DEFAULT_B * 1.0
@@ -133,7 +131,7 @@ class TestScore:
         }
         best = max(oracle, key=oracle.get)
         assert best == "d1"
-        ranked = search(index, "heart attack", 3)
+        ranked = index.search("heart attack", 3)
         assert ranked[0][0] == "d1"
         for pid, score in ranked:
             assert score == pytest.approx(oracle[pid], rel=1e-12)
@@ -141,13 +139,13 @@ class TestScore:
     def test_unknown_passage(self):
         index = build_index(_store({"d1": "a"}))
         with pytest.raises(KeyError, match="nope"):
-            bm25_score(index, ["a"], "nope")
+            index.score(["a"], "nope")
 
     def test_score_strictly_increasing_in_tf(self):
         # same lengths, one more occurrence of the query term
         index = build_index(_store({"d1": "x pad pad pad", "d2": "x x pad pad"}))
-        s1 = bm25_score(index, ["x"], "d1")
-        s2 = bm25_score(index, ["x"], "d2")
+        s1 = index.score(["x"], "d1")
+        s2 = index.score(["x"], "d2")
         assert s2 > s1
 
 
@@ -156,17 +154,17 @@ class TestSearch:
         texts = {f"m{i:03d}": "needle filler" for i in range(40)}
         texts.update({f"x{i:03d}": "other stuff" for i in range(60)})
         index = build_index(_store(texts))
-        results = search(index, "needle", 500)
+        results = index.search("needle", 500)
         assert len(results) == 40
 
     def test_unknown_terms_give_empty_result(self):
         index = build_index(_store({"d1": "a b"}))
-        assert search(index, "zzz qqq", 10) == []
+        assert index.search("zzz qqq", 10) == []
 
     def test_k_validation(self):
         index = build_index(_store({"d1": "a"}))
         with pytest.raises(ValueError, match="k"):
-            search(index, "a", 0)
+            index.search("a", 0)
 
     def test_prefix_property(self):
         rng = np.random.default_rng(5)
@@ -178,9 +176,9 @@ class TestSearch:
         index = build_index(_store(texts))
         for _ in range(20):
             query = " ".join(vocab[j] for j in rng.integers(0, 30, 3))
-            full = search(index, query, 200)
+            full = index.search(query, 200)
             for k in (1, 5, 17, 50):
-                assert search(index, query, k) == full[:k]
+                assert index.search(query, k) == full[:k]
 
     def test_matches_exhaustive_scoring(self):
         rng = np.random.default_rng(11)
@@ -199,7 +197,7 @@ class TestSearch:
                 if s > 0:
                     oracle.append((pid, s))
             oracle.sort(key=lambda e: (-e[1], e[0]))
-            got = search(index, " ".join(tokens), len(texts))
+            got = index.search(" ".join(tokens), len(texts))
             assert [p for p, _ in got] == [p for p, _ in oracle]
             for (_, a), (_, b) in zip(got, oracle):
                 assert a == pytest.approx(b, rel=1e-9)
@@ -229,10 +227,10 @@ class TestStopwords:
             _store({"d1": "signs of the heart attack", "d2": "the the the unrelated"}),
             stopwords=stop,
         )
-        results = search(index, "the heart", 10)
+        results = index.search("the heart", 10)
         assert [pid for pid, _ in results] == ["d1"]
         # score() applies the same filter
-        assert bm25_score(index, ["the", "heart"], "d1") == results[0][1]
+        assert index.score(["the", "heart"], "d1") == results[0][1]
 
     def test_stopwords_survive_persistence(self, tmp_path):
         index = build_index(_store({"d1": "the heart"}), stopwords=frozenset({"the"}))

@@ -30,7 +30,6 @@ class TestSynthCommand:
             "splits.tsv",
             "query_vectors.tkv",
             "passage_vectors.tkv",
-            "static_embedding.txt",
             "query_matrices.tkm",
             "passage_matrices.tkm",
             "manifest.json",
@@ -175,6 +174,38 @@ class TestPipeline:
             digests.append(_sha(out))
         assert digests[0] == digests[1]
 
+    def test_index_reading_manifests_pin_every_index_file(self, fixture_dir, tmp_path):
+        index_dir = tmp_path / "index"
+        assert main(
+            ["index", "build", "--collection", str(fixture_dir / "collection.tsv"),
+             "--out", str(index_dir)]
+        ) == 0
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        for name in ("meta.json", "doc_lengths.json"):
+            (edited / name).write_bytes((index_dir / name).read_bytes())
+        postings = (index_dir / "postings.json").read_text()
+        at = postings.index(", 1]")
+        (edited / "postings.json").write_text(postings[:at] + ", 2]" + postings[at + 4:])
+        commands = {
+            "search": ["index", "search", "--k", "50"],
+            "triples": ["triples", "generate", "--qrels", str(fixture_dir / "qrels.trec"),
+                        "--depth", "50", "--max-neg", "2"],
+        }
+        for tag, command in commands.items():
+            manifests = []
+            for directory in (index_dir, edited):
+                out = tmp_path / f"{tag}_{directory.name}.out"
+                assert main(
+                    [*command, "--index", str(directory),
+                     "--queries", str(fixture_dir / "queries.tsv"), "--out", str(out)]
+                ) == 0
+                manifests.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text()))
+            orig, edit = (m["inputs"] for m in manifests)
+            assert orig["index_postings"]["digest"] != edit["index_postings"]["digest"]
+            assert orig["index_meta"]["digest"] == edit["index_meta"]["digest"]
+            assert orig["index_doc_lengths"]["digest"] == edit["index_doc_lengths"]["digest"]
+
 
 class TestErrorHandling:
     def test_missing_collection_path(self, tmp_path, capsys):
@@ -209,6 +240,42 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, command, named",
+        [
+            ({"eval": {"cutoffs": [10, 100]}}, "eval", "config value eval.cutoffs"),
+            ({"bm25": 5}, "index build", "config section bm25"),
+            ({"paths": []}, "index build", "config section paths"),
+            ({"train": {"epochs": "many"}}, "train kernel", "config value train.epochs"),
+        ],
+        ids=["eval-cutoffs-list", "bm25-number", "paths-list", "train-epochs-string"],
+    )
+    def test_config_value_of_wrong_type(
+        self, fixture_dir, tmp_path, capsys, config, command, named
+    ):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        run = tmp_path / "run.trec"
+        run.write_text("q00000 Q0 p000000 1 1.0 r\n")
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("q00000\tp000000\tp000001\n")
+        flags = {
+            "eval": ["--run", str(run), "--qrels", str(fixture_dir / "qrels.trec")],
+            "index build": ["--collection", str(fixture_dir / "collection.tsv")],
+            "train kernel": [
+                "--triples", str(triples),
+                "--query-matrices", str(fixture_dir / "query_matrices.tkm"),
+                "--passage-matrices", str(fixture_dir / "passage_matrices.tkm"),
+            ],
+        }[command]
+        code = main(
+            ["--config", str(conf), *command.split(), *flags, "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert named in lines[0]
 
 
 class TestConfigFile:

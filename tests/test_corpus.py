@@ -10,7 +10,6 @@ from clickrank.corpus import (
     QuerySet,
     build_qrels_from_clicks,
     corpus_stats,
-    ctr,
     load_clicks,
     load_collection,
     load_qrels,
@@ -71,11 +70,6 @@ class TestLoadQueries:
 
 
 class TestClickRecords:
-    def test_ctr_values(self):
-        assert ctr(ClickRecord("q", "p", 10, 3)) == pytest.approx(0.3)
-        assert ctr(ClickRecord("q", "p", 5, 0)) == 0.0
-        assert ctr(ClickRecord("q", "p", 7, 7)) == 1.0
-
     def test_zero_impressions_rejected(self):
         with pytest.raises(ValueError, match="impressions"):
             ClickRecord("q", "p", 0, 0)

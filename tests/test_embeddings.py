@@ -3,16 +3,11 @@ import struct
 import numpy as np
 import pytest
 
-from clickrank.bm25 import tokenize
 from clickrank.embeddings import (
-    StaticEmbedding,
     TokenMatrixStore,
     VectorStore,
-    embed_tokens_static,
-    load_static_embedding,
     load_token_matrices,
     load_vectors,
-    write_static_embedding,
     write_token_matrices,
     write_vectors,
 )
@@ -136,63 +131,3 @@ class TestTokenMatrixStore:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="duplicate"):
             load_token_matrices(path)
-
-
-class TestStaticEmbedding:
-    def test_text_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        emb = StaticEmbedding(
-            5, {w: rng.standard_normal(5).astype(np.float32) for w in ("alpha", "beta", "gamma")}
-        )
-        path = tmp_path / "emb.txt"
-        write_static_embedding(emb, path)
-        loaded = load_static_embedding(path)
-        assert len(loaded) == 3
-        for w in ("alpha", "beta", "gamma"):
-            assert np.array_equal(loaded.vector(w), emb.vector(w))
-
-    def test_dim_mismatch_line(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("a 1.0 2.0\nb 1.0\n")
-        with pytest.raises(ValueError, match="line 2"):
-            load_static_embedding(path)
-
-    def test_duplicate_term(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("a 1.0\na 2.0\n")
-        with pytest.raises(ValueError, match="duplicate"):
-            load_static_embedding(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            load_static_embedding(path)
-
-
-class TestEmbedTokensStatic:
-    def _embedding(self):
-        return StaticEmbedding(
-            3,
-            {
-                "heart": np.array([1.0, 0.0, 0.0]),
-                "attack": np.array([0.0, 1.0, 0.0]),
-                "risk": np.array([0.0, 0.0, 1.0]),
-            },
-        )
-
-    def test_rows_match_vocabulary_vectors(self):
-        emb = self._embedding()
-        matrix = embed_tokens_static("Heart attack risk", emb, tokenize)
-        assert matrix.shape == (3, 3)
-        np.testing.assert_array_equal(matrix[0], emb.vector("heart"))
-        np.testing.assert_array_equal(matrix[1], emb.vector("attack"))
-        np.testing.assert_array_equal(matrix[2], emb.vector("risk"))
-
-    def test_oov_tokens_dropped(self):
-        matrix = embed_tokens_static("heart zzz attack", self._embedding(), tokenize)
-        assert matrix.shape == (2, 3)
-
-    def test_all_oov_is_an_error(self):
-        with pytest.raises(ValueError, match="vocabulary"):
-            embed_tokens_static("zzz qqq", self._embedding(), tokenize)

@@ -14,7 +14,6 @@ from clickrank.evaluation import (
     ndcg_at_k,
     recall_at_k,
     report_to_json,
-    splits_from_sets,
     write_report,
     write_sweep_table,
 )
@@ -212,10 +211,6 @@ class TestEvaluateRun:
         qrels = Qrels({"q1": {"a": 1}, "q2": {"b": 1}})
         with pytest.raises(ValueError, match="q2"):
             evaluate_run(run, qrels, {"q1": "head"})
-
-    def test_overlapping_split_sets_rejected(self):
-        with pytest.raises(ValueError, match="q1"):
-            splits_from_sets({"head": ["q1"], "tail": ["q1"]})
 
     def test_report_files(self, tmp_path):
         run = _run({"q": ["a", "x"]})

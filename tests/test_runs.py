@@ -32,12 +32,6 @@ class TestRankedRun:
         with pytest.raises(ValueError, match="q1"):
             run.add("q1", [("b", 1.0)])
 
-    def test_truncated(self):
-        run = RankedRun(name="r")
-        run.add("q1", [("a", 3.0), ("b", 2.0), ("c", 1.0)])
-        assert run.truncated(2)["q1"] == [("a", 3.0), ("b", 2.0)]
-        assert run["q1"][2] == ("c", 1.0)  # original untouched
-
 
 class TestRunFiles:
     def test_roundtrip_preserves_exact_scores(self, tmp_path):

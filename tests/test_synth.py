@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from clickrank.bm25 import batch_search, build_index
-from clickrank.corpus import build_qrels_from_clicks
-from clickrank.synth import CTR_THRESHOLDS, FixtureSpec, generate_fixture
+from clickrank.corpus import DEFAULT_CTR_THRESHOLDS, build_qrels_from_clicks
+from clickrank.synth import FixtureSpec, generate_fixture
 
 
 class TestDeterminism:
@@ -48,7 +48,7 @@ class TestPlantedRelevance:
         assert zeros >= len(small_fixture.relevant)  # two per query by construction
 
     def test_dctr_thresholds_are_the_published_default(self):
-        assert CTR_THRESHOLDS == (0.1, 0.3)
+        assert DEFAULT_CTR_THRESHOLDS == (0.1, 0.3)
 
     def test_dense_margin_exhaustive(self, small_fixture):
         ids, matrix = small_fixture.passage_vectors.as_matrix()
@@ -97,7 +97,7 @@ class TestShape:
         clicks = load_clicks(paths["clicks"])
         assert clicks == small_fixture.clicks
         qrels = load_qrels(paths["qrels"])
-        assert qrels == build_qrels_from_clicks(small_fixture.clicks, "dctr", CTR_THRESHOLDS)
+        assert qrels == build_qrels_from_clicks(small_fixture.clicks, "dctr", DEFAULT_CTR_THRESHOLDS)
         vectors = load_vectors(paths["passage_vectors"])
         assert len(vectors) == len(small_fixture.store)
         matrices = load_token_matrices(paths["query_matrices"])

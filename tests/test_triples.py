@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clickrank.bm25 import build_index, search
+from clickrank.bm25 import build_index
 from clickrank.corpus import Passage, PassageStore, Qrels, Query, QuerySet
 from clickrank.triples import (
     SamplingConfig,
@@ -57,7 +57,7 @@ class TestCandidatePool:
         store, queries = _tiny_corpus()
         index = build_index(store)
         pool = candidate_pool(index, "shared", 500)
-        assert pool == [pid for pid, _ in search(index, "shared", 500)]
+        assert pool == [pid for pid, _ in index.search("shared", 500)]
         assert len(pool) == 12
 
     def test_depth_validation(self):
@@ -229,6 +229,32 @@ class TestGenerateTriples:
         above = set(ranked[:3])
         assert report.triples  # something was sampled
         assert all(t.negative_id in above for t in report.triples)
+
+    def test_legacy_mode_draws_match_reference(self, small_fixture, small_qrels):
+        index = build_index(small_fixture.store)
+        config = SamplingConfig(
+            candidate_depth=60, max_negatives_per_positive=4, seed=6, legacy_mode=True
+        )
+        report = generate_triples(small_fixture.queries, small_qrels, index, config)
+        # reference: the unclicked candidates ranked above each positive, drawn
+        # from the query's own rng stream, then one seeded shuffle
+        expected = []
+        unranked_positives = 0
+        for qid in sorted(q.id for q in small_fixture.queries):
+            positives = sorted(small_qrels.relevant_pool(qid))
+            ranked = [pid for pid, _ in index.search(small_fixture.queries.text(qid), 60)]
+            rng = np.random.default_rng(stable_query_seed(6, qid))
+            for positive in positives:
+                if positive not in ranked:
+                    unranked_positives += 1
+                    continue
+                above = [p for p in ranked[: ranked.index(positive)] if p not in positives]
+                if above:
+                    picks = rng.choice(len(above), size=min(4, len(above)), replace=False)
+                    expected += [TrainingTriple(qid, positive, above[i]) for i in picks]
+        assert expected and unranked_positives  # both branches of the policy ran
+        order = np.random.default_rng(6).permutation(len(expected))
+        assert report.triples == [expected[i] for i in order]
 
 
 class TestTripleFiles:
