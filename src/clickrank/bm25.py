@@ -1,4 +1,4 @@
-"""BM25 retrieval over an in-memory inverted index.
+"""BM25 retrieval over a columnar inverted index.
 
 Scoring uses the smoothed, always-positive idf variant
 
@@ -18,17 +18,31 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left
+from collections import Counter
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import PassageStore
+from .manifest import atomic_write
 from .runs import RankedRun
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 
 INDEX_FORMAT = "clickrank-inverted-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+
+# The arrays of an index directory, one little-endian .npy file each.
+_ARRAYS = {
+    "term_offsets": np.dtype("<i8"),
+    "postings_doc": np.dtype("<i4"),
+    "postings_tf": np.dtype("<i4"),
+    "doc_lengths": np.dtype("<i4"),
+}
+# Every file of an index directory; meta.json is written last.
+INDEX_FILES = ("ids.json", "terms.json", *(f"{name}.npy" for name in _ARRAYS), "meta.json")
 
 # Maximal runs of alphanumeric characters; underscore is a separator too.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -39,10 +53,33 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-class InvertedIndex:
-    """Postings per term plus the document statistics BM25 needs.
+class _Postings(Mapping):
+    """Read-only term -> the ascending document numbers of its postings."""
 
-    Posting lists are sorted by passage id. An optional stopword list is
+    def __init__(self, term_numbers: dict[str, int], offsets: np.ndarray, postings_doc: np.ndarray):
+        self._term_numbers = term_numbers
+        self._offsets = offsets
+        self._doc = postings_doc
+
+    def __getitem__(self, term: str) -> np.ndarray:
+        t = self._term_numbers[term]
+        return self._doc[self._offsets[t] : self._offsets[t + 1]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._term_numbers)
+
+    def __len__(self) -> int:
+        return len(self._term_numbers)
+
+
+class InvertedIndex:
+    """Compressed-sparse-row postings plus the document statistics BM25 needs.
+
+    Documents are numbered ``0..N-1`` in ascending passage-id order, so
+    integer order is the tie-break order. Term ``t``'s postings are
+    ``postings_doc[term_offsets[t]:term_offsets[t + 1]]`` (ascending
+    document numbers) with their term frequencies in ``postings_tf``.
+    ``postings`` maps each term to that slice. An optional stopword list is
     applied symmetrically to documents (at build time) and to queries, and
     is persisted with the index so both sides always agree. The index is
     immutable after construction and safe for concurrent readers.
@@ -50,56 +87,77 @@ class InvertedIndex:
 
     def __init__(
         self,
-        postings: dict[str, list[tuple[str, int]]],
-        doc_lengths: dict[str, int],
+        ids: list[str],
+        terms: list[str],
+        term_offsets: np.ndarray,
+        postings_doc: np.ndarray,
+        postings_tf: np.ndarray,
+        doc_lengths: np.ndarray,
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
         stopwords: frozenset[str] = frozenset(),
     ):
-        self.postings = postings
-        self.doc_lengths = doc_lengths
-        self.doc_count = len(doc_lengths)
-        total = sum(doc_lengths.values())
+        self.ids = ids
+        self.terms = terms
+        self.term_offsets = term_offsets
+        self.postings_doc = postings_doc
+        self.postings_tf = postings_tf
+        self.lengths = doc_lengths
+        self.doc_count = len(ids)
+        total = int(doc_lengths.sum())
         self.avg_doc_length = total / self.doc_count if self.doc_count else 0.0
         self.k1 = float(k1)
         self.b = float(b)
         self.stopwords = frozenset(stopwords)
-        # id-sorted key columns for per-document tf lookups via bisect
-        self._posting_keys = {t: [pid for pid, _ in pl] for t, pl in postings.items()}
+        # the same operations, in the same order, as the scalar norm in score()
+        self.norm = (
+            1.0 - self.b + self.b * doc_lengths / self.avg_doc_length
+            if total
+            else np.ones(self.doc_count)
+        )
+        self._doc_numbers = dict(zip(ids, range(len(ids))))
+        self._term_numbers = dict(zip(terms, range(len(terms))))
+        self.postings = _Postings(self._term_numbers, term_offsets, postings_doc)
+
+    @property
+    def doc_lengths(self) -> dict[str, int]:
+        """Passage id -> token count, in id order (built on each access)."""
+        return dict(zip(self.ids, self.lengths.tolist()))
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self.doc_lengths
+        return passage_id in self._doc_numbers
+
+    def _span(self, term: str) -> tuple[int, int] | None:
+        t = self._term_numbers.get(term)
+        if t is None:
+            return None
+        return int(self.term_offsets[t]), int(self.term_offsets[t + 1])
 
     def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
-        if df == 0:
+        span = self._span(term)
+        if span is None:
             return 0.0
+        df = span[1] - span[0]
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
-    def term_frequency(self, term: str, passage_id: str) -> int:
-        keys = self._posting_keys.get(term)
-        if not keys:
-            return 0
-        i = bisect_left(keys, passage_id)
-        if i < len(keys) and keys[i] == passage_id:
-            return self.postings[term][i][1]
-        return 0
-
-    def _length_norm(self, passage_id: str) -> float:
-        length = self.doc_lengths[passage_id]
-        return 1.0 - self.b + self.b * length / self.avg_doc_length
-
     def score(self, query_tokens: list[str], passage_id: str) -> float:
-        if passage_id not in self.doc_lengths:
+        """Scalar BM25 of one passage: the reference :meth:`search` matches."""
+        d = self._doc_numbers.get(passage_id)
+        if d is None:
             raise KeyError(f"unknown passage id {passage_id!r}")
         total = 0.0
         for token in query_tokens:
             if token in self.stopwords:
                 continue
-            tf = self.term_frequency(token, passage_id)
-            if tf == 0:
+            span = self._span(token)
+            if span is None:
                 continue
-            norm = self._length_norm(passage_id)
+            lo, hi = span
+            i = lo + int(np.searchsorted(self.postings_doc[lo:hi], d))
+            if i == hi or self.postings_doc[i] != d:
+                continue
+            tf = int(self.postings_tf[i])
+            norm = 1.0 - self.b + self.b * int(self.lengths[d]) / self.avg_doc_length
             total += self.idf(token) * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
         return total
 
@@ -108,28 +166,50 @@ class InvertedIndex:
 
         Accumulates term contributions in query-token order, so every
         returned score is bit-identical to :meth:`score` for that passage.
+        Every passage tied at the k-th score survives the partition, and the
+        final order is (score descending, document number ascending).
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        tokens = [t for t in tokenize(query_text) if t not in self.stopwords]
-        accumulator: dict[str, float] = {}
-        for token in tokens:
-            posting = self.postings.get(token)
-            if not posting:
+        accumulator = np.zeros(self.doc_count)
+        touched = np.zeros(self.doc_count, dtype=bool)
+        k1 = self.k1
+        for token in tokenize(query_text):
+            if token in self.stopwords:
                 continue
+            span = self._span(token)
+            if span is None:
+                continue
+            docs = self.postings_doc[span[0] : span[1]]
+            tf = self.postings_tf[span[0] : span[1]]
             idf = self.idf(token)
-            k1 = self.k1
-            for pid, tf in posting:
-                norm = self._length_norm(pid)
-                contribution = idf * tf * (k1 + 1.0) / (tf + k1 * norm)
-                accumulator[pid] = accumulator.get(pid, 0.0) + contribution
-        ranked = sorted(accumulator.items(), key=lambda e: (-e[1], e[0]))
-        return ranked[:k]
+            accumulator[docs] += idf * tf * (k1 + 1.0) / (tf + k1 * self.norm[docs])
+            touched[docs] = True
+        hits = np.flatnonzero(touched)
+        scores = accumulator[hits]
+        if len(hits) > k:
+            kth = np.partition(scores, len(hits) - k)[len(hits) - k]
+            keep = scores >= kth
+            hits, scores = hits[keep], scores[keep]
+        order = np.lexsort((hits, -scores))[:k]
+        ids = self.ids
+        return [(ids[d], s) for d, s in zip(hits[order].tolist(), scores[order].tolist())]
 
     def save(self, directory: str | Path) -> None:
-        """Persist to a directory; the layout round-trips exactly."""
+        """Persist to a directory; the layout round-trips exactly.
+
+        Each file is replaced whole, and ``meta.json`` last, so an
+        interrupted save over an older index leaves that index's header.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        for name, values in (("ids.json", self.ids), ("terms.json", self.terms)):
+            with atomic_write(directory / name) as f:
+                json.dump(values, f)
+        columns = (self.term_offsets, self.postings_doc, self.postings_tf, self.lengths)
+        for (name, dtype), values in zip(_ARRAYS.items(), columns):
+            with atomic_write(directory / f"{name}.npy", binary=True) as f:
+                np.save(f, values.astype(dtype, copy=False), allow_pickle=False)
         meta = {
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
@@ -139,20 +219,13 @@ class InvertedIndex:
             "avg_doc_length": self.avg_doc_length,
             "stopwords": sorted(self.stopwords),
         }
-        (directory / "meta.json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        with open(directory / "doc_lengths.json", "w", encoding="utf-8") as f:
-            json.dump(self.doc_lengths, f, sort_keys=True)
-        with open(directory / "postings.json", "w", encoding="utf-8") as f:
-            json.dump(
-                {t: [[pid, tf] for pid, tf in pl] for t, pl in self.postings.items()},
-                f,
-                sort_keys=True,
-            )
+        with atomic_write(directory / "meta.json") as f:
+            f.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, directory: str | Path) -> "InvertedIndex":
+        """Read and validate an index directory; any inconsistency is a
+        ``ValueError`` naming the file it was found in."""
         directory = Path(directory)
         meta_path = directory / "meta.json"
         if not meta_path.exists():
@@ -160,24 +233,87 @@ class InvertedIndex:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if meta.get("format") != INDEX_FORMAT:
             raise ValueError(f"{directory}: unexpected index format {meta.get('format')!r}")
+        if meta.get("version") == 1:
+            raise ValueError(
+                f"{directory}: index version 1 (JSON postings) is no longer readable; "
+                "rebuild it with `clickrank index build`"
+            )
         if meta.get("version") != INDEX_VERSION:
             raise ValueError(f"{directory}: unsupported index version {meta.get('version')!r}")
-        with open(directory / "doc_lengths.json", "r", encoding="utf-8") as f:
-            doc_lengths = {pid: int(n) for pid, n in json.load(f).items()}
-        with open(directory / "postings.json", "r", encoding="utf-8") as f:
-            postings = {
-                t: [(pid, int(tf)) for pid, tf in pl] for t, pl in json.load(f).items()
-            }
+        ids = _read_strings(directory / "ids.json")
+        terms = _read_strings(directory / "terms.json")
+        arrays = {name: _read_array(directory / f"{name}.npy", dt) for name, dt in _ARRAYS.items()}
         index = cls(
-            postings,
-            doc_lengths,
+            ids,
+            terms,
+            **arrays,
             k1=meta["k1"],
             b=meta["b"],
             stopwords=frozenset(meta.get("stopwords", ())),
         )
-        if index.doc_count != meta["doc_count"]:
-            raise ValueError(f"{directory}: doc count mismatch with meta.json")
+        _validate(directory, index, meta)
         return index
+
+
+def _read_strings(path: Path) -> list[str]:
+    with open(path, "r", encoding="utf-8") as f:
+        values = json.load(f)
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{path}: expected a JSON list of strings")
+    return values
+
+
+def _read_array(path: Path, dtype: np.dtype) -> np.ndarray:
+    try:
+        values = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable .npy array ({exc})") from None
+    if values.dtype != dtype or values.ndim != 1:
+        raise ValueError(
+            f"{path}: expected a 1-D {dtype.str} array, got {values.ndim}-D {values.dtype.str}"
+        )
+    return values
+
+
+def _validate(directory: Path, index: InvertedIndex, meta: dict) -> None:
+    """The structure search and score rely on, checked with whole-array operations."""
+
+    def require(ok, name: str, what: str) -> None:
+        if not ok:
+            raise ValueError(f"{directory / name}: {what}")
+
+    n, terms, offsets = index.doc_count, index.terms, index.term_offsets
+    doc, tf = index.postings_doc, index.postings_tf
+    ascending = index.ids == sorted(index.ids) and len(index._doc_numbers) == n
+    require(ascending, "ids.json", "passage ids must be strictly ascending")
+    require(len(index._term_numbers) == len(terms), "terms.json", "duplicate terms")
+    require(len(index.lengths) == n, "doc_lengths.npy", f"{len(index.lengths)} lengths for {n} ids")
+    require(
+        len(offsets) == len(terms) + 1,
+        "term_offsets.npy",
+        f"{len(offsets)} offsets for {len(terms)} terms",
+    )
+    require(
+        offsets[0] == 0 and offsets[-1] == len(doc) and np.all(np.diff(offsets) >= 0),
+        "term_offsets.npy",
+        f"offsets must rise monotonically from 0 to {len(doc)} postings",
+    )
+    require(len(tf) == len(doc), "postings_tf.npy", f"{len(tf)} frequencies, {len(doc)} postings")
+    if len(doc):
+        require(tf.min() >= 1, "postings_tf.npy", "term frequencies must be >= 1")
+        in_range = doc.min() >= 0 and doc.max() < n
+        require(in_range, "postings_doc.npy", f"document numbers must lie in [0, {n})")
+        rising = np.diff(doc) > 0
+        # a term's first posting need not exceed the previous term's last
+        starts = offsets[1:-1]
+        rising[starts[(starts > 0) & (starts < len(doc))] - 1] = True
+        require(np.all(rising), "postings_doc.npy", "document numbers must rise within each term")
+    require(meta["doc_count"] == n, "meta.json", f"doc_count {meta['doc_count']!r} != {n} ids")
+    require(
+        meta["avg_doc_length"] == index.avg_doc_length,
+        "meta.json",
+        f"avg_doc_length {meta['avg_doc_length']!r} != {index.avg_doc_length!r} from the lengths",
+    )
 
 
 def build_index(
@@ -194,19 +330,39 @@ def build_index(
     if len(store) == 0:
         raise ValueError("cannot index an empty passage store")
     stopwords = frozenset(stopwords)
-    doc_lengths: dict[str, int] = {}
-    postings: dict[str, list[tuple[str, int]]] = {}
-    for pid, text in store.items():
-        tokens = [t for t in tokenize(text) if t not in stopwords]
-        doc_lengths[pid] = len(tokens)
-        counts: dict[str, int] = {}
-        for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-        for term, tf in counts.items():
-            postings.setdefault(term, []).append((pid, tf))
-    for plist in postings.values():
-        plist.sort(key=lambda e: e[0])
-    return InvertedIndex(postings, doc_lengths, k1=k1, b=b, stopwords=stopwords)
+    ids = sorted(store)
+    lengths: list[int] = []
+    distinct: list[int] = []
+    vocabulary: dict[str, int] = {}  # term -> number in first-seen order
+    seen_terms: list[int] = []
+    frequencies: list[int] = []
+    for pid in ids:
+        tokens = [t for t in tokenize(store.text(pid)) if t not in stopwords]
+        counts = Counter(tokens)
+        lengths.append(len(tokens))
+        distinct.append(len(counts))
+        seen_terms.extend(vocabulary.setdefault(t, len(vocabulary)) for t in counts)
+        frequencies.extend(counts.values())
+    terms = sorted(vocabulary)
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[[vocabulary[t] for t in terms]] = np.arange(len(terms))
+    term_of = rank[np.asarray(seen_terms, dtype=np.int64)]
+    # a stable sort by term keeps each term's documents in ascending order
+    order = np.argsort(term_of, kind="stable")
+    doc_of = np.repeat(np.arange(len(ids), dtype=np.int32), distinct)
+    term_offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_of, minlength=len(terms)), out=term_offsets[1:])
+    return InvertedIndex(
+        ids,
+        terms,
+        term_offsets,
+        doc_of[order],
+        np.asarray(frequencies, dtype=np.int32)[order],
+        np.asarray(lengths, dtype=np.int32),
+        k1=k1,
+        b=b,
+        stopwords=stopwords,
+    )
 
 
 def batch_search(index: InvertedIndex, queries, k: int, run_name: str = "bm25") -> RankedRun:

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bm25 import DEFAULT_B, DEFAULT_K1, InvertedIndex, batch_search, build_index
+from .bm25 import DEFAULT_B, DEFAULT_K1, INDEX_FILES, InvertedIndex, batch_search, build_index
 from .corpus import (
     DEFAULT_CTR_THRESHOLDS,
     build_qrels_from_clicks,
@@ -84,7 +84,7 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-_KIND_NAMES = {str: "a string", list: "a list of numbers", float: "a number"}
+_KIND_NAMES = {str: "a string", list: "a list of numbers", float: "a number", int: "an integer"}
 
 
 def _is_kind(value, kind: type) -> bool:
@@ -92,6 +92,8 @@ def _is_kind(value, kind: type) -> bool:
         return isinstance(value, list) and all(_is_kind(v, float) for v in value)
     if kind is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return _is_kind(value, float) and (isinstance(value, int) or value.is_integer())
     return isinstance(value, kind)
 
 
@@ -99,7 +101,8 @@ def _config_value(config: dict, section: str, key: str, default, kind: type):
     """The config file's ``section.key``, or ``default`` when it is unset.
 
     Every section must be a JSON object, and a set value a ``kind``: str,
-    list (of numbers) or float (any JSON number).
+    list (of numbers), float (any JSON number) or int (an integral number,
+    such as 3 or 3.0).
     """
     entries = config.get(section, {})
     if not isinstance(entries, dict):
@@ -111,11 +114,14 @@ def _config_value(config: dict, section: str, key: str, default, kind: type):
     return value
 
 
-def _cfg(cli_value, config: dict, section: str, key: str, default):
-    """Resolution order: explicit flag, config file number, built-in default."""
+def _cfg(cli_value, config: dict, section: str, key: str, default, kind: type = float):
+    """Resolution order: explicit flag, config file number, built-in default.
+
+    ``kind`` is float, or int for an integer option.
+    """
     if cli_value is not None:
         return cli_value
-    return _config_value(config, section, key, default, float)
+    return _config_value(config, section, key, default, kind)
 
 
 # flags whose values the config file's "paths" section may preseed
@@ -159,7 +165,7 @@ def _seed(args, config: dict, section: str) -> int:
         return int(args.seed)
     if getattr(args, "global_seed", None) is not None:
         return int(args.global_seed)
-    return int(_config_value(config, section, "seed", 0, float))
+    return int(_config_value(config, section, "seed", 0, int))
 
 
 def _require(path_str: str, what: str) -> Path:
@@ -201,12 +207,9 @@ def _kernel_bank(args, config: dict) -> KernelBank:
     return KernelBank(tuple(mus), tuple(sigmas))
 
 
-_INDEX_FILES = ("meta.json", "postings.json", "doc_lengths.json")
-
-
 def _index_inputs(index_dir: Path) -> dict[str, Path]:
     """Every file of an index directory, named for a manifest's inputs."""
-    return {f"index_{name.removesuffix('.json')}": index_dir / name for name in _INDEX_FILES}
+    return {f"index_{Path(name).stem}": index_dir / name for name in INDEX_FILES}
 
 
 def _matrix_inputs(args) -> dict[str, Path]:
@@ -297,7 +300,7 @@ def _cmd_index_build(args, config: dict) -> int:
         {"k1": k1, "b": b, "stopwords": sorted(stopwords)},
         None,
         inputs,
-        {name: out / name for name in _INDEX_FILES},
+        {name: out / name for name in INDEX_FILES},
     )
     print(f"indexed {index.doc_count} passages -> {out}")
     return 0
@@ -309,7 +312,7 @@ def _cmd_index_search(args, config: dict) -> int:
     out = _arg(args, "out", "run output path")
     index = InvertedIndex.load(index_dir)
     queries = load_queries(queries_path, args.split)
-    k = int(_cfg(args.k, config, "bm25", "k", 500))
+    k = int(_cfg(args.k, config, "bm25", "k", 500, int))
     run = batch_search(index, queries, k, run_name=args.run_name)
     write_run(run, out)
     write_manifest(
@@ -356,9 +359,9 @@ def _cmd_triples_generate(args, config: dict) -> int:
     queries = load_queries(queries_path, args.split)
     qrels = load_qrels(qrels_path)
     sampling = SamplingConfig(
-        candidate_depth=int(_cfg(args.depth, config, "sampling", "depth", 500)),
-        max_negatives_per_positive=int(_cfg(args.max_neg, config, "sampling", "max_neg", 20)),
-        triple_cap=int(_cfg(args.cap, config, "sampling", "cap", 10_000_000)),
+        candidate_depth=int(_cfg(args.depth, config, "sampling", "depth", 500, int)),
+        max_negatives_per_positive=int(_cfg(args.max_neg, config, "sampling", "max_neg", 20, int)),
+        triple_cap=int(_cfg(args.cap, config, "sampling", "cap", 10_000_000, int)),
         seed=_seed(args, config, "sampling"),
         legacy_mode=bool(args.legacy_mode),
     )
@@ -378,10 +381,11 @@ def _cmd_triples_generate(args, config: dict) -> int:
         {**_index_inputs(index_dir), "queries": queries_path, "qrels": qrels_path},
         {"triples": out},
     )
+    truncated = f"; truncated to cap {sampling.triple_cap}" if report.truncated else ""
     print(
         f"wrote {len(report.triples)} triples from {report.queries_processed} queries "
         f"(skipped: {report.skipped_missing_qrels} without positives, "
-        f"{report.skipped_no_eligible} without eligible negatives) -> {out}"
+        f"{report.skipped_no_eligible} without eligible negatives{truncated}) -> {out}"
     )
     return 0
 
@@ -418,7 +422,7 @@ def _cmd_rerank(args, config: dict) -> int:
     run_path = _input(args, "run", "run file")
     out = _arg(args, "out", "run output path")
     first_stage = read_run(run_path)
-    depth = int(_cfg(args.depth, config, "rerank", "depth", 200))
+    depth = int(_cfg(args.depth, config, "rerank", "depth", 200, int))
     reranked = rerank(
         first_stage, depth, scorer, on_missing=args.on_missing, run_name=args.run_name
     )
@@ -450,7 +454,7 @@ def _cmd_dense_retrieve(args, config: dict) -> int:
     out = _arg(args, "out", "run output path")
     query_vectors = load_vectors(query_vectors_path)
     passage_vectors = load_vectors(passage_vectors_path)
-    k = int(_cfg(args.k, config, "dense", "k", 1000))
+    k = int(_cfg(args.k, config, "dense", "k", 1000, int))
     run = RankedRun(name=args.run_name, stage="dense-retrieval")
     for qid in sorted(query_vectors.ids):
         run.results[qid] = dense_retrieve(
@@ -480,7 +484,7 @@ def _cmd_train_kernel(args, config: dict) -> int:
     bank = _kernel_bank(args, config)
     hyper = {
         "lr": float(_cfg(args.lr, config, "train", "lr", 0.01)),
-        "epochs": int(_cfg(args.epochs, config, "train", "epochs", 100)),
+        "epochs": int(_cfg(args.epochs, config, "train", "epochs", 100, int)),
         "margin": float(_cfg(args.margin, config, "train", "margin", 1.0)),
         "seed": _seed(args, config, "train"),
     }
@@ -524,6 +528,9 @@ def _cmd_train_kernel(args, config: dict) -> int:
     return 0
 
 
+_DEFAULT_RECALL_CUTOFFS = [100, 200, 1000]
+
+
 def _cmd_eval(args, config: dict) -> int:
     run_path = _input(args, "run", "run file")
     qrels_path = _input(args, "qrels", "qrels")
@@ -538,12 +545,15 @@ def _cmd_eval(args, config: dict) -> int:
     )
     if not cutoffs:
         raise CommandError("need at least one cutoff")
+    if len(cutoffs) == 1:
+        cutoffs += _DEFAULT_RECALL_CUTOFFS
+        print(f"no recall cutoffs given; using {','.join(map(str, _DEFAULT_RECALL_CUTOFFS))}")
     report = evaluate_run(
         run,
         qrels,
         split_map,
         rank_cutoff=cutoffs[0],
-        recall_cutoffs=cutoffs[1:] or (100, 200, 1000),
+        recall_cutoffs=cutoffs[1:],
         zero_positive_policy=args.zero_positive,
     )
     write_report(report, out)

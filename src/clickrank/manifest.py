@@ -3,7 +3,9 @@
 A manifest pins everything needed to re-create an artifact byte for byte:
 the resolved configuration, the seed, content digests of every input, and
 digests of the produced outputs. No timestamps, so identical reruns produce
-identical manifests.
+identical manifests. Manifests, runs, id triples and index files are
+written through :func:`atomic_write`, so a reader never sees one of them
+partly written.
 """
 
 from __future__ import annotations
@@ -11,10 +13,31 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping
+from typing import IO, Iterator, Mapping
 
 from . import __version__
+
+
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write to a temporary file beside ``path`` that replaces it on success.
+
+    Text mode is UTF-8 with LF line ends. If the block raises, the temporary
+    file is removed and ``path`` keeps its old contents. The replace is
+    atomic against a crashed or killed process; it does not fsync, so it
+    does not make the new contents durable against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def file_digest(path: str | Path) -> str:
@@ -48,7 +71,7 @@ def write_manifest(
         "inputs": {name: entry(p) for name, p in inputs.items()},
         "outputs": {name: entry(p) for name, p in outputs.items()},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 

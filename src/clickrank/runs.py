@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .manifest import atomic_write
+
 
 def canonical_order(entries: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
     """Sort entries by descending score, ties by ascending passage id.
@@ -60,7 +62,7 @@ def write_run(run: RankedRun, path: str | Path) -> None:
     Scores are written with ``repr`` so reading the file back reproduces the
     exact float values.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for qid in sorted(run.results):
             for rank, (pid, score) in enumerate(run.results[qid], start=1):
                 f.write(f"{qid} Q0 {pid} {rank} {float(score)!r} {run.name}\n")

@@ -24,6 +24,7 @@ import numpy as np
 
 from .bm25 import InvertedIndex
 from .corpus import PassageStore, Qrels, QuerySet
+from .manifest import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -173,7 +174,7 @@ def generate_triples(
 
 
 def write_triples(triples: Iterable[TrainingTriple], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for t in triples:
             f.write(f"{t.query_id}\t{t.positive_id}\t{t.negative_id}\n")
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from clickrank.bm25 import (
     DEFAULT_B,
     DEFAULT_K1,
+    INDEX_FILES,
     InvertedIndex,
     batch_search,
     build_index,
@@ -17,6 +19,16 @@ from clickrank.runs import write_run
 
 def _store(texts: dict[str, str]) -> PassageStore:
     return PassageStore([Passage(pid, text) for pid, text in texts.items()])
+
+
+def _decoded(index: InvertedIndex) -> dict[str, list[tuple[str, int]]]:
+    """The CSR columns read back as term -> [(passage id, tf), ...]."""
+    out = {}
+    for t, term in enumerate(index.terms):
+        lo, hi = index.term_offsets[t], index.term_offsets[t + 1]
+        docs, tfs = index.postings_doc[lo:hi].tolist(), index.postings_tf[lo:hi].tolist()
+        out[term] = [(index.ids[d], tf) for d, tf in zip(docs, tfs)]
+    return out
 
 
 def _oracle_score(doc_tokens, all_doc_tokens, query_tokens, k1, b):
@@ -63,14 +75,14 @@ class TestBuildIndex:
         index = build_index(_store({"d1": "a b a", "d2": "b c"}))
         assert len(index.postings["a"]) == 1
         assert len(index.postings["b"]) == 2
-        assert index.term_frequency("a", "d1") == 2
+        assert _decoded(index) == {"a": [("d1", 2)], "b": [("d1", 1), ("d2", 1)], "c": [("d2", 1)]}
         assert index.doc_lengths == {"d1": 3, "d2": 2}
         assert index.avg_doc_length == pytest.approx(2.5)
 
     def test_empty_text_document(self):
         index = build_index(_store({"d1": ""}))
         assert index.doc_lengths["d1"] == 0
-        assert index.postings == {}
+        assert len(index.postings) == 0 and index.term_offsets.tolist() == [0]
 
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -78,7 +90,9 @@ class TestBuildIndex:
 
     def test_postings_sorted_by_passage_id(self):
         index = build_index(_store({"z": "tok", "a": "tok", "m": "tok"}))
-        assert [pid for pid, _ in index.postings["tok"]] == ["a", "m", "z"]
+        assert index.ids == ["a", "m", "z"]
+        assert index.postings["tok"].tolist() == [0, 1, 2]
+        assert [pid for pid, _ in _decoded(index)["tok"]] == ["a", "m", "z"]
 
     def test_postings_match_independent_recount(self):
         # build a larger synthetic corpus and recount everything by hand
@@ -98,7 +112,10 @@ class TestBuildIndex:
             for t in toks:
                 expected_tf_total[t] = expected_tf_total.get(t, 0) + 1
         assert {t: len(pl) for t, pl in index.postings.items()} == expected_df
-        assert {t: sum(tf for _, tf in pl) for t, pl in index.postings.items()} == expected_tf_total
+        decoded = _decoded(index)
+        assert {t: sum(tf for _, tf in pl) for t, pl in decoded.items()} == expected_tf_total
+        for pl in decoded.values():
+            assert [pid for pid, _ in pl] == sorted({pid for pid, _ in pl})
 
 
 class TestScore:
@@ -244,7 +261,11 @@ class TestPersistence:
         index = build_index(_store({"d1": "a b a", "d2": "b c"}), k1=1.2, b=0.75)
         index.save(tmp_path / "idx")
         loaded = InvertedIndex.load(tmp_path / "idx")
-        assert loaded.postings == index.postings
+        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == sorted(INDEX_FILES)
+        assert _decoded(loaded) == _decoded(index)
+        for column in ("term_offsets", "postings_doc", "postings_tf", "lengths", "norm"):
+            assert np.array_equal(getattr(loaded, column), getattr(index, column)), column
+        assert loaded.ids == index.ids and loaded.terms == index.terms
         assert loaded.doc_lengths == index.doc_lengths
         assert loaded.k1 == index.k1 and loaded.b == index.b
         assert loaded.avg_doc_length == index.avg_doc_length
@@ -258,6 +279,96 @@ class TestPersistence:
         index = build_index(_store({"d1": "a"}))
         index.save(tmp_path / "idx")
         meta = tmp_path / "idx" / "meta.json"
-        meta.write_text(meta.read_text().replace('"version": 1', '"version": 99'))
-        with pytest.raises(ValueError, match="version"):
+        meta.write_text(meta.read_text().replace('"version": 2', '"version": 99'))
+        with pytest.raises(ValueError, match="version 99"):
             InvertedIndex.load(tmp_path / "idx")
+
+    def test_version_1_directory_asks_for_a_rebuild(self, tmp_path):
+        # the JSON layout earlier releases wrote
+        old = tmp_path / "old"
+        old.mkdir()
+        meta = {"format": "clickrank-inverted-index", "version": 1, "k1": 0.9, "b": 0.4,
+                "doc_count": 1, "avg_doc_length": 1.0, "stopwords": []}
+        (old / "meta.json").write_text(json.dumps(meta))
+        (old / "doc_lengths.json").write_text('{"d1": 1}')
+        (old / "postings.json").write_text('{"a": [["d1", 1]]}')
+        with pytest.raises(ValueError, match="rebuild it with `clickrank index build`"):
+            InvertedIndex.load(old)
+
+
+def _corrupt_array(name, edit):
+    def corrupt(directory):
+        values = np.load(directory / name)
+        np.save(directory / name, edit(values.copy()))
+    return corrupt
+
+
+def _corrupt_json(name, edit):
+    def corrupt(directory):
+        path = directory / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return corrupt
+
+
+def _set(values, i, v):
+    values[i] = v
+    return values
+
+
+def _swap_first_two(values):
+    values[[0, 1]] = values[[1, 0]]
+    return values
+
+
+class TestLoadValidation:
+    """Each broken invariant is one ValueError naming the file it is in."""
+
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (_corrupt_array("term_offsets.npy", lambda v: _set(v, 1, 6)), "term_offsets.npy"),
+            (_corrupt_array("term_offsets.npy", lambda v: _set(v, 0, 1)), "term_offsets.npy"),
+            (_corrupt_array("term_offsets.npy", lambda v: _set(v, -1, v[-1] - 1)), "term_offsets.npy"),
+            (_corrupt_array("term_offsets.npy", lambda v: v[:-1]), "term_offsets.npy"),
+            (_corrupt_array("term_offsets.npy", lambda v: v.astype("<i4")), "term_offsets.npy"),
+            (_corrupt_array("postings_doc.npy", lambda v: _set(v, -1, 3)), "postings_doc.npy"),
+            (_corrupt_array("postings_doc.npy", lambda v: _set(v, 0, -1)), "postings_doc.npy"),
+            (_corrupt_array("postings_doc.npy", _swap_first_two), "postings_doc.npy"),
+            (_corrupt_array("postings_tf.npy", lambda v: _set(v, 0, 0)), "postings_tf.npy"),
+            (_corrupt_array("postings_tf.npy", lambda v: v[:-1]), "postings_tf.npy"),
+            (_corrupt_array("doc_lengths.npy", lambda v: v[:-1]), "doc_lengths.npy"),
+            (_corrupt_json("ids.json", lambda ids: ids[:-1]), "doc_lengths.npy"),
+            (_corrupt_json("ids.json", lambda ids: ids[::-1]), "ids.json"),
+            (_corrupt_json("ids.json", lambda ids: [ids[0], ids[0], ids[2]]), "ids.json"),
+            (_corrupt_json("terms.json", lambda terms: terms[:-1]), "term_offsets.npy"),
+            (_corrupt_json("terms.json", lambda terms: [terms[0]] * len(terms)), "terms.json"),
+            (_corrupt_json("terms.json", lambda terms: {"terms": terms}), "terms.json"),
+            (_corrupt_json("meta.json", lambda meta: {**meta, "doc_count": 4}), "meta.json"),
+            (_corrupt_json("meta.json", lambda meta: {**meta, "avg_doc_length": 2.0}), "meta.json"),
+        ],
+        ids=[
+            "offsets-not-monotone", "offsets-not-from-0", "offsets-not-to-end", "offsets-short",
+            "offsets-dtype", "doc-out-of-range", "doc-negative", "doc-not-increasing",
+            "tf-zero", "tf-short", "lengths-short", "ids-short", "ids-descending",
+            "ids-duplicate", "terms-short", "terms-duplicate", "terms-not-a-list",
+            "meta-doc-count", "meta-avg-doc-length",
+        ],
+    )
+    def test_corruption_named(self, tmp_path, corrupt, named):
+        index = build_index(_store({"d1": "a b", "d2": "a c c", "d3": "a b c"}))
+        assert index.term_offsets.tolist() == [0, 3, 5, 7]
+        assert index.postings_doc.tolist() == [0, 1, 2, 0, 2, 1, 2]
+        directory = tmp_path / "idx"
+        index.save(directory)
+        InvertedIndex.load(directory)
+        corrupt(directory)
+        with pytest.raises(ValueError) as exc:
+            InvertedIndex.load(directory)
+        assert str(exc.value).startswith(str(directory / named) + ":")
+
+    def test_unreadable_array(self, tmp_path):
+        directory = tmp_path / "idx"
+        build_index(_store({"d1": "a"})).save(directory)
+        (directory / "postings_tf.npy").write_bytes(b"not an array")
+        with pytest.raises(ValueError, match="postings_tf.npy"):
+            InvertedIndex.load(directory)

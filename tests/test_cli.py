@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from clickrank.bm25 import INDEX_FILES
 from clickrank.cli import main
 
 
@@ -182,11 +183,11 @@ class TestPipeline:
         ) == 0
         edited = tmp_path / "edited"
         edited.mkdir()
-        for name in ("meta.json", "doc_lengths.json"):
+        for name in INDEX_FILES:
             (edited / name).write_bytes((index_dir / name).read_bytes())
-        postings = (index_dir / "postings.json").read_text()
-        at = postings.index(", 1]")
-        (edited / "postings.json").write_text(postings[:at] + ", 2]" + postings[at + 4:])
+        blob = bytearray((index_dir / "postings_tf.npy").read_bytes())
+        blob[-4] += 1  # lowest byte of the last term frequency
+        (edited / "postings_tf.npy").write_bytes(bytes(blob))
         commands = {
             "search": ["index", "search", "--k", "50"],
             "triples": ["triples", "generate", "--qrels", str(fixture_dir / "qrels.trec"),
@@ -202,9 +203,11 @@ class TestPipeline:
                 ) == 0
                 manifests.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text()))
             orig, edit = (m["inputs"] for m in manifests)
-            assert orig["index_postings"]["digest"] != edit["index_postings"]["digest"]
-            assert orig["index_meta"]["digest"] == edit["index_meta"]["digest"]
-            assert orig["index_doc_lengths"]["digest"] == edit["index_doc_lengths"]["digest"]
+            pinned = {name for name in orig if name.startswith("index_")}
+            assert pinned == {f"index_{name.split('.')[0]}" for name in INDEX_FILES}
+            assert orig["index_postings_tf"]["digest"] != edit["index_postings_tf"]["digest"]
+            for name in pinned - {"index_postings_tf"}:
+                assert orig[name]["digest"] == edit[name]["digest"], name
 
 
 class TestErrorHandling:
@@ -248,8 +251,12 @@ class TestErrorHandling:
             ({"bm25": 5}, "index build", "config section bm25"),
             ({"paths": []}, "index build", "config section paths"),
             ({"train": {"epochs": "many"}}, "train kernel", "config value train.epochs"),
+            ({"train": {"epochs": 2.5}}, "train kernel", "config value train.epochs must be an integer"),
         ],
-        ids=["eval-cutoffs-list", "bm25-number", "paths-list", "train-epochs-string"],
+        ids=[
+            "eval-cutoffs-list", "bm25-number", "paths-list", "train-epochs-string",
+            "train-epochs-fractional",
+        ],
     )
     def test_config_value_of_wrong_type(
         self, fixture_dir, tmp_path, capsys, config, command, named
@@ -276,6 +283,114 @@ class TestErrorHandling:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named in lines[0]
+
+
+    def test_corrupt_index_is_one_error_line(self, fixture_dir, tmp_path, capsys):
+        index_dir = tmp_path / "index"
+        assert main(
+            ["index", "build", "--collection", str(fixture_dir / "collection.tsv"),
+             "--out", str(index_dir)]
+        ) == 0
+        blob = bytearray((index_dir / "postings_tf.npy").read_bytes())
+        blob[-4:] = bytes(4)  # the last term frequency becomes 0
+        (index_dir / "postings_tf.npy").write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = main(
+            ["index", "search", "--index", str(index_dir),
+             "--queries", str(fixture_dir / "queries.tsv"), "--out", str(tmp_path / "run.trec")]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "postings_tf.npy" in lines[0]
+        assert not (tmp_path / "run.trec").exists()
+
+    @pytest.mark.parametrize(
+        "config, accepted",
+        [
+            ({"sampling": {"depth": 50.5}}, False),
+            ({"sampling": {"max_neg": 2.5}}, False),
+            ({"sampling": {"cap": 1e3 + 0.5}}, False),
+            ({"sampling": {"seed": 7.5}}, False),
+            ({"sampling": {"depth": 50.0, "max_neg": 2.0, "cap": 100.0, "seed": 7.0}}, True),
+        ],
+        ids=["depth", "max-neg", "cap", "seed", "integral-floats"],
+    )
+    def test_integer_options_reject_fractions(self, fixture_dir, tmp_path, capsys, config, accepted):
+        index_dir = tmp_path / "index"
+        assert main(
+            ["index", "build", "--collection", str(fixture_dir / "collection.tsv"),
+             "--out", str(index_dir)]
+        ) == 0
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"sampling": {"depth": 50, "max_neg": 2, **config["sampling"]}}))
+        out = tmp_path / "triples.tsv"
+        capsys.readouterr()
+        code = main(
+            ["--config", str(conf), "triples", "generate", "--index", str(index_dir),
+             "--queries", str(fixture_dir / "queries.tsv"),
+             "--qrels", str(fixture_dir / "qrels.trec"), "--out", str(out)]
+        )
+        err = capsys.readouterr().err.splitlines()
+        if accepted:
+            assert code == 0 and err == []
+            manifest = json.loads((tmp_path / "triples.tsv.manifest.json").read_text())
+            assert manifest["config"]["cap"] == 100 and manifest["seed"] == 7
+        else:
+            (key,) = config["sampling"]
+            assert code == 1 and len(err) == 1
+            assert err[0].startswith(f"error: config value sampling.{key} must be an integer")
+
+
+class TestSummaries:
+    @pytest.fixture(scope="class")
+    def searched(self, fixture_dir, tmp_path_factory):
+        work = tmp_path_factory.mktemp("summaries")
+        assert main(
+            ["index", "build", "--collection", str(fixture_dir / "collection.tsv"),
+             "--out", str(work / "index")]
+        ) == 0
+        assert main(
+            ["index", "search", "--index", str(work / "index"),
+             "--queries", str(fixture_dir / "queries.tsv"), "--k", "100",
+             "--out", str(work / "bm25.trec")]
+        ) == 0
+        return work
+
+    def test_eval_names_the_recall_cutoff_fallback(self, fixture_dir, searched, tmp_path, capsys):
+        outputs = {}
+        for tag, cutoffs in (("short", "10"), ("full", "10,100,200,1000")):
+            (tmp_path / tag).mkdir()
+            capsys.readouterr()
+            assert main(
+                ["eval", "--run", str(searched / "bm25.trec"),
+                 "--qrels", str(fixture_dir / "qrels.trec"), "--cutoffs", cutoffs,
+                 "--out", str(tmp_path / tag / "report.tsv")]
+            ) == 0
+            printed = capsys.readouterr().out
+            assert ("no recall cutoffs given; using 100,200,1000" in printed) == (tag == "short")
+            outputs[tag] = [
+                (tmp_path / tag / name).read_bytes() for name in ("report.tsv", "report.tsv.manifest.json")
+            ]
+        manifest = json.loads(outputs["short"][1])
+        assert manifest["config"]["cutoffs"] == [10, 100, 200, 1000]
+        assert outputs["short"] == outputs["full"]
+
+    def test_triples_summary_names_truncation(self, fixture_dir, searched, tmp_path, capsys):
+        for cap, truncated in ((7, True), (None, False)):
+            out = tmp_path / f"triples_{cap}.tsv"
+            capsys.readouterr()
+            assert main(
+                ["triples", "generate", "--index", str(searched / "index"),
+                 "--queries", str(fixture_dir / "queries.tsv"),
+                 "--qrels", str(fixture_dir / "qrels.trec"), "--depth", "50", "--max-neg", "2",
+                 *(["--cap", str(cap)] if cap else []), "--out", str(out)]
+            ) == 0
+            printed = capsys.readouterr().out
+            assert ("; truncated to cap 7)" in printed) == truncated
+            assert ("truncated" in printed) == truncated
+            if truncated:
+                assert len(out.read_text().splitlines()) == 7
 
 
 class TestConfigFile:

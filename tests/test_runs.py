@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clickrank.manifest import write_manifest
 from clickrank.runs import (
     RankedRun,
     canonical_order,
@@ -8,6 +9,7 @@ from clickrank.runs import (
     runs_cover_same_queries,
     write_run,
 )
+from clickrank.triples import TrainingTriple, write_triples
 
 
 class TestCanonicalOrder:
@@ -68,6 +70,26 @@ class TestRunFiles:
         path.write_text("q1 Q0 p1 1 2.0 r\nq1 Q0 p1 2 1.0 r\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_run(path)
+
+
+class TestAtomicWrites:
+    def test_writers_leave_only_their_file(self, tmp_path):
+        run = RankedRun(name="r")
+        run.add("q1", [("p1", 1.0)])
+        write_run(run, tmp_path / "run.trec")
+        write_triples([TrainingTriple("q1", "p1", "p2")], tmp_path / "triples.tsv")
+        write_manifest(tmp_path / "m.json", "test", {}, None, {"run": tmp_path / "run.trec"}, {})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "run.trec", "triples.tsv"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("old\n")
+        run = RankedRun(name="r")
+        run.results = {"q1": [("p1", 1.0)], "q2": [("p2", "not a score")]}
+        with pytest.raises(ValueError):
+            write_run(run, path)  # fails after the first line is written
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestQueryCoverage:
