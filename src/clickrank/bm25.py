@@ -108,6 +108,11 @@ class InvertedIndex:
         self.avg_doc_length = total / self.doc_count if self.doc_count else 0.0
         self.k1 = float(k1)
         self.b = float(b)
+        # written so that NaN fails both checks
+        if not self.k1 >= 0:
+            raise ValueError(f"BM25 k1 must be >= 0, got {self.k1!r}")
+        if not 0 <= self.b <= 1:
+            raise ValueError(f"BM25 b must be in [0, 1], got {self.b!r}")
         self.stopwords = frozenset(stopwords)
         # the same operations, in the same order, as the scalar norm in score()
         self.norm = (
@@ -243,14 +248,17 @@ class InvertedIndex:
         ids = _read_strings(directory / "ids.json")
         terms = _read_strings(directory / "terms.json")
         arrays = {name: _read_array(directory / f"{name}.npy", dt) for name, dt in _ARRAYS.items()}
-        index = cls(
-            ids,
-            terms,
-            **arrays,
-            k1=meta["k1"],
-            b=meta["b"],
-            stopwords=frozenset(meta.get("stopwords", ())),
-        )
+        try:
+            index = cls(
+                ids,
+                terms,
+                **arrays,
+                k1=meta["k1"],
+                b=meta["b"],
+                stopwords=frozenset(meta.get("stopwords", ())),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{meta_path}: {exc}") from None
         _validate(directory, index, meta)
         return index
 

@@ -1,8 +1,15 @@
 """Command-line pipeline driver.
 
 Subcommands: index build|search, qrels build, triples generate|text, rerank,
-dense retrieve, train kernel, eval, fuse, sweep, synth. Every command that
-produces artifacts also writes a reproducibility manifest next to them.
+dense retrieve, train kernel, eval, fuse, sweep, synth. Every command writes
+a reproducibility manifest next to its output (``DIR/manifest.json`` for a
+directory, ``FILE.manifest.json`` for a file).
+
+Each handler resolves every file it reads through one ``_Inputs`` recorder,
+which records the file under its manifest input name as it hands the path
+over (an index directory as one ``index_<stem>`` input per index file), and
+returns what it wrote. ``main`` then writes the manifest from the recorded
+inputs and the returned outputs, and prints the command's summary.
 
 A JSON config file (``--config``) may preseed any option, including input
 and output paths under a "paths" section; explicit flags always win, and
@@ -15,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -38,7 +46,7 @@ from .evaluation import (
     write_report_json,
     write_sweep_table,
 )
-from .manifest import manifest_path_for, write_manifest
+from .manifest import atomic_write, manifest_path_for, write_manifest
 from .rankers import (
     DenseScorer,
     ExternalScoreScorer,
@@ -175,8 +183,43 @@ def _require(path_str: str, what: str) -> Path:
     return path
 
 
-def _input(args, name: str, what: str) -> Path:
-    return _require(_arg(args, name, what), what)
+class _Inputs:
+    """The files a command reads, each recorded under its manifest input name.
+
+    Handlers resolve every input path through this recorder, so the manifest
+    ``main`` writes lists exactly the files the command opened.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.files: dict[str, Path] = {}
+
+    def add(self, name: str, path_str: str, what: str) -> Path:
+        path = _require(path_str, what)
+        self.files[name] = path
+        return path
+
+    def flag(self, name: str, what: str) -> Path:
+        """The path ``--NAME`` or the config's ``paths.NAME`` gives, recorded as ``name``."""
+        return self.add(name, _arg(self.args, name, what), what)
+
+    def index(self) -> Path:
+        """The ``--index`` directory; each of its files is recorded as ``index_<stem>``."""
+        directory = _require(_arg(self.args, "index", "index directory"), "index directory")
+        for name in INDEX_FILES:
+            self.files[f"index_{Path(name).stem}"] = directory / name
+        return directory
+
+
+@dataclass
+class _Wrote:
+    """What a handler wrote; ``main`` puts the manifest beside ``out``."""
+
+    out: str | Path
+    outputs: dict[str, str | Path]
+    config: dict
+    summary: list[str]
+    seed: int | None = None
 
 
 def _int_list(text: str) -> list[int]:
@@ -207,130 +250,81 @@ def _kernel_bank(args, config: dict) -> KernelBank:
     return KernelBank(tuple(mus), tuple(sigmas))
 
 
-def _index_inputs(index_dir: Path) -> dict[str, Path]:
-    """Every file of an index directory, named for a manifest's inputs."""
-    return {f"index_{Path(name).stem}": index_dir / name for name in INDEX_FILES}
-
-
-def _matrix_inputs(args) -> dict[str, Path]:
-    return {
-        "query_matrices": _require(args.query_matrices, "query matrices"),
-        "passage_matrices": _require(args.passage_matrices, "passage matrices"),
-    }
-
-
-def _build_scorer(args, config: dict):
-    """The scorer the flags select, and the files it read by manifest input name."""
+def _build_scorer(args, inputs: _Inputs):
+    """The scorer the flags select; its files are recorded under their flag names."""
     kind = args.scorer
     if kind == "dense":
-        if not (args.query_vectors and args.passage_vectors):
-            raise CommandError("dense scorer needs --query-vectors and --passage-vectors")
-        inputs = {
-            "query_vectors": _require(args.query_vectors, "query vectors"),
-            "passage_vectors": _require(args.passage_vectors, "passage vectors"),
-        }
-        scorer = DenseScorer(
-            load_vectors(inputs["query_vectors"]),
-            load_vectors(inputs["passage_vectors"]),
+        return DenseScorer(
+            load_vectors(inputs.flag("query_vectors", "query vectors")),
+            load_vectors(inputs.flag("passage_vectors", "passage vectors")),
             similarity=args.similarity or "dot",
         )
-        return scorer, inputs
     if kind == "colbert":
-        if not (args.query_matrices and args.passage_matrices):
-            raise CommandError("colbert scorer needs --query-matrices and --passage-matrices")
-        inputs = _matrix_inputs(args)
-        scorer = LateInteractionScorer(
-            load_token_matrices(inputs["query_matrices"]),
-            load_token_matrices(inputs["passage_matrices"]),
+        return LateInteractionScorer(
+            load_token_matrices(inputs.flag("query_matrices", "query matrices")),
+            load_token_matrices(inputs.flag("passage_matrices", "passage matrices")),
             similarity=args.similarity or "dot",
         )
-        return scorer, inputs
     if kind == "kernel":
-        if not (args.query_matrices and args.passage_matrices and args.weights):
-            raise CommandError(
-                "kernel scorer needs --query-matrices, --passage-matrices and --weights"
-            )
-        inputs = {"weights": _require(args.weights, "weights file"), **_matrix_inputs(args)}
-        bank, weights = load_weights(inputs["weights"])
-        scorer = KernelScorer(
-            load_token_matrices(inputs["query_matrices"]),
-            load_token_matrices(inputs["passage_matrices"]),
+        bank, weights = load_weights(inputs.flag("weights", "weights file"))
+        return KernelScorer(
+            load_token_matrices(inputs.flag("query_matrices", "query matrices")),
+            load_token_matrices(inputs.flag("passage_matrices", "passage matrices")),
             bank,
             weights,
             similarity=args.similarity or "cosine",
         )
-        return scorer, inputs
     if kind == "scores":
-        if not args.scores:
-            raise CommandError("scores scorer needs --scores")
-        inputs = {"scores": _require(args.scores, "score file")}
-        return ExternalScoreScorer.from_file(inputs["scores"]), inputs
+        return ExternalScoreScorer.from_file(inputs.flag("scores", "score file"))
     if kind == "oracle":
-        if not args.qrels:
-            raise CommandError("oracle scorer needs --qrels")
-        inputs = {"qrels": _require(args.qrels, "qrels")}
-        return GradeOracleScorer(load_qrels(inputs["qrels"])), inputs
+        return GradeOracleScorer(load_qrels(inputs.flag("qrels", "qrels")))
     raise CommandError(f"unknown scorer {kind!r}")
 
 
 # --------------------------------------------------------------------------
-# command handlers
+# command handlers: each reads through ``inputs`` and returns what it wrote
 # --------------------------------------------------------------------------
 
 
-def _cmd_index_build(args, config: dict) -> int:
-    collection = _input(args, "collection", "collection")
+def _cmd_index_build(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = Path(_arg(args, "out", "index output directory"))
     k1 = float(_cfg(args.k1, config, "bm25", "k1", DEFAULT_K1))
     b = float(_cfg(args.b, config, "bm25", "b", DEFAULT_B))
     stopwords: frozenset[str] = frozenset()
-    inputs = {"collection": collection}
     if args.stopwords:
-        stopword_path = _require(args.stopwords, "stopword list")
+        stopword_path = inputs.flag("stopwords", "stopword list")
         stopwords = frozenset(
             w.strip().lower() for w in stopword_path.read_text(encoding="utf-8").split() if w.strip()
         )
-        inputs["stopwords"] = stopword_path
-    store = load_collection(collection)
+    store = load_collection(inputs.flag("collection", "collection"))
     index = build_index(store, k1=k1, b=b, stopwords=stopwords)
     index.save(out)
-    write_manifest(
-        manifest_path_for(out),
-        "index build",
-        {"k1": k1, "b": b, "stopwords": sorted(stopwords)},
-        None,
-        inputs,
+    return _Wrote(
+        out,
         {name: out / name for name in INDEX_FILES},
+        {"k1": k1, "b": b, "stopwords": sorted(stopwords)},
+        [f"indexed {index.doc_count} passages -> {out}"],
     )
-    print(f"indexed {index.doc_count} passages -> {out}")
-    return 0
 
 
-def _cmd_index_search(args, config: dict) -> int:
-    index_dir = _input(args, "index", "index directory")
-    queries_path = _input(args, "queries", "query file")
+def _cmd_index_search(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "run output path")
-    index = InvertedIndex.load(index_dir)
-    queries = load_queries(queries_path, args.split)
+    index = InvertedIndex.load(inputs.index())
+    queries = load_queries(inputs.flag("queries", "query file"), args.split)
     k = int(_cfg(args.k, config, "bm25", "k", 500, int))
     run = batch_search(index, queries, k, run_name=args.run_name)
     write_run(run, out)
-    write_manifest(
-        manifest_path_for(out),
-        "index search",
-        {"k": k, "run_name": args.run_name, "split": args.split},
-        None,
-        {**_index_inputs(index_dir), "queries": queries_path},
+    return _Wrote(
+        out,
         {"run": out},
+        {"k": k, "run_name": args.run_name, "split": args.split},
+        [f"searched {len(run)} queries at k={k} -> {out}"],
     )
-    print(f"searched {len(run)} queries at k={k} -> {out}")
-    return 0
 
 
-def _cmd_qrels_build(args, config: dict) -> int:
-    clicks_path = _input(args, "clicks", "click log")
+def _cmd_qrels_build(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "qrels output path")
-    clicks = load_clicks(clicks_path)
+    clicks = load_clicks(inputs.flag("clicks", "click log"))
     thresholds = (
         _float_list(args.thresholds)
         if args.thresholds
@@ -338,26 +332,19 @@ def _cmd_qrels_build(args, config: dict) -> int:
     )
     qrels = build_qrels_from_clicks(clicks, args.mode, thresholds)
     write_qrels(qrels, out)
-    write_manifest(
-        manifest_path_for(out),
-        "qrels build",
-        {"mode": args.mode, "thresholds": list(thresholds)},
-        None,
-        {"clicks": clicks_path},
+    return _Wrote(
+        out,
         {"qrels": out},
+        {"mode": args.mode, "thresholds": list(thresholds)},
+        [f"wrote {len(qrels)} judgments for {len(qrels.query_ids)} queries -> {out}"],
     )
-    print(f"wrote {len(qrels)} judgments for {len(qrels.query_ids)} queries -> {out}")
-    return 0
 
 
-def _cmd_triples_generate(args, config: dict) -> int:
-    index_dir = _input(args, "index", "index directory")
-    queries_path = _input(args, "queries", "query file")
-    qrels_path = _input(args, "qrels", "qrels")
+def _cmd_triples_generate(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "triple output path")
-    index = InvertedIndex.load(index_dir)
-    queries = load_queries(queries_path, args.split)
-    qrels = load_qrels(qrels_path)
+    index = InvertedIndex.load(inputs.index())
+    queries = load_queries(inputs.flag("queries", "query file"), args.split)
+    qrels = load_qrels(inputs.flag("qrels", "qrels"))
     sampling = SamplingConfig(
         candidate_depth=int(_cfg(args.depth, config, "sampling", "depth", 500, int)),
         max_negatives_per_positive=int(_cfg(args.max_neg, config, "sampling", "max_neg", 20, int)),
@@ -367,9 +354,10 @@ def _cmd_triples_generate(args, config: dict) -> int:
     )
     report = generate_triples(queries, qrels, index, sampling)
     write_triples(report.triples, out)
-    write_manifest(
-        manifest_path_for(out),
-        "triples generate",
+    truncated = f"; truncated to cap {sampling.triple_cap}" if report.truncated else ""
+    return _Wrote(
+        out,
+        {"triples": out},
         {
             "depth": sampling.candidate_depth,
             "max_neg": sampling.max_negatives_per_positive,
@@ -377,38 +365,27 @@ def _cmd_triples_generate(args, config: dict) -> int:
             "legacy_mode": sampling.legacy_mode,
             "split": args.split,
         },
-        sampling.seed,
-        {**_index_inputs(index_dir), "queries": queries_path, "qrels": qrels_path},
-        {"triples": out},
+        [
+            f"wrote {len(report.triples)} triples from {report.queries_processed} queries "
+            f"(skipped: {report.skipped_missing_qrels} without positives, "
+            f"{report.skipped_no_eligible} without eligible negatives{truncated}) -> {out}"
+        ],
+        seed=sampling.seed,
     )
-    truncated = f"; truncated to cap {sampling.triple_cap}" if report.truncated else ""
-    print(
-        f"wrote {len(report.triples)} triples from {report.queries_processed} queries "
-        f"(skipped: {report.skipped_missing_qrels} without positives, "
-        f"{report.skipped_no_eligible} without eligible negatives{truncated}) -> {out}"
-    )
-    return 0
 
 
-def _cmd_triples_text(args, config: dict) -> int:
-    triples_path = _input(args, "triples", "triple file")
-    collection = _input(args, "collection", "collection")
-    queries_path = _input(args, "queries", "query file")
+def _cmd_triples_text(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "text triple output path")
-    triples = read_triples(triples_path)
-    store = load_collection(collection)
-    queries = load_queries(queries_path, args.split)
+    triples = read_triples(inputs.flag("triples", "triple file"))
+    store = load_collection(inputs.flag("collection", "collection"))
+    queries = load_queries(inputs.flag("queries", "query file"), args.split)
     write_text_triples(triples, store, queries, out)
-    write_manifest(
-        manifest_path_for(out),
-        "triples text",
-        {"split": args.split},
-        None,
-        {"triples": triples_path, "collection": collection, "queries": queries_path},
+    return _Wrote(
+        out,
         {"text_triples": out},
+        {"split": args.split},
+        [f"materialized {len(triples)} text triples -> {out}"],
     )
-    print(f"materialized {len(triples)} text triples -> {out}")
-    return 0
 
 
 def _dropped(first_stage: RankedRun, depth: int, kept) -> int:
@@ -417,43 +394,36 @@ def _dropped(first_stage: RankedRun, depth: int, kept) -> int:
     return offered - sum(len(entries) for entries in kept.values())
 
 
-def _cmd_rerank(args, config: dict) -> int:
-    scorer, scorer_inputs = _build_scorer(args, config)
-    run_path = _input(args, "run", "run file")
+def _cmd_rerank(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "run output path")
-    first_stage = read_run(run_path)
+    scorer = _build_scorer(args, inputs)
+    first_stage = read_run(inputs.flag("run", "run file"))
     depth = int(_cfg(args.depth, config, "rerank", "depth", 200, int))
     reranked = rerank(
         first_stage, depth, scorer, on_missing=args.on_missing, run_name=args.run_name
     )
     write_run(reranked, out)
-    write_manifest(
-        manifest_path_for(out),
-        "rerank",
+    dropped = _dropped(first_stage, depth, reranked.results)
+    return _Wrote(
+        out,
+        {"run": out},
         {
             "depth": depth,
             "scorer": args.scorer,
             "on_missing": args.on_missing,
             "similarity": getattr(scorer, "similarity", None),
         },
-        None,
-        {"run": run_path, **scorer_inputs},
-        {"run": out},
+        [
+            f"re-ranked {len(reranked)} queries at depth {depth} "
+            f"(dropped {dropped} candidates the scorer could not score) -> {out}"
+        ],
     )
-    dropped = _dropped(first_stage, depth, reranked.results)
-    print(
-        f"re-ranked {len(reranked)} queries at depth {depth} "
-        f"(dropped {dropped} candidates the scorer could not score) -> {out}"
-    )
-    return 0
 
 
-def _cmd_dense_retrieve(args, config: dict) -> int:
-    query_vectors_path = _input(args, "query_vectors", "query vectors")
-    passage_vectors_path = _input(args, "passage_vectors", "passage vectors")
+def _cmd_dense_retrieve(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "run output path")
-    query_vectors = load_vectors(query_vectors_path)
-    passage_vectors = load_vectors(passage_vectors_path)
+    query_vectors = load_vectors(inputs.flag("query_vectors", "query vectors"))
+    passage_vectors = load_vectors(inputs.flag("passage_vectors", "passage vectors"))
     k = int(_cfg(args.k, config, "dense", "k", 1000, int))
     run = RankedRun(name=args.run_name, stage="dense-retrieval")
     for qid in sorted(query_vectors.ids):
@@ -461,26 +431,19 @@ def _cmd_dense_retrieve(args, config: dict) -> int:
             passage_vectors, query_vectors.vector(qid), k, similarity=args.similarity
         )
     write_run(run, out)
-    write_manifest(
-        manifest_path_for(out),
-        "dense retrieve",
-        {"k": k, "run_name": args.run_name, "similarity": args.similarity},
-        None,
-        {"query_vectors": query_vectors_path, "passage_vectors": passage_vectors_path},
+    return _Wrote(
+        out,
         {"run": out},
+        {"k": k, "run_name": args.run_name, "similarity": args.similarity},
+        [f"retrieved top-{k} for {len(run)} queries -> {out}"],
     )
-    print(f"retrieved top-{k} for {len(run)} queries -> {out}")
-    return 0
 
 
-def _cmd_train_kernel(args, config: dict) -> int:
-    triples_path = _input(args, "triples", "triple file")
-    query_matrices_path = _input(args, "query_matrices", "query matrices")
-    passage_matrices_path = _input(args, "passage_matrices", "passage matrices")
+def _cmd_train_kernel(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "weights output path")
-    triples = read_triples(triples_path)
-    query_matrices = load_token_matrices(query_matrices_path)
-    passage_matrices = load_token_matrices(passage_matrices_path)
+    triples = read_triples(inputs.flag("triples", "triple file"))
+    query_matrices = load_token_matrices(inputs.flag("query_matrices", "query matrices"))
+    passage_matrices = load_token_matrices(inputs.flag("passage_matrices", "passage matrices"))
     bank = _kernel_bank(args, config)
     hyper = {
         "lr": float(_cfg(args.lr, config, "train", "lr", 0.01)),
@@ -494,50 +457,31 @@ def _cmd_train_kernel(args, config: dict) -> int:
     write_weights(bank, weights, out)
     outputs = {"weights": out}
     if args.telemetry:
-        with open(args.telemetry, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(
-                {
-                    "pairwise_accuracy": telemetry.pairwise_accuracy,
-                    "mean_margin": telemetry.mean_margin,
-                    "loss_curve": telemetry.loss_curve,
-                    "resolved_triples": telemetry.resolved_triples,
-                    "skipped_triples": telemetry.skipped_triples,
-                },
-                f,
-                indent=2,
-            )
+        with atomic_write(args.telemetry) as f:
+            json.dump(asdict(telemetry), f, indent=2)
             f.write("\n")
         outputs["telemetry"] = args.telemetry
-    write_manifest(
-        manifest_path_for(out),
-        "train kernel",
-        {**hyper, "mus": list(bank.mus), "sigmas": list(bank.sigmas)},
-        hyper["seed"],
-        {
-            "triples": triples_path,
-            "query_matrices": query_matrices_path,
-            "passage_matrices": passage_matrices_path,
-        },
+    return _Wrote(
+        out,
         outputs,
+        {**hyper, "mus": list(bank.mus), "sigmas": list(bank.sigmas)},
+        [
+            f"trained on {telemetry.resolved_triples} triples: "
+            f"pairwise_accuracy={telemetry.pairwise_accuracy:.3f} "
+            f"mean_margin={telemetry.mean_margin:.3f} -> {out}"
+        ],
+        seed=hyper["seed"],
     )
-    print(
-        f"trained on {telemetry.resolved_triples} triples: "
-        f"pairwise_accuracy={telemetry.pairwise_accuracy:.3f} "
-        f"mean_margin={telemetry.mean_margin:.3f} -> {out}"
-    )
-    return 0
 
 
 _DEFAULT_RECALL_CUTOFFS = [100, 200, 1000]
 
 
-def _cmd_eval(args, config: dict) -> int:
-    run_path = _input(args, "run", "run file")
-    qrels_path = _input(args, "qrels", "qrels")
+def _cmd_eval(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "report output path")
-    run = read_run(run_path)
-    qrels = load_qrels(qrels_path)
-    split_map = load_splits(_require(args.splits, "splits file")) if args.splits else None
+    run = read_run(inputs.flag("run", "run file"))
+    qrels = load_qrels(inputs.flag("qrels", "qrels"))
+    split_map = load_splits(inputs.flag("splits", "splits file")) if args.splits else None
     cutoffs = _int_list(
         args.cutoffs
         if args.cutoffs
@@ -561,76 +505,62 @@ def _cmd_eval(args, config: dict) -> int:
     if args.json:
         write_report_json(report, args.json)
         outputs["json"] = args.json
-    inputs = {"run": run_path, "qrels": qrels_path}
-    if args.splits:
-        inputs["splits"] = args.splits
-    write_manifest(
-        manifest_path_for(out),
-        "eval",
-        {"cutoffs": cutoffs, "zero_positive": args.zero_positive},
-        None,
-        inputs,
-        outputs,
-    )
+    summary = []
     for split in sorted(report.splits):
         sr = report.splits[split]
-        summary = " ".join(f"{m}={sr.metrics[m]:.4f}" for m in report.metric_names)
-        print(f"{split} ({sr.query_count} queries): {summary}")
-    return 0
+        metrics = " ".join(f"{m}={sr.metrics[m]:.4f}" for m in report.metric_names)
+        summary.append(f"{split} ({sr.query_count} queries): {metrics}")
+    return _Wrote(
+        out, outputs, {"cutoffs": cutoffs, "zero_positive": args.zero_positive}, summary
+    )
 
 
-def _cmd_fuse(args, config: dict) -> int:
+def _cmd_fuse(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "run output path")
-    runs = [read_run(_require(p, "run file")) for p in args.runs]
+    runs = [read_run(inputs.add(f"run_{i}", p, "run file")) for i, p in enumerate(args.runs)]
     fused = fuse_runs(runs, method=args.method, rrf_k=args.rrf_k, run_name=args.run_name)
     write_run(fused, out)
-    write_manifest(
-        manifest_path_for(out),
-        "fuse",
-        {"method": args.method, "rrf_k": args.rrf_k},
-        None,
-        {f"run_{i}": p for i, p in enumerate(args.runs)},
+    return _Wrote(
+        out,
         {"run": out},
+        {"method": args.method, "rrf_k": args.rrf_k},
+        [f"fused {len(runs)} runs over {len(fused)} queries -> {out}"],
     )
-    print(f"fused {len(runs)} runs over {len(fused)} queries -> {out}")
-    return 0
 
 
-def _cmd_sweep(args, config: dict) -> int:
-    scorer, scorer_inputs = _build_scorer(args, config)
-    run_path = _input(args, "run", "run file")
-    qrels_path = _input(args, "qrels", "qrels")
+def _cmd_sweep(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "table output path")
-    first_stage = read_run(run_path)
-    qrels = load_qrels(qrels_path)
+    scorer = _build_scorer(args, inputs)
+    first_stage = read_run(inputs.flag("run", "run file"))
+    qrels = load_qrels(inputs.flag("qrels", "qrels"))
     depths = _int_list(args.depths)
     if not depths:
         raise CommandError("need at least one depth")
     scored = score_candidates(first_stage, max(depths), scorer, on_missing=args.on_missing)
     table = sweep_table(first_stage, scored, depths, qrels)
     write_sweep_table(table, out)
-    write_manifest(
-        manifest_path_for(out),
-        "sweep",
+    summary = []
+    for depth in sorted(table):
+        metrics = " ".join(f"{m}={v:.4f}" for m, v in table[depth].items())
+        summary.append(f"depth {depth}: {metrics}")
+    dropped = _dropped(first_stage, max(depths), scored)
+    summary.append(
+        f"dropped {dropped} of the top-{max(depths)} candidates the scorer could not score"
+    )
+    return _Wrote(
+        out,
+        {"table": out},
         {
             "depths": depths,
             "scorer": args.scorer,
             "on_missing": args.on_missing,
             "similarity": getattr(scorer, "similarity", None),
         },
-        None,
-        {"run": run_path, "qrels": qrels_path, **scorer_inputs},
-        {"table": out},
+        summary,
     )
-    for depth in sorted(table):
-        metrics = " ".join(f"{m}={v:.4f}" for m, v in table[depth].items())
-        print(f"depth {depth}: {metrics}")
-    dropped = _dropped(first_stage, max(depths), scored)
-    print(f"dropped {dropped} of the top-{max(depths)} candidates the scorer could not score")
-    return 0
 
 
-def _cmd_synth(args, config: dict) -> int:
+def _cmd_synth(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "fixture output directory")
     spec = FixtureSpec(
         n_passages=args.passages,
@@ -641,21 +571,18 @@ def _cmd_synth(args, config: dict) -> int:
     )
     fixture = generate_fixture(spec)
     paths = fixture.write(out)
-    write_manifest(
-        Path(out) / "manifest.json",
-        "synth",
+    return _Wrote(
+        out,
+        paths,
         {
             "passages": spec.n_passages,
             "queries": spec.n_queries,
             "dim": spec.dim,
             "term_dim": spec.term_dim,
         },
-        spec.seed,
-        {},
-        paths,
+        [f"generated fixture with {spec.n_passages} passages / {spec.n_queries} queries -> {out}"],
+        seed=spec.seed,
     )
-    print(f"generated fixture with {spec.n_passages} passages / {spec.n_queries} queries -> {out}")
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -826,13 +753,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    inputs = _Inputs(args)
     try:
         config = _load_config(args.config)
         _apply_config_paths(args, config)
-        return args.handler(args, config)
+        wrote = args.handler(args, config, inputs)
+        write_manifest(
+            manifest_path_for(wrote.out),
+            command,
+            wrote.config,
+            wrote.seed,
+            inputs.files,
+            wrote.outputs,
+        )
     except (CommandError, MissingEmbeddingError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in wrote.summary:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .manifest import atomic_write
+
 logger = logging.getLogger(__name__)
 
 VALID_SPLITS = ("head", "torso", "tail", "train", "validation")
@@ -324,7 +326,7 @@ def corpus_stats(store: PassageStore, queries: QuerySet) -> CorpusStats:
 
 def write_qrels(qrels: Qrels, path: str | Path) -> None:
     """Write qrels in TREC format, sorted by (query, passage) for stable bytes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for qid in sorted(qrels.query_ids):
             for pid, grade in sorted(qrels.judged_for(qid).items()):
                 f.write(f"{qid} 0 {pid} {grade}\n")

@@ -19,6 +19,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .manifest import atomic_write
+
 VECTOR_MAGIC = b"TKV1"
 MATRIX_MAGIC = b"TKM1"
 
@@ -162,7 +164,7 @@ class _Reader:
 
 def write_vectors(store: VectorStore, path: str | Path) -> None:
     ids, matrix = store.as_matrix()
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(VECTOR_MAGIC)
         f.write(_U32.pack(len(ids)))
         f.write(_U32.pack(store.dim))
@@ -198,7 +200,7 @@ def load_vectors(path: str | Path) -> VectorStore:
 
 
 def write_token_matrices(store: TokenMatrixStore, path: str | Path) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(MATRIX_MAGIC)
         f.write(_U32.pack(len(store)))
         f.write(_U32.pack(store.dim))

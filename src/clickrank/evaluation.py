@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Qrels
+from .manifest import atomic_write
 from .rankers import score_candidates
 from .runs import RankedRun, canonical_order, runs_cover_same_queries
 
@@ -244,7 +245,7 @@ def evaluate_run(
 
 def write_report(report: MetricsReport, path: str | Path) -> None:
     """Summary block plus a per-query TSV table."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         header = ["split", "queries", "unjudged"] + report.metric_names
         f.write("\t".join(header) + "\n")
         for split in sorted(report.splits):
@@ -280,7 +281,7 @@ def report_to_json(report: MetricsReport) -> dict:
 
 
 def write_report_json(report: MetricsReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         json.dump(report_to_json(report), f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -309,6 +310,8 @@ def fuse_runs(
     """
     if method not in ("minmax", "rrf"):
         raise ValueError(f"unknown fusion method {method!r}")
+    if method == "rrf" and rrf_k < 0:
+        raise ValueError(f"rrf_k must be >= 0, got {rrf_k}")
     runs_cover_same_queries(runs)
     fused = RankedRun(name=run_name, stage="fusion")
     for qid in runs[0].query_ids:
@@ -387,7 +390,7 @@ def write_sweep_table(table: Mapping[int, Mapping[str, float]], path: str | Path
     if not depths:
         raise ValueError("empty sweep table")
     metric_names = list(table[depths[0]])
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         f.write("\t".join(["depth"] + metric_names) + "\n")
         for depth in depths:
             row = [str(depth)] + [f"{table[depth][m]:.4f}" for m in metric_names]

@@ -3,8 +3,8 @@
 A manifest pins everything needed to re-create an artifact byte for byte:
 the resolved configuration, the seed, content digests of every input, and
 digests of the produced outputs. No timestamps, so identical reruns produce
-identical manifests. Manifests, runs, id triples and index files are
-written through :func:`atomic_write`, so a reader never sees one of them
+identical manifests. Every artifact the package writes, manifests
+included, goes through :func:`atomic_write`, so a reader never sees one
 partly written.
 """
 

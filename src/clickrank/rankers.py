@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embeddings import TokenMatrixStore, VectorStore
+from .manifest import atomic_write
 from .runs import RankedRun, canonical_order
 
 logger = logging.getLogger(__name__)
@@ -106,7 +107,7 @@ def write_weights(bank: KernelBank, weights: KernelWeights, path: str | Path) ->
     """Text format: one ``mu sigma w`` row per kernel, then ``bias <value>``."""
     if len(weights.w) != len(bank):
         raise ValueError("weight vector size does not match kernel bank")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for mu, sigma, w in zip(bank.mus, bank.sigmas, weights.w):
             f.write(f"{float(mu)!r} {float(sigma)!r} {float(w)!r}\n")
         f.write(f"bias {float(weights.bias)!r}\n")
@@ -267,10 +268,10 @@ def kernel_features(
     Q: np.ndarray,
     D: np.ndarray,
     bank: KernelBank,
-    eps: float = KERNEL_EPSILON,
     similarity: str = "cosine",
 ) -> np.ndarray:
-    """Soft match counts: feature_k = sum_i log(eps + sum_j exp(-(M_ij - mu_k)^2 / (2 sigma_k^2))).
+    """Soft match counts: feature_k = sum_i log(eps + sum_j exp(-(M_ij - mu_k)^2 / (2 sigma_k^2))),
+    with eps = ``KERNEL_EPSILON``.
 
     The match matrix uses cosine similarity clamped to [-1, 1] (the kernel
     centers live there); raw dot products are selectable for experiments.
@@ -282,14 +283,13 @@ def kernel_features(
         raise ValueError("expected non-empty 2-d token matrices")
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
-    return _kernel_feature_rows(Q, [D], bank, eps, similarity)[0]
+    return _kernel_feature_rows(Q, [D], bank, similarity)[0]
 
 
 def _kernel_feature_rows(
     Q: np.ndarray,
     Ds: Sequence[np.ndarray],
     bank: KernelBank,
-    eps: float = KERNEL_EPSILON,
     similarity: str = "cosine",
 ) -> np.ndarray:
     """``kernel_features(Q, D)`` for every D in Ds as rows of one array.
@@ -327,7 +327,7 @@ def _kernel_feature_rows(
                 # rounding can push |cos| marginally past 1; the kernels assume [-1, 1]
                 M = np.clip(M, -1.0, 1.0)
             kernel = np.exp(-((M - mus) ** 2) / widths)
-            features[block] = np.log(eps + kernel.sum(axis=3)).sum(axis=2).T
+            features[block] = np.log(KERNEL_EPSILON + kernel.sum(axis=3)).sum(axis=2).T
     return features
 
 
@@ -389,14 +389,13 @@ def fit_hinge(
     epochs: int = 100,
     margin: float = 1.0,
     seed: int = 0,
-    init_scale: float = 0.01,
     init_w: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, TrainTelemetry]:
     """Full-batch gradient descent on the pairwise hinge objective.
 
     Deterministic given the seed; feature rows are paired (pos_features[i],
     neg_features[i]) per training triple. ``init_w`` overrides the seeded
-    random initialization.
+    random initialization, N(0, 0.01^2) per weight.
     """
     pos = np.asarray(pos_features, dtype=np.float64)
     neg = np.asarray(neg_features, dtype=np.float64)
@@ -408,7 +407,7 @@ def fit_hinge(
             raise ValueError(f"init_w shape {w.shape} does not match features")
     else:
         rng = np.random.default_rng(seed)
-        w = rng.normal(0.0, init_scale, size=pos.shape[1])
+        w = rng.normal(0.0, 0.01, size=pos.shape[1])
     bias = 0.0
     curve: list[float] = []
     for _ in range(epochs):
@@ -605,15 +604,6 @@ class ExternalScoreScorer:
                     scores[(qid, pid)] = float(score_s)
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: bad score {score_s!r}") from None
-        return cls(scores)
-
-    @classmethod
-    def from_run(cls, run: RankedRun) -> "ExternalScoreScorer":
-        scores = {
-            (qid, pid): score
-            for qid, entries in run.results.items()
-            for pid, score in entries
-        }
         return cls(scores)
 
     def score(self, query_id: str, passage_id: str) -> float:

@@ -31,6 +31,7 @@ from .corpus import (
     write_qrels,
 )
 from .embeddings import TokenMatrixStore, VectorStore, write_token_matrices, write_vectors
+from .manifest import atomic_write
 
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
@@ -86,13 +87,13 @@ class Fixture:
             "query_matrices": out / "query_matrices.tkm",
             "passage_matrices": out / "passage_matrices.tkm",
         }
-        with open(paths["collection"], "w", encoding="utf-8", newline="\n") as f:
+        with atomic_write(paths["collection"]) as f:
             for pid, text in self.store.items():
                 f.write(f"{pid}\t{text}\n")
-        with open(paths["queries"], "w", encoding="utf-8", newline="\n") as f:
+        with atomic_write(paths["queries"]) as f:
             for q in self.queries:
                 f.write(f"{q.id}\t{q.text}\n")
-        with open(paths["clicks"], "w", encoding="utf-8", newline="\n") as f:
+        with atomic_write(paths["clicks"]) as f:
             for rec in self.clicks:
                 f.write(
                     f"{rec.query_id}\t{rec.passage_id}\t{rec.impressions}\t{rec.clicks}\n"
@@ -100,7 +101,7 @@ class Fixture:
         write_qrels(
             build_qrels_from_clicks(self.clicks, "dctr", DEFAULT_CTR_THRESHOLDS), paths["qrels"]
         )
-        with open(paths["splits"], "w", encoding="utf-8", newline="\n") as f:
+        with atomic_write(paths["splits"]) as f:
             for qid in sorted(self.split_of):
                 f.write(f"{qid}\t{self.split_of[qid]}\n")
         write_vectors(self.query_vectors, paths["query_vectors"])

@@ -204,7 +204,7 @@ def write_text_triples(
     Id triples are the canonical artifact (two orders of magnitude smaller
     and lossless given the collection); this expands them on demand.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for t in triples:
             f.write(
                 f"{queries.text(t.query_id)}\t{store.text(t.positive_id)}\t"

@@ -88,6 +88,33 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="empty"):
             build_index(_store({}))
 
+    @pytest.mark.parametrize(
+        "k1, b, accepted",
+        [
+            (-1.0, DEFAULT_B, False),
+            (math.nan, DEFAULT_B, False),
+            (DEFAULT_K1, 1.5, False),
+            (DEFAULT_K1, -0.1, False),
+            (DEFAULT_K1, math.nan, False),
+            (0.0, 0.0, True),
+            (DEFAULT_K1, 1.0, True),
+        ],
+        ids=["k1-negative", "k1-nan", "b-above-1", "b-negative", "b-nan", "zeros", "b-1"],
+    )
+    def test_parameters_out_of_range_rejected(self, tmp_path, k1, b, accepted):
+        store = _store({"d1": "a b", "d2": "b c"})
+        build_index(store).save(tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "k1": k1, "b": b}))
+        if accepted:
+            built = build_index(store, k1=k1, b=b)
+            assert InvertedIndex.load(tmp_path / "idx").search("b", 2) == built.search("b", 2)
+            return
+        with pytest.raises(ValueError, match="BM25 (k1|b) must be"):
+            build_index(store, k1=k1, b=b)
+        with pytest.raises(ValueError, match="meta.json: BM25 (k1|b) must be"):
+            InvertedIndex.load(tmp_path / "idx")
+
     def test_postings_sorted_by_passage_id(self):
         index = build_index(_store({"z": "tok", "a": "tok", "m": "tok"}))
         assert index.ids == ["a", "m", "z"]

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from clickrank.bm25 import INDEX_FILES
 from clickrank.cli import main
+from clickrank.manifest import manifest_path_for
 
 
 def _sha(path):
@@ -306,6 +308,33 @@ class TestErrorHandling:
         assert not (tmp_path / "run.trec").exists()
 
     @pytest.mark.parametrize(
+        "command, named",
+        [
+            (["fuse", "--method", "rrf", "--rrf-k", "-1"], "rrf_k must be >= 0"),
+            (["fuse", "--method", "rrf", "--rrf-k", "-100"], "rrf_k must be >= 0"),
+            (["index", "build", "--k1", "-1"], "BM25 k1 must be >= 0"),
+            (["index", "build", "--b", "1.5"], "BM25 b must be in [0, 1]"),
+        ],
+        ids=["rrf-k-minus-1", "rrf-k-minus-100", "k1-negative", "b-above-1"],
+    )
+    def test_out_of_range_parameter_is_one_error_line(
+        self, fixture_dir, tmp_path, capsys, command, named
+    ):
+        run = tmp_path / "run.trec"
+        run.write_text("q00000 Q0 p000000 1 1.0 r\n")
+        inputs = {
+            "fuse": ["--runs", str(run), str(run)],
+            "index": ["--collection", str(fixture_dir / "collection.tsv")],
+        }[command[0]]
+        out = tmp_path / "out"
+        code = main([*command, *inputs, "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert named in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "config, accepted",
         [
             ({"sampling": {"depth": 50.5}}, False),
@@ -522,3 +551,117 @@ class TestRerankAndSweepManifests:
             assert f"dropped {offered} " in capsys.readouterr().out
             assert self._colbert(command, bm25_run, fixture_dir, fixture_dir / "passage_matrices.tkm", out) == 0
             assert "dropped 0 " in capsys.readouterr().out
+
+
+_INDEX_INPUTS = {f"index_{name.split('.')[0]}" for name in INDEX_FILES}
+_INPUT_FLAGS = {
+    "--collection", "--queries", "--qrels", "--clicks", "--index", "--run", "--runs", "--triples",
+    "--splits", "--scores", "--weights", "--stopwords", "--query-vectors", "--passage-vectors",
+    "--query-matrices", "--passage-matrices",
+}
+_MATRICES = ["--query-matrices", "{fx}/query_matrices.tkm", "--passage-matrices", "{fx}/passage_matrices.tkm"]
+_VECTORS = ["--query-vectors", "{fx}/query_vectors.tkv", "--passage-vectors", "{fx}/passage_vectors.tkv"]
+
+
+class TestManifestInputs:
+    """Each command's manifest pins exactly the files it read."""
+
+    @pytest.fixture(scope="class")
+    def work(self, fixture_dir, tmp_path_factory):
+        work = tmp_path_factory.mktemp("inputs")
+        fx = str(fixture_dir)
+        for command in (
+            ["index", "build", "--collection", f"{fx}/collection.tsv", "--out", f"{work}/index"],
+            ["index", "search", "--index", f"{work}/index", "--queries", f"{fx}/queries.tsv",
+             "--k", "20", "--out", f"{work}/bm25.trec"],
+            ["dense", "retrieve", *[a.format(fx=fx) for a in _VECTORS], "--k", "20",
+             "--out", f"{work}/dense.trec"],
+            ["triples", "generate", "--index", f"{work}/index", "--queries", f"{fx}/queries.tsv",
+             "--qrels", f"{fx}/qrels.trec", "--depth", "20", "--max-neg", "2",
+             "--out", f"{work}/triples.tsv"],
+            ["train", "kernel", "--triples", f"{work}/triples.tsv",
+             *[a.format(fx=fx) for a in _MATRICES], "--epochs", "2", "--out", f"{work}/weights.txt"],
+        ):
+            assert main(command) == 0
+        (work / "stop.txt").write_text("the of\n")
+        run_lines = [line.split() for line in (work / "bm25.trec").read_text().splitlines()]
+        (work / "scores.tsv").write_text("".join(f"{f[0]}\t{f[2]}\t{f[4]}\n" for f in run_lines))
+        (work / "conf.json").write_text(
+            json.dumps({"paths": {"run": f"{work}/bm25.trec", "qrels": f"{fx}/qrels.trec"}})
+        )
+        return work
+
+    @pytest.mark.parametrize(
+        "argv, out_name, expected",
+        [
+            (["synth", "--passages", "30", "--queries", "5"], "synth", set()),
+            (["index", "build", "--collection", "{fx}/collection.tsv"], "index", {"collection"}),
+            (["index", "build", "--collection", "{fx}/collection.tsv", "--stopwords", "{work}/stop.txt"],
+             "index", {"collection", "stopwords"}),
+            (["index", "search", "--index", "{work}/index", "--queries", "{fx}/queries.tsv"],
+             "run.trec", _INDEX_INPUTS | {"queries"}),
+            (["qrels", "build", "--clicks", "{fx}/clicks.tsv"], "qrels.trec", {"clicks"}),
+            (["triples", "generate", "--index", "{work}/index", "--queries", "{fx}/queries.tsv",
+              "--qrels", "{fx}/qrels.trec", "--depth", "20"],
+             "triples.tsv", _INDEX_INPUTS | {"queries", "qrels"}),
+            (["triples", "text", "--triples", "{work}/triples.tsv",
+              "--collection", "{fx}/collection.tsv", "--queries", "{fx}/queries.tsv"],
+             "text.tsv", {"triples", "collection", "queries"}),
+            (["rerank", "--run", "{work}/bm25.trec", "--scorer", "kernel", "--weights",
+              "{work}/weights.txt", *_MATRICES],
+             "rerank.trec", {"run", "weights", "query_matrices", "passage_matrices"}),
+            (["rerank", "--run", "{work}/bm25.trec", "--scorer", "dense", *_VECTORS],
+             "rerank.trec", {"run", "query_vectors", "passage_vectors"}),
+            (["rerank", "--run", "{work}/bm25.trec", "--scorer", "scores", "--scores", "{work}/scores.tsv"],
+             "rerank.trec", {"run", "scores"}),
+            (["rerank", "--run", "{work}/bm25.trec", "--scorer", "oracle", "--qrels", "{fx}/qrels.trec"],
+             "rerank.trec", {"run", "qrels"}),
+            (["dense", "retrieve", *_VECTORS], "dense.trec", {"query_vectors", "passage_vectors"}),
+            (["train", "kernel", "--triples", "{work}/triples.tsv", *_MATRICES, "--epochs", "2"],
+             "weights.txt", {"triples", "query_matrices", "passage_matrices"}),
+            (["eval", "--run", "{work}/bm25.trec", "--qrels", "{fx}/qrels.trec"],
+             "report.tsv", {"run", "qrels"}),
+            (["eval", "--run", "{work}/bm25.trec", "--qrels", "{fx}/qrels.trec",
+              "--splits", "{fx}/splits.tsv"],
+             "report.tsv", {"run", "qrels", "splits"}),
+            (["--config", "{work}/conf.json", "eval", "--splits", "{fx}/splits.tsv"],
+             "report.tsv", {"run", "qrels", "splits"}),
+            (["fuse", "--runs", "{work}/bm25.trec", "{work}/dense.trec"], "fused.trec", {"run_0", "run_1"}),
+            (["sweep", "--run", "{work}/bm25.trec", "--qrels", "{fx}/qrels.trec", "--depths", "5,10",
+              "--scorer", "colbert", *_MATRICES],
+             "sweep.tsv", {"run", "qrels", "query_matrices", "passage_matrices"}),
+        ],
+        ids=[
+            "synth", "index-build", "index-build-stopwords", "index-search", "qrels-build",
+            "triples-generate", "triples-text", "rerank-kernel", "rerank-dense", "rerank-scores",
+            "rerank-oracle", "dense-retrieve", "train-kernel", "eval", "eval-splits",
+            "eval-config-paths", "fuse", "sweep",
+        ],
+    )
+    def test_manifest_pins_exactly_the_files_read(
+        self, fixture_dir, work, tmp_path, argv, out_name, expected
+    ):
+        argv = [a.format(fx=fixture_dir, work=work) for a in argv]
+        out = tmp_path / out_name
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest_path = manifest_path_for(out)
+        inputs = json.loads(manifest_path.read_text())["inputs"]
+        assert set(inputs) == expected
+        pinned = set()
+        for name, entry in inputs.items():
+            path = (manifest_path.parent / entry["path"]).resolve()
+            assert entry["digest"] == f"sha256:{_sha(path)}", name
+            pinned.add(path)
+        given = set()
+        flag = None
+        for arg in argv if argv[0] != "synth" else ():  # synth's --queries is a count
+            if arg.startswith("--"):
+                flag = arg
+            elif flag in _INPUT_FLAGS:
+                path = Path(arg).resolve()
+                given |= {path / name for name in INDEX_FILES} if path.is_dir() else {path}
+                flag = flag if flag == "--runs" else None
+        if argv[0] == "--config":
+            config = json.loads(Path(argv[1]).read_text())
+            given |= {Path(p).resolve() for p in config["paths"].values()}
+        assert given == pinned

@@ -313,6 +313,14 @@ class TestFusion:
         for _, score in fused["q"]:
             assert score == pytest.approx(expected)
 
+    def test_negative_rrf_k_rejected(self):
+        a = RankedRun(name="a", results={"q": [("x", 2.0), ("y", 1.0)]})
+        b = RankedRun(name="b", results={"q": [("y", 2.0), ("x", 1.0)]})
+        for rrf_k in (-1, -100):
+            with pytest.raises(ValueError, match="rrf_k must be >= 0"):
+                fuse_runs([a, b], method="rrf", rrf_k=rrf_k)
+        assert fuse_runs([a, b], method="rrf", rrf_k=0)["q"] == [("x", 1.5), ("y", 1.5)]
+
     def test_single_run_rejected(self):
         a = RankedRun(name="a", results={"q": [("p", 1.0)]})
         with pytest.raises(ValueError, match="two"):

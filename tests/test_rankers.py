@@ -392,7 +392,7 @@ class TestRerank:
 
     def test_depth_truncation(self):
         run = self._first_stage(n_docs=30)
-        scorer = ExternalScoreScorer.from_run(run)
+        scorer = ExternalScoreScorer({(q, p): s for q, e in run.results.items() for p, s in e})
         out = rerank(run, 10, scorer)
         assert all(len(entries) == 10 for entries in out.results.values())
 
@@ -411,7 +411,8 @@ class TestRerank:
 
     def test_original_scores_are_idempotent(self):
         run = self._first_stage()
-        out = rerank(run, 10, ExternalScoreScorer.from_run(run))
+        scorer = ExternalScoreScorer({(q, p): s for q, e in run.results.items() for p, s in e})
+        out = rerank(run, 10, scorer)
         assert out.results == {qid: entries[:10] for qid, entries in run.results.items()}
 
     def test_never_introduces_new_passages(self, small_fixture, small_qrels):
@@ -443,8 +444,9 @@ class TestRerank:
 
     def test_depth_validation(self):
         run = self._first_stage()
+        scorer = ExternalScoreScorer({(q, p): s for q, e in run.results.items() for p, s in e})
         with pytest.raises(ValueError, match="depth"):
-            rerank(run, 0, ExternalScoreScorer.from_run(run))
+            rerank(run, 0, scorer)
 
 
 class TestScoreBatch:
