@@ -64,4 +64,4 @@ print("loss start -> end:", round(telemetry.loss_curve[0], 4), "->", round(telem
 
 # Token-matrix stores used by the real trainer are plain id -> matrix maps:
 matrices = TokenMatrixStore(2, {"q1": Q, "d1": D})
-print("\nstored token counts:", {i: matrices.token_count(i) for i in matrices.ids})
+print("\nstored token counts:", {i: matrices.matrix(i).shape[0] for i in matrices.ids})

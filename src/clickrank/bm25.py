@@ -108,11 +108,7 @@ class InvertedIndex:
         self.avg_doc_length = total / self.doc_count if self.doc_count else 0.0
         self.k1 = float(k1)
         self.b = float(b)
-        # written so that NaN fails both checks
-        if not self.k1 >= 0:
-            raise ValueError(f"BM25 k1 must be >= 0, got {self.k1!r}")
-        if not 0 <= self.b <= 1:
-            raise ValueError(f"BM25 b must be in [0, 1], got {self.b!r}")
+        self.check_parameters(self.k1, self.b)
         self.stopwords = frozenset(stopwords)
         # the same operations, in the same order, as the scalar norm in score()
         self.norm = (
@@ -123,6 +119,15 @@ class InvertedIndex:
         self._doc_numbers = dict(zip(ids, range(len(ids))))
         self._term_numbers = dict(zip(terms, range(len(terms))))
         self.postings = _Postings(self._term_numbers, term_offsets, postings_doc)
+
+    @staticmethod
+    def check_parameters(k1: float, b: float) -> None:
+        """Reject a ``k1`` below 0 or a ``b`` outside [0, 1], NaN included."""
+        # written so that NaN fails both checks
+        if not k1 >= 0:
+            raise ValueError(f"BM25 k1 must be >= 0, got {k1!r}")
+        if not 0 <= b <= 1:
+            raise ValueError(f"BM25 b must be in [0, 1], got {b!r}")
 
     @property
     def doc_lengths(self) -> dict[str, int]:

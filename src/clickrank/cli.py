@@ -290,6 +290,8 @@ def _cmd_index_build(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = Path(_arg(args, "out", "index output directory"))
     k1 = float(_cfg(args.k1, config, "bm25", "k1", DEFAULT_K1))
     b = float(_cfg(args.b, config, "bm25", "b", DEFAULT_B))
+    # before the collection is read and tokenized, which takes as long as the build
+    InvertedIndex.check_parameters(k1, b)
     stopwords: frozenset[str] = frozenset()
     if args.stopwords:
         stopword_path = inputs.flag("stopwords", "stopword list")
@@ -523,7 +525,8 @@ def _cmd_fuse(args, config: dict, inputs: _Inputs) -> _Wrote:
     return _Wrote(
         out,
         {"run": out},
-        {"method": args.method, "rrf_k": args.rrf_k},
+        # min-max fusion has no rrf_k to record
+        {"method": args.method, **({"rrf_k": args.rrf_k} if args.method == "rrf" else {})},
         [f"fused {len(runs)} runs over {len(fused)} queries -> {out}"],
     )
 

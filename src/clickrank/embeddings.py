@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -84,46 +84,75 @@ class VectorStore:
 
 
 class TokenMatrixStore:
-    """Immutable id -> (n_tokens, dim) matrix map; n_tokens >= 1 per entry."""
+    """Immutable id -> (n_tokens, dim) matrix map; n_tokens >= 1 per entry.
+
+    Like ``VectorStore``, the matrices form one contiguous read-only
+    (total_tokens, dim) float32 array, ``tokens``, entries in insertion
+    order: entry i holds rows ``offsets[i]:offsets[i + 1]``. ``matrix``
+    returns a read-only view; ``spans`` locates a batch of entries, so the
+    scoring heads gather their rows from ``tokens`` by offset. The array is
+    a view of one immutable ``bytes`` object, which pickles without a
+    second copy of the rows.
+    """
 
     def __init__(self, dim: int, matrices: Mapping[str, np.ndarray]):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = int(dim)
-        self._matrices: dict[str, np.ndarray] = {}
+        arrays = []
         for mid, mat in matrices.items():
             arr = np.asarray(mat, dtype=np.float32)
-            if arr.ndim != 2 or arr.shape[1] != self.dim:
-                raise ValueError(
-                    f"matrix {mid!r}: expected shape (n, {self.dim}), got {arr.shape}"
-                )
+            if arr.ndim != 2 or arr.shape[1] != dim:
+                raise ValueError(f"matrix {mid!r}: expected shape (n, {dim}), got {arr.shape}")
             if arr.shape[0] < 1:
                 raise ValueError(f"matrix {mid!r} has no token rows")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"matrix {mid!r} contains a non-finite component")
-            self._matrices[mid] = arr
+            arrays.append(np.ascontiguousarray(arr, dtype="<f4"))
+        self._adopt(list(matrices), [len(a) for a in arrays], dim, b"".join(arrays))
+
+    def _adopt(self, ids: list[str], lengths: list[int], dim: int, rows: bytes) -> None:
+        """Take over checked rows: ``lengths`` >= 1 per distinct id, and that
+        many finite little-endian float32 rows of ``dim`` in ``rows``."""
+        self.dim = int(dim)
+        self._ids = ids
+        self._entries = {mid: i for i, mid in enumerate(ids)}
+        self.offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self.offsets[1:])
+        self.offsets.flags.writeable = False
+        self._rows = rows
+
+    @property
+    def tokens(self) -> np.ndarray:
+        return np.frombuffer(self._rows, dtype="<f4").reshape(-1, self.dim)
 
     def __len__(self) -> int:
-        return len(self._matrices)
+        return len(self._ids)
 
     def __contains__(self, mid: str) -> bool:
-        return mid in self._matrices
+        return mid in self._entries
 
     @property
     def ids(self) -> list[str]:
-        return list(self._matrices)
+        return list(self._ids)
 
     def matrix(self, mid: str) -> np.ndarray:
         try:
-            return self._matrices[mid]
+            i = self._entries[mid]
         except KeyError:
             raise KeyError(f"no token matrix for id {mid!r}") from None
+        return self.tokens[self.offsets[i] : self.offsets[i + 1]]
 
-    def token_count(self, mid: str) -> int:
-        return self.matrix(mid).shape[0]
+    def spans(self, mids: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The first row in ``tokens`` and the token count of each id's matrix."""
+        try:
+            entries = np.fromiter((self._entries[mid] for mid in mids), dtype=np.int64)
+        except KeyError as exc:
+            raise KeyError(f"no token matrix for id {exc.args[0]!r}") from None
+        starts = self.offsets[entries]
+        return starts, self.offsets[entries + 1] - starts
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self._matrices.items())
+        return zip(self._ids, np.split(self.tokens, self.offsets[1:-1]))
 
 
 def _write_id(f, ident: str) -> None:
@@ -140,14 +169,17 @@ class _Reader:
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Move past ``n`` bytes; returns the offset they start at."""
         if self.pos + n > len(self.data):
             raise ValueError(
                 f"{self.path}: truncated file (needed {n} bytes at offset {self.pos})"
             )
-        chunk = self.data[self.pos : self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.data[self.skip(n) : self.pos]
 
     def u32(self) -> int:
         return _U32.unpack(self.take(4))[0]
@@ -212,25 +244,36 @@ def write_token_matrices(store: TokenMatrixStore, path: str | Path) -> None:
 
 def load_token_matrices(path: str | Path) -> TokenMatrixStore:
     path = Path(path)
-    reader = _Reader(path.read_bytes(), path)
+    data = path.read_bytes()
+    reader = _Reader(data, path)
     if reader.take(4) != MATRIX_MAGIC:
         raise ValueError(f"{path}: not a token-matrix file (bad magic)")
     count = reader.u32()
     dim = reader.u32()
     if dim < 1:
         raise ValueError(f"{path}: header dim must be >= 1, got {dim}")
-    matrices: dict[str, np.ndarray] = {}
+    # one pass over the entry headers, then one copy of all the payloads
+    lengths: dict[str, int] = {}
+    payloads: list[int] = []
     for _ in range(count):
         mid = reader.ident()
-        if mid in matrices:
+        if mid in lengths:
             raise ValueError(f"{path}: duplicate id {mid!r}")
-        n_tokens = reader.u32()
-        if n_tokens < 1:
+        lengths[mid] = reader.u32()
+        if lengths[mid] < 1:
             raise ValueError(f"{path}: entry {mid!r} has zero tokens")
-        payload = reader.take(n_tokens * dim * 4)
-        mat = np.frombuffer(payload, dtype="<f4").reshape(n_tokens, dim).copy()
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"{path}: matrix for id {mid!r} has a non-finite component")
-        matrices[mid] = mat
+        payloads.append(reader.skip(lengths[mid] * dim * 4))
     reader.done()
-    return TokenMatrixStore(dim, matrices)
+    ids, counts = list(lengths), list(lengths.values())
+    view = memoryview(data)
+    rows = b"".join(view[start : start + n * dim * 4] for start, n in zip(payloads, counts))
+    tokens = np.frombuffer(rows, dtype="<f4").reshape(-1, dim)
+    # min and max are NaN or infinite when any component is, and need no
+    # (total_tokens, dim) mask; only a failing file pays for one
+    if tokens.size and not (np.isfinite(tokens.min()) and np.isfinite(tokens.max())):
+        row = np.argmin(np.isfinite(tokens).all(axis=1))
+        entry = int(np.searchsorted(np.cumsum(counts), row, side="right"))
+        raise ValueError(f"{path}: matrix for id {ids[entry]!r} has a non-finite component")
+    store = TokenMatrixStore.__new__(TokenMatrixStore)
+    store._adopt(ids, counts, dim, rows)
+    return store

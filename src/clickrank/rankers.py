@@ -20,6 +20,12 @@ candidate, so ``score_candidates`` can drop them under ``on_missing="skip"``.
 score does not depend on the other candidates of the batch: the batched
 heads return bit for bit what scoring the pair alone returns, and
 ``score(query_id, passage_id)`` is that one-pair call.
+
+The token-level heads gather a batch's passage rows from the store's one
+contiguous token array by offset and score them in blocks of candidates.
+Late interaction screens each block with two matrix products, the
+approximate dot products and an error bound from the absolute values, and
+sums exactly only the token rows that can still hold a maximum.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ logger = logging.getLogger(__name__)
 KERNEL_EPSILON = 1e-10
 
 # Upper bound on the bytes of the largest array a batched head forms for one
-# block of candidates: late interaction's (query tokens, passage tokens, dim)
-# products, the kernel head's (kernels, passages, query tokens, tokens) values.
+# block of candidates: for late interaction the block's float64 passage rows
+# and its (query tokens, passage tokens) dot products and bounds, for the
+# kernel head its (kernels, passages, query tokens, tokens) values.
 BLOCK_BYTES = 1 << 23
 
 
@@ -209,58 +216,84 @@ def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot"
         raise ValueError("token matrices must have at least one row")
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
-    return _late_interaction_scores(Q, [D], similarity)[0]
+    return _late_interaction_scores(Q, D, *_whole(D), similarity)[0]
 
 
-def _late_interaction_scores(Q: np.ndarray, Ds: Sequence[np.ndarray], similarity: str) -> list[float]:
-    """``late_interaction_score(Q, D)`` for every D in Ds, bit for bit."""
+def _whole(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one span that covers all rows of D."""
+    return np.zeros(1, dtype=np.int64), np.array([len(D)], dtype=np.int64)
+
+
+def _gather(tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The rows ``starts[i]:starts[i] + lengths[i]`` of tokens for each i in
+    turn, as one float64 array."""
+    ends = np.cumsum(lengths)
+    index = np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+    return tokens[index].astype(np.float64, copy=False)
+
+
+def _late_interaction_scores(
+    Q: np.ndarray, tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray, similarity: str
+) -> list[float]:
+    """``late_interaction_score(Q, D)`` for the passage D at each span of
+    tokens (``_gather``), bit for bit."""
     Q = np.asarray(Q, dtype=np.float64)
     if similarity == "cosine":
         Q = _normalized_rows(Q, "query")
-        Ds = [_normalized_rows(np.asarray(D, dtype=np.float64), "passage") for D in Ds]
-    longest = max((len(D) for D in Ds), default=1)
-    per_block = max(1, BLOCK_BYTES // (Q.shape[0] * longest * Q.shape[1] * 8))
+    longest = int(lengths.max(initial=1))
+    per_block = max(1, BLOCK_BYTES // (8 * longest * max(Q.shape)))
     scores: list[float] = []
-    for start in range(0, len(Ds), per_block):
-        scores.extend(_late_interaction_block(Q, Ds[start : start + per_block]))
+    for first in range(0, len(lengths), per_block):
+        block = lengths[first : first + per_block]
+        D = _gather(tokens, starts[first : first + per_block], block)
+        if similarity == "cosine":
+            D = _normalized_rows(D, "passage", np.cumsum(block) - block)
+        scores.extend(_late_interaction_block(Q, D, block))
     return scores
 
 
-def _late_interaction_block(Q: np.ndarray, Ds: Sequence[np.ndarray]) -> list[float]:
-    """Exact late-interaction scores of one block of candidates.
+def _late_interaction_block(Q: np.ndarray, D: np.ndarray, lengths: np.ndarray) -> list[float]:
+    """Exact late-interaction scores of the passages stacked in D.
 
-    A token row's exact dot product is ``math.fsum`` of its products; a
-    plain float sum of ``dim`` terms is within ``(dim - 1) * 2**-53 *
-    sum|p|`` of it in any summation order, and ``bound`` is twice that.
-    Within a passage, a row whose upper bound lies below another row's
-    lower bound cannot hold the maximum, so only the remaining rows (about
-    two per query token) are summed exactly. The maxima are then those of
-    the exact sums over all rows.
+    A token row's exact dot product is ``math.fsum`` of its float64
+    products. ``Q @ D.T`` computes every dot product in some order, with
+    or without fused multiply-adds, within ``γ_{dim+2} * sum|q_i d_i|`` of
+    that value (Higham, Accuracy and Stability of Numerical Algorithms,
+    §3.1), counting the rounding of the products and of ``fsum``; ``bound``
+    is twice that, from ``|Q| @ |D|.T``, plus a term for products that
+    underflow. Within a passage, a row whose upper bound lies below another
+    row's lower bound cannot hold the maximum, so only the products of the
+    remaining rows (about two per query token) are formed and summed
+    exactly. The maxima are then those of the exact sums over all rows.
     """
-    lengths = [len(D) for D in Ds]
-    D = np.concatenate(Ds).astype(np.float64, copy=False)
-    products = Q[:, None, :] * D[None, :, :]
-    approx = products.sum(axis=2)
-    bound = (2.0 * Q.shape[1] * 2.0**-53) * np.abs(products).sum(axis=2)
-    starts = np.cumsum([0] + lengths[:-1])
+    dim = Q.shape[1]
+    approx = Q @ D.T
+    bound = np.abs(Q) @ np.abs(D).T
+    bound *= 2.0 * (dim + 2) * 2.0**-53
+    bound += 2.0 * (dim + 2) * 2.0**-1022
+    starts = np.cumsum(lengths) - lengths
     floor = np.maximum.reduceat(approx - bound, starts, axis=1)
     # a NaN or infinite bound compares False and keeps its row
     keep = ~(approx + bound < np.repeat(floor, lengths, axis=1))
     token, row = np.nonzero(keep)
-    exact = np.array([math.fsum(lane) for lane in products[token, row].tolist()])
-    passage = np.repeat(np.arange(len(Ds)), lengths)[row]
-    best = np.full((Q.shape[0], len(Ds)), -np.inf)
+    exact = np.array([math.fsum(lane) for lane in (Q[token] * D[row]).tolist()])
+    passage = np.repeat(np.arange(len(lengths)), lengths)[row]
+    best = np.full((Q.shape[0], len(lengths)), -np.inf)
     # maximum.at keeps the later of equal values; reversed, that is the
     # first row, as max() over the rows picks it (the sign of a zero)
     np.maximum.at(best, (token[::-1], passage[::-1]), exact[::-1])
     return [math.fsum(column) for column in best.T.tolist()]
 
 
-def _normalized_rows(M: np.ndarray, name: str) -> np.ndarray:
+def _normalized_rows(M: np.ndarray, name: str, starts: Sequence[int] = (0,)) -> np.ndarray:
+    """M's rows over their norms. A zero row is named by its index within
+    its matrix, the matrices stacked in M from rows ``starts``."""
     norms = np.linalg.norm(M, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"zero-norm {name} token row at index {zero[0]}")
+        row = int(zero[0])
+        first = int(np.searchsorted(starts, row, side="right")) - 1
+        raise ValueError(f"zero-norm {name} token row at index {row - starts[first]}")
     return M / norms[:, None]
 
 
@@ -283,46 +316,43 @@ def kernel_features(
         raise ValueError("expected non-empty 2-d token matrices")
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
-    return _kernel_feature_rows(Q, [D], bank, similarity)[0]
+    return _kernel_feature_rows(Q, D, *_whole(D), bank, similarity)[0]
 
 
 def _kernel_feature_rows(
     Q: np.ndarray,
-    Ds: Sequence[np.ndarray],
+    tokens: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
     bank: KernelBank,
     similarity: str = "cosine",
 ) -> np.ndarray:
-    """``kernel_features(Q, D)`` for every D in Ds as rows of one array.
+    """``kernel_features(Q, D)`` for the passage D at each span of tokens
+    (``_gather``), as rows of one array.
 
     Passages with the same token count are stacked and matched against Q
     in one batched matmul, and all kernels are evaluated at once. Every
     reduction still runs along the same axis and length as for a single
     passage, so each feature is bit-identical.
     """
-    if not Ds:
+    if not len(lengths):
         return np.empty((0, len(bank)), dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
-    lengths = np.array([len(D) for D in Ds])
-    starts = np.cumsum(lengths) - lengths
-    D = np.concatenate(Ds).astype(np.float64, copy=False)
+    D = _gather(tokens, starts, lengths)
+    first_rows = np.cumsum(lengths) - lengths
     if similarity == "cosine":
         Q = _normalized_rows(Q, "query")
-        norms = np.linalg.norm(D, axis=1)
-        if not norms.all():
-            row = int(np.argmin(norms != 0.0))
-            first = np.searchsorted(starts, row, side="right") - 1
-            raise ValueError(f"zero-norm passage token row at index {row - starts[first]}")
-        D = D / norms[:, None]
+        D = _normalized_rows(D, "passage", first_rows)
     mus = np.array(bank.mus)[:, None, None, None]
     sigmas = np.array(bank.sigmas)[:, None, None, None]
     widths = 2.0 * sigmas * sigmas
-    features = np.empty((len(Ds), len(bank)), dtype=np.float64)
+    features = np.empty((len(lengths), len(bank)), dtype=np.float64)
     for length in np.unique(lengths).tolist():
         same = np.flatnonzero(lengths == length)
         per_block = max(1, BLOCK_BYTES // (len(bank) * Q.shape[0] * length * 8))
         for block in np.array_split(same, -(-len(same) // per_block)):
-            tokens = (starts[block][:, None] + np.arange(length)).ravel()
-            M = Q @ D[tokens].reshape(len(block), length, -1).transpose(0, 2, 1)
+            rows = (first_rows[block][:, None] + np.arange(length)).ravel()
+            M = Q @ D[rows].reshape(len(block), length, -1).transpose(0, 2, 1)
             if similarity == "cosine":
                 # rounding can push |cos| marginally past 1; the kernels assume [-1, 1]
                 M = np.clip(M, -1.0, 1.0)
@@ -465,7 +495,7 @@ def train_kernel_weights(
     features: dict[tuple[str, str], np.ndarray] = {}
     for qid, pids in by_query.items():
         rows = _kernel_feature_rows(
-            query_matrices.matrix(qid), [passage_matrices.matrix(pid) for pid in pids], bank
+            query_matrices.matrix(qid), passage_matrices.tokens, *passage_matrices.spans(pids), bank
         )
         features.update(((qid, pid), row) for pid, row in zip(pids, rows))
     pos_rows = [features[(t.query_id, t.positive_id)] for t in resolved]
@@ -538,7 +568,8 @@ class LateInteractionScorer:
         _check_ids(query_id, passage_ids, self.query_matrices, self.passage_matrices, "token matrix")
         scores = _late_interaction_scores(
             self.query_matrices.matrix(query_id),
-            [self.passage_matrices.matrix(pid) for pid in passage_ids],
+            self.passage_matrices.tokens,
+            *self.passage_matrices.spans(passage_ids),
             self.similarity,
         )
         return np.array(scores, dtype=np.float64)
@@ -571,7 +602,8 @@ class KernelScorer:
         _check_ids(query_id, passage_ids, self.query_matrices, self.passage_matrices, "token matrix")
         features = _kernel_feature_rows(
             self.query_matrices.matrix(query_id),
-            [self.passage_matrices.matrix(pid) for pid in passage_ids],
+            self.passage_matrices.tokens,
+            *self.passage_matrices.spans(passage_ids),
             self.bank,
             similarity=self.similarity,
         )

@@ -334,6 +334,31 @@ class TestErrorHandling:
         assert named in lines[0]
         assert not out.exists()
 
+    def test_bm25_parameters_checked_before_the_collection_is_read(self, tmp_path, capsys):
+        code = main(
+            ["index", "build", "--collection", str(tmp_path / "absent.tsv"), "--b", "1.5",
+             "--out", str(tmp_path / "index")]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: BM25 b must be in [0, 1], got 1.5"]
+        assert not (tmp_path / "index").exists()
+
+    def test_minmax_fuse_manifest_does_not_record_rrf_k(self, tmp_path):
+        first, second = tmp_path / "a.trec", tmp_path / "b.trec"
+        first.write_text("q1 Q0 p1 1 2.0 a\nq1 Q0 p2 2 1.0 a\n")
+        second.write_text("q1 Q0 p2 1 0.5 b\nq1 Q0 p3 2 0.25 b\n")
+        out = tmp_path / "fused.trec"
+        fuse = ["fuse", "--runs", str(first), str(second), "--out", str(out)]
+        manifests = []
+        for rrf_k in ("60", "-5"):
+            assert main([*fuse, "--method", "minmax", "--rrf-k", rrf_k]) == 0
+            manifests.append(manifest_path_for(out).read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["config"] == {"method": "minmax"}
+        assert main([*fuse, "--method", "rrf", "--rrf-k", "7"]) == 0
+        assert json.loads(manifest_path_for(out).read_text())["config"] == {"method": "rrf", "rrf_k": 7}
+
     @pytest.mark.parametrize(
         "config, accepted",
         [

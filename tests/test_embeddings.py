@@ -131,3 +131,74 @@ class TestTokenMatrixStore:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="duplicate"):
             load_token_matrices(path)
+
+
+def _matrix_file_bytes(entries: dict[str, list[list[float]]], dim: int) -> bytes:
+    blob = b"TKM1" + _u32(len(entries)) + _u32(dim)
+    for mid, rows in entries.items():
+        blob += _ident(mid) + _u32(len(rows)) + np.array(rows, dtype="<f4").tobytes()
+    return blob
+
+
+class TestTokenMatrixLoader:
+    ENTRIES = {"a": [[1, 2, 3]], "bb": [[4, 5, 6], [7, 8, 9]], "c": [[0, -1, 0.5]]}
+
+    def _load(self, tmp_path, blob: bytes):
+        path = tmp_path / "m.tkm"
+        path.write_bytes(blob)
+        return load_token_matrices(path)
+
+    def test_manual_layout(self, tmp_path):
+        store = self._load(tmp_path, _matrix_file_bytes(self.ENTRIES, 3))
+        assert store.ids == ["a", "bb", "c"]
+        assert store.dim == 3
+        for mid, rows in self.ENTRIES.items():
+            assert store.matrix(mid).dtype == np.float32
+            assert np.array_equal(store.matrix(mid), np.array(rows, dtype=np.float32))
+
+    def test_bad_magic(self, tmp_path):
+        blob = _matrix_file_bytes(self.ENTRIES, 3)
+        with pytest.raises(ValueError, match="not a token-matrix file \\(bad magic\\)"):
+            self._load(tmp_path, b"TKV1" + blob[4:])
+
+    def test_header_truncated_mid_id(self, tmp_path):
+        # cut inside the second entry's id: its length says 2 bytes, one remains
+        blob = _matrix_file_bytes(self.ENTRIES, 3)
+        cut = blob.index(b"bb") + 1
+        with pytest.raises(ValueError, match=f"truncated file \\(needed 2 bytes at offset {cut - 1}\\)"):
+            self._load(tmp_path, blob[:cut])
+
+    def test_payload_truncated(self, tmp_path):
+        blob = _matrix_file_bytes(self.ENTRIES, 3)
+        with pytest.raises(ValueError, match="truncated file \\(needed 12 bytes at offset"):
+            self._load(tmp_path, blob[:-4])
+
+    def test_trailing_bytes(self, tmp_path):
+        blob = _matrix_file_bytes(self.ENTRIES, 3) + b"xyz"
+        with pytest.raises(ValueError, match="3 trailing bytes after payload"):
+            self._load(tmp_path, blob)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("mid, row", [("a", 0), ("bb", 0), ("bb", 1), ("c", 0)])
+    def test_non_finite_component_names_the_entry(self, tmp_path, value, mid, row):
+        entries = {k: [list(r) for r in rows] for k, rows in self.ENTRIES.items()}
+        entries[mid][row][2] = value
+        with pytest.raises(ValueError, match=f"matrix for id '{mid}' has a non-finite component"):
+            self._load(tmp_path, _matrix_file_bytes(entries, 3))
+
+    def test_zero_dim_header(self, tmp_path):
+        with pytest.raises(ValueError, match="header dim must be >= 1, got 0"):
+            self._load(tmp_path, b"TKM1" + _u32(0) + _u32(0))
+
+    def test_empty_file_has_no_entries(self, tmp_path):
+        store = self._load(tmp_path, b"TKM1" + _u32(0) + _u32(5))
+        assert len(store) == 0 and store.ids == [] and store.dim == 5
+
+    def test_matrix_views_are_read_only(self, tmp_path):
+        store = self._load(tmp_path, _matrix_file_bytes(self.ENTRIES, 3))
+        for mid in store.ids:
+            with pytest.raises(ValueError, match="read-only"):
+                store.matrix(mid)[0, 0] = 42.0
+        built = TokenMatrixStore(3, {"x": np.ones((2, 3))})
+        with pytest.raises(ValueError, match="read-only"):
+            built.matrix("x")[:] = 0.0

@@ -3,6 +3,7 @@
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -10,6 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from clickrank.bm25 import INDEX_FILES, InvertedIndex, build_index, tokenize
 from clickrank.corpus import Passage, PassageStore
+from clickrank.embeddings import (
+    TokenMatrixStore,
+    VectorStore,
+    load_token_matrices,
+    load_vectors,
+    write_token_matrices,
+    write_vectors,
+)
 
 # a small vocabulary, so documents share terms and scores tie often
 _WORDS = ["a", "b", "c", "dd", "e1", "the"]
@@ -50,3 +59,59 @@ def test_index_round_trip_and_search_equals_score(corpus, query, k, stopwords, b
     # bit for bit: == on the floats, ties broken by ascending passage id
     assert index.search(" ".join(query), k) == expected
     assert loaded.search(" ".join(query), k) == expected
+
+
+_ids = st.text(min_size=1, max_size=6)
+_finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 5))
+def test_vector_store_round_trip(data, dim):
+    ids = data.draw(st.lists(_ids, max_size=8, unique=True))
+    vectors = {
+        vid: np.array(data.draw(st.lists(_finite32, min_size=dim, max_size=dim)), dtype=np.float32)
+        for vid in ids
+    }
+    store = VectorStore(dim, vectors)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.tkv", Path(tmp) / "second.tkv"
+        write_vectors(store, first)
+        loaded = load_vectors(first)
+        write_vectors(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.ids == ids and loaded.dim == dim
+    for vid in ids:
+        # bit for bit, the sign of a zero included
+        assert np.array_equal(_bits(loaded.vector(vid)), _bits(vectors[vid]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 5))
+def test_token_matrix_store_round_trip(data, dim):
+    ids = data.draw(st.lists(_ids, max_size=8, unique=True))
+    matrices = {}
+    for mid in ids:
+        n = data.draw(st.integers(1, 4))
+        values = data.draw(st.lists(_finite32, min_size=n * dim, max_size=n * dim))
+        matrices[mid] = np.array(values, dtype=np.float32).reshape(n, dim)
+    store = TokenMatrixStore(dim, matrices)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.tkm", Path(tmp) / "second.tkm"
+        write_token_matrices(store, first)
+        loaded = load_token_matrices(first)
+        write_token_matrices(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.ids == ids and loaded.dim == dim
+    for mid, (item_id, item) in zip(ids, loaded.items()):
+        assert item_id == mid
+        assert np.array_equal(_bits(loaded.matrix(mid)), _bits(matrices[mid]))
+        assert np.array_equal(_bits(item), _bits(matrices[mid]))
+    starts, lengths = loaded.spans(ids[::-1])
+    assert lengths.tolist() == [len(matrices[mid]) for mid in ids[::-1]]
+    for start, length, mid in zip(starts.tolist(), lengths.tolist(), ids[::-1]):
+        assert np.array_equal(_bits(loaded.tokens[start : start + length]), _bits(matrices[mid]))

@@ -54,6 +54,27 @@ def _loop_kernel_features(Q, D, bank, eps=1e-10):
     return np.array(feats)
 
 
+def _loop_late_interaction(Q, D, similarity="dot"):
+    """Nested-loop late interaction: exact dot products, first row wins ties."""
+    Q = np.asarray(Q, dtype=np.float64)
+    D = np.asarray(D, dtype=np.float64)
+    if similarity == "cosine":
+        Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
+        D = D / np.linalg.norm(D, axis=1, keepdims=True)
+    return math.fsum(
+        max(math.fsum(a * b for a, b in zip(qi, dj)) for dj in D.tolist()) for qi in Q.tolist()
+    )
+
+
+def _near_tie_rows(rng, base, count, dtype):
+    """``base`` and ``count`` copies of it, each one ulp of dtype off in one component."""
+    rows = np.repeat(base[None, :].astype(dtype), count + 1, axis=0)
+    for i in range(1, count + 1):
+        j = int(rng.integers(len(base)))
+        rows[i, j] = np.nextafter(rows[i, j], dtype(np.inf) if i % 2 else dtype(-np.inf))
+    return rows
+
+
 class TestDenseScore:
     def test_orthogonal(self):
         assert dense_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
@@ -173,6 +194,112 @@ class TestLateInteraction:
             base, rel=1e-12
         )
         assert base <= 3.0 + 1e-12  # each per-token max is a cosine <= 1
+
+
+    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
+    @pytest.mark.parametrize("dim", [1, 32, 256])
+    def test_near_ties_match_nested_loop_oracle(self, dim, similarity):
+        rng = np.random.default_rng(dim)
+        for dtype in (np.float64, np.float32):
+            for _ in range(10):
+                base = rng.standard_normal(dim)
+                Q = np.vstack([base, rng.standard_normal((2, dim))]).astype(dtype)
+                ties = _near_tie_rows(rng, base, 5, dtype)
+                D = np.vstack([ties, rng.standard_normal((3, dim)).astype(dtype)])
+                D = D[rng.permutation(len(D))]
+                want = _loop_late_interaction(Q, D, similarity)
+                assert late_interaction_score(Q, D, similarity) == want
+        # one float64 ulp apart after the dot product: 1 against 1 + 2**-52
+        q = np.ones((1, dim))
+        rows = np.zeros((2, dim))
+        rows[:, 0] = 1.0
+        rows[1, -1] += 2.0**-52
+        for D in (rows, rows[::-1]):
+            want = _loop_late_interaction(q, D, similarity)
+            assert late_interaction_score(q, D, similarity) == want
+            if similarity == "dot":
+                assert want == 1.0 + 2.0**-52
+
+    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
+    def test_scorer_batch_matches_oracle_across_block_boundaries(self, similarity, monkeypatch):
+        import clickrank.rankers as rankers
+
+        rng = np.random.default_rng(31)
+        dim = 32
+        base = rng.standard_normal(dim)
+        Q = np.vstack([base, rng.standard_normal((3, dim))]).astype(np.float32)
+        mats = {}
+        for i in range(10):
+            ties = _near_tie_rows(rng, base, int(rng.integers(0, 4)), np.float32)
+            extra = rng.standard_normal((int(rng.integers(1, 6)), dim)).astype(np.float32)
+            D = np.vstack([ties, extra])
+            mats[f"d{i}"] = D[rng.permutation(len(D))]
+        q_store = TokenMatrixStore(dim, {"q": Q})
+        p_store = TokenMatrixStore(dim, mats)
+        pairs = [late_interaction_score(Q, D, similarity) for D in mats.values()]
+        assert pairs == [_loop_late_interaction(Q, D, similarity) for D in mats.values()]
+
+        longest = max(len(D) for D in mats.values())
+        # three passages per block: blocks of 3, 3, 3 and 1
+        monkeypatch.setattr(rankers, "BLOCK_BYTES", 8 * longest * dim * 3)
+        blocks = []
+        block = rankers._late_interaction_block
+        monkeypatch.setattr(
+            rankers, "_late_interaction_block", lambda Q, D, lengths: blocks.append(len(lengths)) or block(Q, D, lengths)
+        )
+        scorer = LateInteractionScorer(q_store, p_store, similarity)
+        assert scorer.score_batch("q", p_store.ids).tolist() == pairs
+        assert blocks == [3, 3, 3, 1]
+
+    def test_cancelling_rows_match_nested_loop_oracle(self):
+        # a plain float sum of the first row loses its ones against 1e16;
+        # how many it loses depends on the summation order of Q @ D.T
+        dim = 64
+        q = np.ones((1, dim))
+        cancel = np.ones(dim)
+        cancel[0], cancel[1] = 1e16, -1e16
+        for rival in (40.0, 50.0, 55.0, 61.0, 63.0):
+            D = np.vstack([cancel, np.eye(dim)[2] * rival])
+            for rows in (D, D[::-1]):
+                assert late_interaction_score(q, rows) == _loop_late_interaction(q, rows)
+            assert late_interaction_score(q, D) == max(62.0, rival)
+
+    def test_overflowing_dot_products_keep_their_rows(self):
+        # inf products make the bound inf and the screen NaN: every row is kept
+        Q = np.array([[1e200, 1.0]])
+        D = np.array([[1e200, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert late_interaction_score(Q, D) == _loop_late_interaction(Q, D) == math.inf
+
+    @pytest.mark.parametrize("head", ["late_interaction", "kernel"])
+    def test_zero_norm_passage_row_named_within_its_passage(self, head):
+        q_store = TokenMatrixStore(2, {"q": np.array([[1.0, 0.0]])})
+        p_store = TokenMatrixStore(
+            2, {"ok": np.ones((3, 2)), "bad": np.array([[1.0, 0.0], [0.0, 0.0]])}
+        )
+        scorer = (
+            LateInteractionScorer(q_store, p_store, "cosine")
+            if head == "late_interaction"
+            else KernelScorer(q_store, p_store, KernelBank.default(), KernelWeights(np.ones(11), 0.0))
+        )
+        with pytest.raises(ValueError, match="zero-norm passage token row at index 1"):
+            scorer.score_batch("q", ["ok", "bad"])
+
+    def test_sign_of_a_zero_maximum_is_the_first_rows(self):
+        # every dot product is a zero; max() over the rows keeps the first
+        Q = np.array([[1.0, 1.0], [-1.0, 0.0]])
+        D = np.array([[-0.0, -0.0], [0.0, 0.0], [0.0, -0.0]])
+        for rows in (D, D[::-1], D[[1, 0, 2]]):
+            got = late_interaction_score(Q, rows)
+            want = _loop_late_interaction(Q, rows)
+            assert got == want == 0.0
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        q_store = TokenMatrixStore(2, {"q": Q})
+        p_store = TokenMatrixStore(2, {"a": D, "b": D[::-1], "c": np.array([[0.0, 1.0]])})
+        got = LateInteractionScorer(q_store, p_store).score_batch("q", p_store.ids).tolist()
+        want = [_loop_late_interaction(Q, p_store.matrix(p)) for p in p_store.ids]
+        assert got == want
+        assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, w) for w in want]
 
 
 class TestKernelBank:
