@@ -9,11 +9,16 @@ Two binary interchange formats, both little-endian with float32 payloads:
 ``TKM1`` (one token matrix per id)
     magic ``TKM1`` | u32 count | u32 dim
     | count x (u32 id_len, id utf-8, u32 n_tokens, n_tokens*dim float32).
+
+Both load into one in-memory layout, ``TokenMatrixStore``; a vector is a
+one-row matrix, so ``VectorStore`` is a token-matrix store with one row per
+id. Each loader parses its own file layout, then both take the same checks.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -25,105 +30,65 @@ VECTOR_MAGIC = b"TKV1"
 MATRIX_MAGIC = b"TKM1"
 
 _U32 = struct.Struct("<I")
-
-
-class VectorStore:
-    """Immutable id -> vector map with one shared dimensionality.
-
-    The vectors live in one contiguous read-only (n, dim) float32 matrix,
-    rows in insertion order, with an id -> row map beside it.
-    """
-
-    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray]):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        rows = []
-        for vid, vec in vectors.items():
-            arr = np.asarray(vec, dtype=np.float32)
-            if arr.shape != (dim,):
-                raise ValueError(f"vector {vid!r}: expected shape ({dim},), got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"vector {vid!r} contains a non-finite component")
-            rows.append(arr)
-        matrix = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
-        self._adopt(list(vectors), matrix)
-
-    def _adopt(self, ids: list[str], matrix: np.ndarray) -> None:
-        """Take over a checked matrix: finite rows, one per distinct id."""
-        self.dim = int(matrix.shape[1])
-        self._ids = ids
-        self._rows = {vid: i for i, vid in enumerate(ids)}
-        self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        self._matrix.flags.writeable = False
-        # each row's position in ascending-id order: the tie-break of rankings
-        self.id_rank = np.empty(len(ids), dtype=np.int64)
-        self.id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, vid: str) -> bool:
-        return vid in self._rows
-
-    @property
-    def ids(self) -> list[str]:
-        return list(self._ids)
-
-    def vector(self, vid: str) -> np.ndarray:
-        try:
-            return self._matrix[self._rows[vid]]
-        except KeyError:
-            raise KeyError(f"no vector for id {vid!r}") from None
-
-    def as_matrix(self) -> tuple[list[str], np.ndarray]:
-        """The (n, dim) float32 matrix, ids aligned with its rows."""
-        return self.ids, self._matrix
-
-    def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return zip(self._ids, self._matrix)
+_F32 = np.dtype("<f4")
 
 
 class TokenMatrixStore:
     """Immutable id -> (n_tokens, dim) matrix map; n_tokens >= 1 per entry.
 
-    Like ``VectorStore``, the matrices form one contiguous read-only
-    (total_tokens, dim) float32 array, ``tokens``, entries in insertion
-    order: entry i holds rows ``offsets[i]:offsets[i + 1]``. ``matrix``
-    returns a read-only view; ``spans`` locates a batch of entries, so the
-    scoring heads gather their rows from ``tokens`` by offset. The array is
-    a view of one immutable ``bytes`` object, which pickles without a
-    second copy of the rows.
+    The matrices form one contiguous read-only (total_tokens, dim) float32
+    array, ``tokens``, entries in insertion order: entry i holds rows
+    ``offsets[i]:offsets[i + 1]``. ``matrix`` returns a read-only view;
+    ``spans`` locates a batch of entries, so the scoring heads gather their
+    rows from ``tokens`` by offset. The array is a view of one immutable
+    ``bytes`` object, which pickles without a second copy of the rows.
     """
+
+    _kind = "matrix"
 
     def __init__(self, dim: int, matrices: Mapping[str, np.ndarray]):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        arrays = []
-        for mid, mat in matrices.items():
-            arr = np.asarray(mat, dtype=np.float32)
-            if arr.ndim != 2 or arr.shape[1] != dim:
-                raise ValueError(f"matrix {mid!r}: expected shape (n, {dim}), got {arr.shape}")
-            if arr.shape[0] < 1:
-                raise ValueError(f"matrix {mid!r} has no token rows")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"matrix {mid!r} contains a non-finite component")
-            arrays.append(np.ascontiguousarray(arr, dtype="<f4"))
+        arrays = [self._rows_of(mid, np.asarray(m, dtype=_F32), dim) for mid, m in matrices.items()]
         self._adopt(list(matrices), [len(a) for a in arrays], dim, b"".join(arrays))
 
-    def _adopt(self, ids: list[str], lengths: list[int], dim: int, rows: bytes) -> None:
-        """Take over checked rows: ``lengths`` >= 1 per distinct id, and that
-        many finite little-endian float32 rows of ``dim`` in ``rows``."""
+    @staticmethod
+    def _rows_of(mid: str, arr: np.ndarray, dim: int) -> np.ndarray:
+        """One constructor value as its entry's contiguous (n_tokens, dim) rows."""
+        if arr.ndim != 2 or arr.shape[1] != dim:
+            raise ValueError(f"matrix {mid!r}: expected shape (n, {dim}), got {arr.shape}")
+        if arr.shape[0] < 1:
+            raise ValueError(f"matrix {mid!r} has no token rows")
+        return np.ascontiguousarray(arr)
+
+    def _adopt(self, ids: list[str], lengths, dim: int, rows: bytes, path=None) -> None:
+        """Take over ``lengths`` (each >= 1) little-endian float32 rows of
+        ``dim`` per id, after checking that the ids are distinct and every
+        component is finite; ``path`` names the file they were read from."""
         self.dim = int(dim)
         self._ids = ids
         self._entries = {mid: i for i, mid in enumerate(ids)}
+        if len(self._entries) < len(ids):
+            first: dict[str, int] = {}
+            dup = next(mid for i, mid in enumerate(ids) if first.setdefault(mid, i) != i)
+            raise ValueError(f"{path}: duplicate id {dup!r}")
         self.offsets = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(lengths, out=self.offsets[1:])
         self.offsets.flags.writeable = False
         self._rows = rows
+        tokens = self.tokens
+        # min and max are NaN or infinite when any component is, and need no
+        # (total_tokens, dim) mask; only a failing store pays for one
+        if tokens.size and not (np.isfinite(tokens.min()) and np.isfinite(tokens.max())):
+            row = np.argmin(np.isfinite(tokens).all(axis=1))
+            bad = ids[np.searchsorted(self.offsets, row, side="right") - 1]
+            if path is None:
+                raise ValueError(f"{self._kind} {bad!r} contains a non-finite component")
+            raise ValueError(f"{path}: {self._kind} for id {bad!r} has a non-finite component")
 
     @property
     def tokens(self) -> np.ndarray:
-        return np.frombuffer(self._rows, dtype="<f4").reshape(-1, self.dim)
+        return np.frombuffer(self._rows, dtype=_F32).reshape(-1, self.dim)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -136,11 +101,8 @@ class TokenMatrixStore:
         return list(self._ids)
 
     def matrix(self, mid: str) -> np.ndarray:
-        try:
-            i = self._entries[mid]
-        except KeyError:
-            raise KeyError(f"no token matrix for id {mid!r}") from None
-        return self.tokens[self.offsets[i] : self.offsets[i + 1]]
+        (start,), (n,) = self.spans([mid])
+        return self.tokens[start : start + n]
 
     def spans(self, mids: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         """The first row in ``tokens`` and the token count of each id's matrix."""
@@ -155,6 +117,37 @@ class TokenMatrixStore:
         return zip(self._ids, np.split(self.tokens, self.offsets[1:-1]))
 
 
+class VectorStore(TokenMatrixStore):
+    """Immutable id -> vector map with one shared dimensionality.
+
+    A token-matrix store with one row per id, so ``tokens`` is the (n, dim)
+    matrix of all vectors, row i belonging to ``ids[i]``.
+    """
+
+    _kind = "vector"
+
+    @staticmethod
+    def _rows_of(vid: str, arr: np.ndarray, dim: int) -> np.ndarray:
+        if arr.shape != (dim,):
+            raise ValueError(f"vector {vid!r}: expected shape ({dim},), got {arr.shape}")
+        return np.ascontiguousarray(arr).reshape(1, dim)
+
+    def vector(self, vid: str) -> np.ndarray:
+        try:
+            i = self._entries[vid]
+        except KeyError:
+            raise KeyError(f"no vector for id {vid!r}") from None
+        # row i of ``tokens``, without building the whole view per pair scored
+        return np.frombuffer(self._rows, _F32, self.dim, i * self.dim * _F32.itemsize)
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each row's position in ascending-id order: the tie-break of rankings."""
+        rank = np.empty(len(self._ids), dtype=np.int64)
+        rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = np.arange(len(self._ids))
+        return rank
+
+
 def _write_id(f, ident: str) -> None:
     raw = ident.encode("utf-8")
     f.write(_U32.pack(len(raw)))
@@ -162,12 +155,19 @@ def _write_id(f, ident: str) -> None:
 
 
 class _Reader:
-    """Cursor over a fully loaded payload with size checking."""
+    """Cursor with size checking over a whole embedding file, placed after
+    the ``magic | u32 count | u32 dim`` header both formats start with."""
 
-    def __init__(self, data: bytes, path: Path):
-        self.data = data
+    def __init__(self, path: str | Path, magic: bytes, what: str):
+        self.path = Path(path)
+        self.data = self.path.read_bytes()
         self.pos = 0
-        self.path = path
+        if self.take(4) != magic:
+            raise ValueError(f"{self.path}: not a {what} file (bad magic)")
+        self.count = self.u32()
+        self.dim = self.u32()
+        if self.dim < 1:
+            raise ValueError(f"{self.path}: header dim must be >= 1, got {self.dim}")
 
     def skip(self, n: int) -> int:
         """Move past ``n`` bytes; returns the offset they start at."""
@@ -185,7 +185,11 @@ class _Reader:
         return _U32.unpack(self.take(4))[0]
 
     def ident(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        start = self.skip(self.u32())
+        try:
+            return self.data[start : self.pos].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{self.path}: id at offset {start} is not valid UTF-8") from None
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -195,85 +199,46 @@ class _Reader:
 
 
 def write_vectors(store: VectorStore, path: str | Path) -> None:
-    ids, matrix = store.as_matrix()
     with atomic_write(path, binary=True) as f:
-        f.write(VECTOR_MAGIC)
-        f.write(_U32.pack(len(ids)))
-        f.write(_U32.pack(store.dim))
-        for vid in ids:
+        f.write(VECTOR_MAGIC + _U32.pack(len(store)) + _U32.pack(store.dim))
+        for vid in store.ids:
             _write_id(f, vid)
-        f.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+        f.write(store.tokens.tobytes())
 
 
 def load_vectors(path: str | Path) -> VectorStore:
-    path = Path(path)
-    reader = _Reader(path.read_bytes(), path)
-    if reader.take(4) != VECTOR_MAGIC:
-        raise ValueError(f"{path}: not a vector file (bad magic)")
-    count = reader.u32()
-    dim = reader.u32()
-    if dim < 1:
-        raise ValueError(f"{path}: header dim must be >= 1, got {dim}")
-    ids = [reader.ident() for _ in range(count)]
-    payload = reader.take(count * dim * 4)
+    reader = _Reader(path, VECTOR_MAGIC, "vector")
+    ids = [reader.ident() for _ in range(reader.count)]
+    rows = reader.take(reader.count * reader.dim * 4)
     reader.done()
-    seen: set[str] = set()
-    for vid in ids:
-        if vid in seen:
-            raise ValueError(f"{path}: duplicate id {vid!r}")
-        seen.add(vid)
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(np.float32)
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: vector for id {ids[bad[0]]!r} has a non-finite component")
     store = VectorStore.__new__(VectorStore)
-    store._adopt(ids, matrix)
+    store._adopt(ids, np.ones(reader.count, dtype=np.int64), reader.dim, rows, reader.path)
     return store
 
 
 def write_token_matrices(store: TokenMatrixStore, path: str | Path) -> None:
     with atomic_write(path, binary=True) as f:
-        f.write(MATRIX_MAGIC)
-        f.write(_U32.pack(len(store)))
-        f.write(_U32.pack(store.dim))
+        f.write(MATRIX_MAGIC + _U32.pack(len(store)) + _U32.pack(store.dim))
         for mid, mat in store.items():
             _write_id(f, mid)
             f.write(_U32.pack(mat.shape[0]))
-            f.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
+            f.write(mat.tobytes())
 
 
 def load_token_matrices(path: str | Path) -> TokenMatrixStore:
-    path = Path(path)
-    data = path.read_bytes()
-    reader = _Reader(data, path)
-    if reader.take(4) != MATRIX_MAGIC:
-        raise ValueError(f"{path}: not a token-matrix file (bad magic)")
-    count = reader.u32()
-    dim = reader.u32()
-    if dim < 1:
-        raise ValueError(f"{path}: header dim must be >= 1, got {dim}")
+    reader = _Reader(path, MATRIX_MAGIC, "token-matrix")
+    dim = reader.dim
     # one pass over the entry headers, then one copy of all the payloads
-    lengths: dict[str, int] = {}
-    payloads: list[int] = []
-    for _ in range(count):
-        mid = reader.ident()
-        if mid in lengths:
-            raise ValueError(f"{path}: duplicate id {mid!r}")
-        lengths[mid] = reader.u32()
-        if lengths[mid] < 1:
-            raise ValueError(f"{path}: entry {mid!r} has zero tokens")
-        payloads.append(reader.skip(lengths[mid] * dim * 4))
+    ids, lengths, payloads = [], [], []
+    for _ in range(reader.count):
+        ids.append(reader.ident())
+        lengths.append(reader.u32())
+        if lengths[-1] < 1:
+            raise ValueError(f"{reader.path}: entry {ids[-1]!r} has zero tokens")
+        payloads.append(reader.skip(lengths[-1] * dim * 4))
     reader.done()
-    ids, counts = list(lengths), list(lengths.values())
-    view = memoryview(data)
-    rows = b"".join(view[start : start + n * dim * 4] for start, n in zip(payloads, counts))
-    tokens = np.frombuffer(rows, dtype="<f4").reshape(-1, dim)
-    # min and max are NaN or infinite when any component is, and need no
-    # (total_tokens, dim) mask; only a failing file pays for one
-    if tokens.size and not (np.isfinite(tokens.min()) and np.isfinite(tokens.max())):
-        row = np.argmin(np.isfinite(tokens).all(axis=1))
-        entry = int(np.searchsorted(np.cumsum(counts), row, side="right"))
-        raise ValueError(f"{path}: matrix for id {ids[entry]!r} has a non-finite component")
+    view = memoryview(reader.data)
+    rows = b"".join(view[start : start + n * dim * 4] for start, n in zip(payloads, lengths))
     store = TokenMatrixStore.__new__(TokenMatrixStore)
-    store._adopt(ids, counts, dim, rows)
+    store._adopt(ids, lengths, dim, rows, reader.path)
     return store

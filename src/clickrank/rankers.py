@@ -178,8 +178,7 @@ def dense_retrieve(
     q = np.asarray(q_vec, dtype=np.float64)
     if q.shape != (store.dim,):
         raise ValueError(f"query dim {q.shape} does not match store dim {store.dim}")
-    ids, matrix = store.as_matrix()
-    matrix = matrix.astype(np.float64)
+    ids, matrix = store.ids, store.tokens.astype(np.float64)
     scores = matrix @ q
     if similarity == "cosine":
         norms = np.linalg.norm(matrix, axis=1)
@@ -217,6 +216,15 @@ def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot"
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
     return _late_interaction_scores(Q, D, *_whole(D), similarity)[0]
+
+
+def _check_token_dims(query_matrices: TokenMatrixStore, passage_matrices: TokenMatrixStore):
+    """The one dim check of the token heads, made once before any pair is scored."""
+    if query_matrices.dim != passage_matrices.dim:
+        raise ValueError(
+            f"query token matrices have dim {query_matrices.dim}, "
+            f"passage token matrices have dim {passage_matrices.dim}"
+        )
 
 
 def _whole(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,6 +478,7 @@ def train_kernel_weights(
     Triples whose query or passages have no stored token matrix are skipped
     and counted; it is an error if none remain.
     """
+    _check_token_dims(query_matrices, passage_matrices)
     resolved = []
     skipped = 0
     for triple in triples:
@@ -557,6 +566,7 @@ class LateInteractionScorer:
         similarity: str = "dot",
     ):
         _check_similarity(similarity)
+        _check_token_dims(query_matrices, passage_matrices)
         self.query_matrices = query_matrices
         self.passage_matrices = passage_matrices
         self.similarity = similarity
@@ -589,6 +599,7 @@ class KernelScorer:
         _check_similarity(similarity)
         if len(weights.w) != len(bank):
             raise ValueError("weight vector size does not match kernel bank")
+        _check_token_dims(query_matrices, passage_matrices)
         self.query_matrices = query_matrices
         self.passage_matrices = passage_matrices
         self.bank = bank

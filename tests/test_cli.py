@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clickrank.bm25 import INDEX_FILES
@@ -334,6 +335,36 @@ class TestErrorHandling:
         assert named in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rerank", "--run", "{work}/bm25.trec", "--scorer", "colbert"],
+            ["rerank", "--run", "{work}/bm25.trec", "--scorer", "kernel", "--weights", "{work}/weights.txt"],
+            ["train", "kernel", "--triples", "{work}/triples.tsv", "--epochs", "2"],
+        ],
+        ids=["rerank-colbert", "rerank-kernel", "train-kernel"],
+    )
+    def test_token_matrix_dim_mismatch_is_one_error_line(
+        self, fixture_dir, work, tmp_path, capsys, argv
+    ):
+        from clickrank.embeddings import TokenMatrixStore, load_token_matrices, write_token_matrices
+
+        queries = load_token_matrices(fixture_dir / "query_matrices.tkm")
+        wider = tmp_path / "wider.tkm"
+        dim = queries.dim + 1
+        write_token_matrices(TokenMatrixStore(dim, {q: np.ones((2, dim)) for q in queries.ids}), wider)
+        capsys.readouterr()
+        passages = fixture_dir / "passage_matrices.tkm"
+        code = main(
+            [a.format(work=work) for a in argv]
+            + ["--query-matrices", str(wider), "--passage-matrices", str(passages),
+               "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: query token matrices have dim {dim}, passage token matrices have dim {queries.dim}\n"
+        )
+
     def test_bm25_parameters_checked_before_the_collection_is_read(self, tmp_path, capsys):
         code = main(
             ["index", "build", "--collection", str(tmp_path / "absent.tsv"), "--b", "1.5",
@@ -588,33 +619,36 @@ _MATRICES = ["--query-matrices", "{fx}/query_matrices.tkm", "--passage-matrices"
 _VECTORS = ["--query-vectors", "{fx}/query_vectors.tkv", "--passage-vectors", "{fx}/passage_vectors.tkv"]
 
 
+@pytest.fixture(scope="module")
+def work(fixture_dir, tmp_path_factory):
+    """Inputs made from the fixture: an index, BM25 and dense runs, triples,
+    kernel weights, a stopword list, a score file and a config."""
+    work = tmp_path_factory.mktemp("inputs")
+    fx = str(fixture_dir)
+    for command in (
+        ["index", "build", "--collection", f"{fx}/collection.tsv", "--out", f"{work}/index"],
+        ["index", "search", "--index", f"{work}/index", "--queries", f"{fx}/queries.tsv",
+         "--k", "20", "--out", f"{work}/bm25.trec"],
+        ["dense", "retrieve", *[a.format(fx=fx) for a in _VECTORS], "--k", "20",
+         "--out", f"{work}/dense.trec"],
+        ["triples", "generate", "--index", f"{work}/index", "--queries", f"{fx}/queries.tsv",
+         "--qrels", f"{fx}/qrels.trec", "--depth", "20", "--max-neg", "2",
+         "--out", f"{work}/triples.tsv"],
+        ["train", "kernel", "--triples", f"{work}/triples.tsv",
+         *[a.format(fx=fx) for a in _MATRICES], "--epochs", "2", "--out", f"{work}/weights.txt"],
+    ):
+        assert main(command) == 0
+    (work / "stop.txt").write_text("the of\n")
+    run_lines = [line.split() for line in (work / "bm25.trec").read_text().splitlines()]
+    (work / "scores.tsv").write_text("".join(f"{f[0]}\t{f[2]}\t{f[4]}\n" for f in run_lines))
+    (work / "conf.json").write_text(
+        json.dumps({"paths": {"run": f"{work}/bm25.trec", "qrels": f"{fx}/qrels.trec"}})
+    )
+    return work
+
+
 class TestManifestInputs:
     """Each command's manifest pins exactly the files it read."""
-
-    @pytest.fixture(scope="class")
-    def work(self, fixture_dir, tmp_path_factory):
-        work = tmp_path_factory.mktemp("inputs")
-        fx = str(fixture_dir)
-        for command in (
-            ["index", "build", "--collection", f"{fx}/collection.tsv", "--out", f"{work}/index"],
-            ["index", "search", "--index", f"{work}/index", "--queries", f"{fx}/queries.tsv",
-             "--k", "20", "--out", f"{work}/bm25.trec"],
-            ["dense", "retrieve", *[a.format(fx=fx) for a in _VECTORS], "--k", "20",
-             "--out", f"{work}/dense.trec"],
-            ["triples", "generate", "--index", f"{work}/index", "--queries", f"{fx}/queries.tsv",
-             "--qrels", f"{fx}/qrels.trec", "--depth", "20", "--max-neg", "2",
-             "--out", f"{work}/triples.tsv"],
-            ["train", "kernel", "--triples", f"{work}/triples.tsv",
-             *[a.format(fx=fx) for a in _MATRICES], "--epochs", "2", "--out", f"{work}/weights.txt"],
-        ):
-            assert main(command) == 0
-        (work / "stop.txt").write_text("the of\n")
-        run_lines = [line.split() for line in (work / "bm25.trec").read_text().splitlines()]
-        (work / "scores.tsv").write_text("".join(f"{f[0]}\t{f[2]}\t{f[4]}\n" for f in run_lines))
-        (work / "conf.json").write_text(
-            json.dumps({"paths": {"run": f"{work}/bm25.trec", "qrels": f"{fx}/qrels.trec"}})
-        )
-        return work
 
     @pytest.mark.parametrize(
         "argv, out_name, expected",

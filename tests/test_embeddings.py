@@ -22,6 +22,14 @@ def _ident(s: str) -> bytes:
     return _u32(len(raw)) + raw
 
 
+def _error(loader, path, blob: bytes) -> str:
+    """The message of the ValueError ``loader`` raises on a file holding ``blob``."""
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as exc:
+        loader(path)
+    return str(exc.value)
+
+
 def _vector_file_bytes(entries: dict[str, list[float]], dim: int) -> bytes:
     blob = b"TKV1" + _u32(len(entries)) + _u32(dim)
     for vid in entries:
@@ -32,13 +40,17 @@ def _vector_file_bytes(entries: dict[str, list[float]], dim: int) -> bytes:
 
 
 class TestVectorStore:
+    ENTRIES = {"a": [1, 2, 3], "bb": [4, 5, 6], "c": [0, -1, 0.5]}
+
     def test_dim_enforced(self):
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError) as exc:
             VectorStore(3, {"a": np.zeros(2)})
+        assert str(exc.value) == "vector 'a': expected shape (3,), got (2,)"
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="a"):
-            VectorStore(2, {"a": np.array([1.0, np.nan])})
+        with pytest.raises(ValueError) as exc:
+            VectorStore(2, {"ok": [1.0, 2.0], "a": np.array([1.0, np.nan])})
+        assert str(exc.value) == "vector 'a' contains a non-finite component"
 
     def test_manual_header_layout(self, tmp_path):
         # count=2, dim=4 -> exactly 32 payload bytes
@@ -53,29 +65,88 @@ class TestVectorStore:
     def test_truncated_payload(self, tmp_path):
         blob = _vector_file_bytes({"a": [1, 2, 3, 4]}, 4)
         path = tmp_path / "v.tkv"
-        path.write_bytes(blob[:-4])
-        with pytest.raises(ValueError, match="truncated"):
-            load_vectors(path)
+        # 12 header bytes and a 5-byte id record, then the 16-byte payload
+        assert _error(load_vectors, path, blob[:-4]) == (
+            f"{path}: truncated file (needed 16 bytes at offset 17)"
+        )
+
+    def test_header_truncated_mid_id(self, tmp_path):
+        blob = _vector_file_bytes(self.ENTRIES, 3)
+        cut = blob.index(b"bb") + 1
+        path = tmp_path / "v.tkv"
+        assert _error(load_vectors, path, blob[:cut]) == (
+            f"{path}: truncated file (needed 2 bytes at offset {cut - 1})"
+        )
 
     def test_trailing_bytes_rejected(self, tmp_path):
         blob = _vector_file_bytes({"a": [1, 2, 3, 4]}, 4) + b"junk"
         path = tmp_path / "v.tkv"
-        path.write_bytes(blob)
-        with pytest.raises(ValueError, match="trailing"):
-            load_vectors(path)
+        assert _error(load_vectors, path, blob) == f"{path}: 4 trailing bytes after payload"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.tkv"
-        path.write_bytes(b"NOPE" + b"\x00" * 8)
-        with pytest.raises(ValueError, match="magic"):
-            load_vectors(path)
+        assert _error(load_vectors, path, b"NOPE" + b"\x00" * 8) == (
+            f"{path}: not a vector file (bad magic)"
+        )
 
     def test_nan_names_the_id(self, tmp_path):
         blob = _vector_file_bytes({"good": [1, 1], "poisoned": [1, float("nan")]}, 2)
         path = tmp_path / "v.tkv"
-        path.write_bytes(blob)
-        with pytest.raises(ValueError, match="poisoned"):
-            load_vectors(path)
+        assert _error(load_vectors, path, blob) == (
+            f"{path}: vector for id 'poisoned' has a non-finite component"
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("vid", ["a", "bb", "c"])
+    def test_non_finite_component_names_the_id(self, tmp_path, value, vid):
+        entries = {k: list(v) for k, v in self.ENTRIES.items()}
+        entries[vid][1] = value
+        path = tmp_path / "v.tkv"
+        assert _error(load_vectors, path, _vector_file_bytes(entries, 3)) == (
+            f"{path}: vector for id '{vid}' has a non-finite component"
+        )
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        blob = b"TKV1" + _u32(3) + _u32(1) + _ident("x") + _ident("y") + _ident("x")
+        blob += np.ones(3, dtype="<f4").tobytes()
+        path = tmp_path / "v.tkv"
+        assert _error(load_vectors, path, blob) == f"{path}: duplicate id 'x'"
+
+    def test_zero_dim_header(self, tmp_path):
+        path = tmp_path / "v.tkv"
+        assert _error(load_vectors, path, b"TKV1" + _u32(0) + _u32(0)) == (
+            f"{path}: header dim must be >= 1, got 0"
+        )
+
+    def test_empty_file_has_no_entries(self, tmp_path):
+        path = tmp_path / "v.tkv"
+        path.write_bytes(b"TKV1" + _u32(0) + _u32(5))
+        store = load_vectors(path)
+        assert len(store) == 0 and store.ids == [] and store.dim == 5
+
+    def test_vector_views_are_read_only(self, tmp_path):
+        path = tmp_path / "v.tkv"
+        path.write_bytes(_vector_file_bytes(self.ENTRIES, 3))
+        store = load_vectors(path)
+        for vid in store.ids:
+            with pytest.raises(ValueError, match="read-only"):
+                store.vector(vid)[0] = 42.0
+        built = VectorStore(3, {"x": np.ones(3)})
+        with pytest.raises(ValueError, match="read-only"):
+            built.vector("x")[:] = 0.0
+
+    def test_unknown_id_names_it(self):
+        store = VectorStore(2, {"a": [1.0, 0.0]})
+        with pytest.raises(KeyError) as exc:
+            store.vector("zz")
+        assert exc.value.args == ("no vector for id 'zz'",)
+
+    def test_writer_matches_the_layout(self, tmp_path):
+        path = tmp_path / "v.tkv"
+        write_vectors(VectorStore(3, self.ENTRIES), path)
+        assert path.read_bytes() == _vector_file_bytes(self.ENTRIES, 3)
+        write_vectors(VectorStore(4, {}), path)
+        assert path.read_bytes() == _vector_file_bytes({}, 4)
 
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -96,8 +167,31 @@ class TestVectorStore:
 
 class TestTokenMatrixStore:
     def test_zero_token_entry_rejected(self):
-        with pytest.raises(ValueError, match="token"):
+        with pytest.raises(ValueError) as exc:
             TokenMatrixStore(4, {"a": np.zeros((0, 4))})
+        assert str(exc.value) == "matrix 'a' has no token rows"
+
+    @pytest.mark.parametrize(
+        "matrices, message",
+        [
+            ({"a": np.zeros((2, 3))}, "matrix 'a': expected shape (n, 4), got (2, 3)"),
+            ({"a": np.zeros(4)}, "matrix 'a': expected shape (n, 4), got (4,)"),
+            (
+                {"ok": np.ones((2, 4)), "a": np.array([[0, 0, 0, 0], [0, np.inf, 0, 0]])},
+                "matrix 'a' contains a non-finite component",
+            ),
+        ],
+    )
+    def test_constructor_messages(self, matrices, message):
+        with pytest.raises(ValueError) as exc:
+            TokenMatrixStore(4, matrices)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("store", [TokenMatrixStore, VectorStore])
+    def test_zero_dim_rejected(self, store):
+        with pytest.raises(ValueError) as exc:
+            store(0, {})
+        assert str(exc.value) == "dim must be >= 1, got 0"
 
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -118,9 +212,7 @@ class TestTokenMatrixStore:
     def test_zero_token_in_file_rejected(self, tmp_path):
         blob = b"TKM1" + _u32(1) + _u32(4) + _ident("bad") + _u32(0)
         path = tmp_path / "m.tkm"
-        path.write_bytes(blob)
-        with pytest.raises(ValueError, match="zero tokens"):
-            load_token_matrices(path)
+        assert _error(load_token_matrices, path, blob) == f"{path}: entry 'bad' has zero tokens"
 
     def test_duplicate_id_rejected(self, tmp_path):
         row = np.ones(2, dtype="<f4").tobytes()
@@ -128,9 +220,7 @@ class TestTokenMatrixStore:
         blob += _ident("x") + _u32(1) + row
         blob += _ident("x") + _u32(1) + row
         path = tmp_path / "m.tkm"
-        path.write_bytes(blob)
-        with pytest.raises(ValueError, match="duplicate"):
-            load_token_matrices(path)
+        assert _error(load_token_matrices, path, blob) == f"{path}: duplicate id 'x'"
 
 
 def _matrix_file_bytes(entries: dict[str, list[list[float]]], dim: int) -> bytes:
@@ -148,6 +238,11 @@ class TestTokenMatrixLoader:
         path.write_bytes(blob)
         return load_token_matrices(path)
 
+    def _error(self, tmp_path, blob: bytes) -> str:
+        """The message, with the file's path taken off its front."""
+        path = tmp_path / "m.tkm"
+        return _error(load_token_matrices, path, blob).removeprefix(f"{path}: ")
+
     def test_manual_layout(self, tmp_path):
         store = self._load(tmp_path, _matrix_file_bytes(self.ENTRIES, 3))
         assert store.ids == ["a", "bb", "c"]
@@ -158,37 +253,36 @@ class TestTokenMatrixLoader:
 
     def test_bad_magic(self, tmp_path):
         blob = _matrix_file_bytes(self.ENTRIES, 3)
-        with pytest.raises(ValueError, match="not a token-matrix file \\(bad magic\\)"):
-            self._load(tmp_path, b"TKV1" + blob[4:])
+        assert self._error(tmp_path, b"TKV1" + blob[4:]) == "not a token-matrix file (bad magic)"
 
     def test_header_truncated_mid_id(self, tmp_path):
         # cut inside the second entry's id: its length says 2 bytes, one remains
         blob = _matrix_file_bytes(self.ENTRIES, 3)
         cut = blob.index(b"bb") + 1
-        with pytest.raises(ValueError, match=f"truncated file \\(needed 2 bytes at offset {cut - 1}\\)"):
-            self._load(tmp_path, blob[:cut])
+        assert self._error(tmp_path, blob[:cut]) == f"truncated file (needed 2 bytes at offset {cut - 1})"
 
     def test_payload_truncated(self, tmp_path):
         blob = _matrix_file_bytes(self.ENTRIES, 3)
-        with pytest.raises(ValueError, match="truncated file \\(needed 12 bytes at offset"):
-            self._load(tmp_path, blob[:-4])
+        # the last entry's 12-byte payload starts 12 bytes before the end
+        assert self._error(tmp_path, blob[:-4]) == (
+            f"truncated file (needed 12 bytes at offset {len(blob) - 12})"
+        )
 
     def test_trailing_bytes(self, tmp_path):
         blob = _matrix_file_bytes(self.ENTRIES, 3) + b"xyz"
-        with pytest.raises(ValueError, match="3 trailing bytes after payload"):
-            self._load(tmp_path, blob)
+        assert self._error(tmp_path, blob) == "3 trailing bytes after payload"
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("mid, row", [("a", 0), ("bb", 0), ("bb", 1), ("c", 0)])
     def test_non_finite_component_names_the_entry(self, tmp_path, value, mid, row):
         entries = {k: [list(r) for r in rows] for k, rows in self.ENTRIES.items()}
         entries[mid][row][2] = value
-        with pytest.raises(ValueError, match=f"matrix for id '{mid}' has a non-finite component"):
-            self._load(tmp_path, _matrix_file_bytes(entries, 3))
+        assert self._error(tmp_path, _matrix_file_bytes(entries, 3)) == (
+            f"matrix for id '{mid}' has a non-finite component"
+        )
 
     def test_zero_dim_header(self, tmp_path):
-        with pytest.raises(ValueError, match="header dim must be >= 1, got 0"):
-            self._load(tmp_path, b"TKM1" + _u32(0) + _u32(0))
+        assert self._error(tmp_path, b"TKM1" + _u32(0) + _u32(0)) == "header dim must be >= 1, got 0"
 
     def test_empty_file_has_no_entries(self, tmp_path):
         store = self._load(tmp_path, b"TKM1" + _u32(0) + _u32(5))
@@ -202,3 +296,35 @@ class TestTokenMatrixLoader:
         built = TokenMatrixStore(3, {"x": np.ones((2, 3))})
         with pytest.raises(ValueError, match="read-only"):
             built.matrix("x")[:] = 0.0
+
+    def test_unknown_id_names_it(self, tmp_path):
+        store = self._load(tmp_path, _matrix_file_bytes(self.ENTRIES, 3))
+        for lookup in (store.matrix, lambda mid: store.spans(["a", mid])):
+            with pytest.raises(KeyError) as exc:
+                lookup("zz")
+            assert exc.value.args == ("no token matrix for id 'zz'",)
+
+    def test_writer_matches_the_layout(self, tmp_path):
+        path = tmp_path / "m.tkm"
+        write_token_matrices(TokenMatrixStore(3, self.ENTRIES), path)
+        assert path.read_bytes() == _matrix_file_bytes(self.ENTRIES, 3)
+        write_token_matrices(TokenMatrixStore(4, {}), path)
+        assert path.read_bytes() == _matrix_file_bytes({}, 4)
+
+
+@pytest.mark.parametrize(
+    "loader, blob",
+    [
+        (load_vectors, b"TKV1" + _u32(2) + _u32(1) + _ident("a") + _u32(2) + b"\xff\xfe"),
+        (
+            load_token_matrices,
+            b"TKM1" + _u32(2) + _u32(1) + _ident("a") + _u32(1) + b"\0" * 4 + _u32(2) + b"\xff\xfe",
+        ),
+    ],
+    ids=["vectors", "token-matrices"],
+)
+def test_invalid_utf8_id_names_the_file_and_offset(tmp_path, loader, blob):
+    path = tmp_path / "e.bin"
+    start = len(blob) - 2
+    blob += b"\0" * 8
+    assert _error(loader, path, blob) == f"{path}: id at offset {start} is not valid UTF-8"

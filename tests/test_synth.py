@@ -51,8 +51,8 @@ class TestPlantedRelevance:
         assert DEFAULT_CTR_THRESHOLDS == (0.1, 0.3)
 
     def test_dense_margin_exhaustive(self, small_fixture):
-        ids, matrix = small_fixture.passage_vectors.as_matrix()
-        matrix = matrix.astype(np.float64)
+        ids = small_fixture.passage_vectors.ids
+        matrix = small_fixture.passage_vectors.tokens.astype(np.float64)
         for qid, pool in small_fixture.relevant.items():
             dots = matrix @ small_fixture.query_vectors.vector(qid).astype(np.float64)
             relevant = set(pool)
