@@ -55,6 +55,7 @@ from .rankers import (
     KernelScorer,
     LateInteractionScorer,
     MissingEmbeddingError,
+    check_dims,
     dense_retrieve,
     load_weights,
     rerank,
@@ -426,6 +427,7 @@ def _cmd_dense_retrieve(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "run output path")
     query_vectors = load_vectors(inputs.flag("query_vectors", "query vectors"))
     passage_vectors = load_vectors(inputs.flag("passage_vectors", "passage vectors"))
+    check_dims(query_vectors, passage_vectors, "vectors")
     k = int(_cfg(args.k, config, "dense", "k", 1000, int))
     run = RankedRun(name=args.run_name, stage="dense-retrieval")
     for qid in sorted(query_vectors.ids):

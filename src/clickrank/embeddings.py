@@ -32,6 +32,13 @@ MATRIX_MAGIC = b"TKM1"
 _U32 = struct.Struct("<I")
 _F32 = np.dtype("<f4")
 
+# Upper bound on the bytes of the largest array formed for one block of a
+# store's rows: here the float64 rows of ``row_norms``; in ``rankers`` the
+# dense head's float64 products, late interaction's float64 passage rows and
+# (query tokens, passage tokens) dot products and bounds, and the kernel
+# head's (kernels, passages, query tokens, tokens) values.
+BLOCK_BYTES = 1 << 23
+
 
 class TokenMatrixStore:
     """Immutable id -> (n_tokens, dim) matrix map; n_tokens >= 1 per entry.
@@ -146,6 +153,21 @@ class VectorStore(TokenMatrixStore):
         rank = np.empty(len(self._ids), dtype=np.int64)
         rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = np.arange(len(self._ids))
         return rank
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """Each vector's Euclidean norm: the square root of numpy's pairwise
+        sum of its float64 squares, the reduction of the dense score. Formed
+        ``BLOCK_BYTES`` of float64 rows at a time, so the store is never
+        copied to float64 whole."""
+        tokens = self.tokens
+        norms = np.empty(len(tokens), dtype=np.float64)
+        step = max(1, BLOCK_BYTES // (8 * self.dim))
+        for first in range(0, len(tokens), step):
+            rows = tokens[first : first + step].astype(np.float64)
+            norms[first : first + step] = np.sqrt((rows * rows).sum(axis=1))
+        norms.flags.writeable = False
+        return norms
 
 
 def _write_id(f, ident: str) -> None:

@@ -306,7 +306,9 @@ def fuse_runs(
     "minmax": per query, normalize each run's scores to [0, 1] and average
     across runs; a passage missing from a run contributes 0 for it. Ordering
     is therefore invariant to any positive affine transform of a run's
-    scores. "rrf": reciprocal-rank fusion, sum of 1/(rrf_k + rank).
+    scores. "rrf": reciprocal-rank fusion, sum of 1/(rrf_k + rank). Both
+    sums are exactly rounded, so the order of the runs cannot change a
+    fused score.
     """
     if method not in ("minmax", "rrf"):
         raise ValueError(f"unknown fusion method {method!r}")
@@ -320,11 +322,13 @@ def fuse_runs(
             normalized = [_minmax_normalize(r[qid]) for r in runs if r[qid]]
             pids = set().union(*(n.keys() for n in normalized)) if normalized else set()
             for pid in pids:
-                combined[pid] = sum(n.get(pid, 0.0) for n in normalized) / len(runs)
+                combined[pid] = math.fsum(n.get(pid, 0.0) for n in normalized) / len(runs)
         else:
+            terms: dict[str, list[float]] = {}
             for r in runs:
                 for rank, (pid, _) in enumerate(r[qid], start=1):
-                    combined[pid] = combined.get(pid, 0.0) + 1.0 / (rrf_k + rank)
+                    terms.setdefault(pid, []).append(1.0 / (rrf_k + rank))
+            combined = {pid: math.fsum(t) for pid, t in terms.items()}
         fused.results[qid] = canonical_order(combined.items())
     return fused
 

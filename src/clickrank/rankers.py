@@ -25,7 +25,10 @@ The token-level heads gather a batch's passage rows from the store's one
 contiguous token array by offset and score them in blocks of candidates.
 Late interaction screens each block with two matrix products, the
 approximate dot products and an error bound from the absolute values, and
-sums exactly only the token rows that can still hold a maximum.
+sums exactly only the token rows that can still hold a maximum. Dense
+retrieval screens the store the same way, with one float32 product and an
+error bound from the norms, and scores exactly only the rows that can still
+reach the top k.
 """
 
 from __future__ import annotations
@@ -38,19 +41,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import TokenMatrixStore, VectorStore
+from .embeddings import BLOCK_BYTES, TokenMatrixStore, VectorStore
 from .manifest import atomic_write
 from .runs import RankedRun, canonical_order
 
 logger = logging.getLogger(__name__)
 
 KERNEL_EPSILON = 1e-10
-
-# Upper bound on the bytes of the largest array a batched head forms for one
-# block of candidates: for late interaction the block's float64 passage rows
-# and its (query tokens, passage tokens) dot products and bounds, for the
-# kernel head its (kernels, passages, query tokens, tokens) values.
-BLOCK_BYTES = 1 << 23
 
 
 class MissingEmbeddingError(LookupError):
@@ -151,25 +148,67 @@ def _check_similarity(similarity: str) -> None:
         raise ValueError(f"similarity must be 'dot' or 'cosine', got {similarity!r}")
 
 
+def _dense_dots(tokens: np.ndarray, rows: Sequence[int], q: np.ndarray) -> np.ndarray:
+    """The dense dot product of the float64 query q with each of ``rows`` of
+    tokens: the components widened to float64, each product rounded to
+    float64, and numpy's pairwise sum along the row.
+
+    This is the one definition of the dense score. A row's value depends on
+    that row and q alone, not on which other rows share the call, how many
+    or in what order; a BLAS gemv gives no such guarantee. The rows are
+    widened ``BLOCK_BYTES`` at a time.
+    """
+    scores = np.empty(len(rows), dtype=np.float64)
+    step = max(1, BLOCK_BYTES // (8 * tokens.shape[1]))
+    for first in range(0, len(rows), step):
+        block = rows[first : first + step]
+        # the float32 rows widen exactly inside the float64 multiply
+        scores[first : first + step] = np.multiply(tokens[block], q).sum(axis=1)
+    return scores
+
+
+def _norm(x: np.ndarray) -> float:
+    """A float64 vector's norm by the reduction of ``VectorStore.row_norms``."""
+    return float(np.sqrt((x * x).sum()))
+
+
+def _check_cosine_norms(qn: float, norms: np.ndarray, ids: Sequence[str]) -> None:
+    """The zero-norm checks of cosine scoring; ``ids`` names ``norms``' rows."""
+    if qn == 0.0:
+        raise ValueError("cosine similarity undefined for a zero-norm query")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"zero-norm passage vector {ids[zero[0]]!r}")
+
+
 def dense_score(q_vec: np.ndarray, d_vec: np.ndarray, similarity: str = "dot") -> float:
-    """Dot product of a query and a passage vector (cosine selectable)."""
+    """Dot product of a query and a passage vector (cosine selectable), by
+    the one dense score definition (``_dense_dots``); cosine divides it by
+    the product of the two norms."""
     _check_similarity(similarity)
     q = np.asarray(q_vec, dtype=np.float64)
     d = np.asarray(d_vec, dtype=np.float64)
     if q.shape != d.shape or q.ndim != 1:
         raise ValueError(f"dimension mismatch: {q.shape} vs {d.shape}")
+    score = _dense_dots(d[None, :], [0], q)[0]
     if similarity == "cosine":
-        qn, dn = np.linalg.norm(q), np.linalg.norm(d)
+        qn, dn = _norm(q), _norm(d)
         if qn == 0.0 or dn == 0.0:
             raise ValueError("cosine similarity undefined for a zero-norm vector")
-        return float(np.dot(q, d) / (qn * dn))
-    return float(np.dot(q, d))
+        score = score / (dn * qn)
+    return float(score)
 
 
 def dense_retrieve(
     store: VectorStore, q_vec: np.ndarray, k: int, similarity: str = "dot"
 ) -> list[tuple[str, float]]:
-    """Exact top-k over the whole store (no approximation)."""
+    """Exact top-k over the whole store (no approximation): the k best
+    ``dense_score`` values bit for bit, ties by ascending id.
+
+    When k is below the store size, a float32 product screens the store
+    first (``_screen``) and only the rows that can still reach the top k
+    are scored exactly; no float64 copy of the store is made.
+    """
     _check_similarity(similarity)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -178,24 +217,75 @@ def dense_retrieve(
     q = np.asarray(q_vec, dtype=np.float64)
     if q.shape != (store.dim,):
         raise ValueError(f"query dim {q.shape} does not match store dim {store.dim}")
-    ids, matrix = store.ids, store.tokens.astype(np.float64)
-    scores = matrix @ q
-    if similarity == "cosine":
-        norms = np.linalg.norm(matrix, axis=1)
-        qn = np.linalg.norm(q)
-        if qn == 0.0:
-            raise ValueError("cosine similarity undefined for a zero-norm query")
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ValueError(f"zero-norm passage vector {ids[zero[0]]!r}")
-        scores = scores / (norms * qn)
-    top = np.arange(len(ids))
+    ids, tokens, norms, qn = store.ids, store.tokens, store.row_norms, _norm(q)
+    cosine = similarity == "cosine"
+    if cosine:
+        _check_cosine_norms(qn, norms, ids)
+    rows = np.arange(len(ids))
     if k < len(ids):
+        rows = _screen(tokens, norms, q, qn, k, cosine)
+    scores = _dense_dots(tokens, rows, q)
+    if cosine:
+        scores = scores / (norms[rows] * qn)
+    top = np.arange(len(rows))
+    if k < len(rows):
         # every row tied with the k-th best score, so the id tie-break decides
-        kth = np.partition(scores, len(ids) - k)[len(ids) - k]
+        kth = np.partition(scores, len(rows) - k)[len(rows) - k]
         top = np.flatnonzero(scores >= kth)
-    top = top[np.lexsort((store.id_rank[top], -scores[top]))][:k]
-    return [(ids[i], s) for i, s in zip(top.tolist(), scores[top].tolist())]
+    top = top[np.lexsort((store.id_rank[rows[top]], -scores[top]))][:k]
+    return [(ids[i], s) for i, s in zip(rows[top].tolist(), scores[top].tolist())]
+
+
+def _screen(
+    tokens: np.ndarray, norms: np.ndarray, q: np.ndarray, qn: float, k: int, cosine: bool
+) -> np.ndarray:
+    """The rows of tokens that can hold one of the k best dense scores of q.
+
+    With n = dim, u = 2^-24 and s = sum d_i q_i exactly, for a row d:
+
+    * the score S (``_dense_dots``) is within γ'_n sum|d_i q_i| of s, γ' in
+      float64 (u' = 2^-53);
+    * rounding q to float32 moves each component by at most u|q_i| plus
+      2^-150 where it underflows, so s moves by at most
+      u sum|d_i q_i| + 2^-150 sum|d_i|;
+    * ``approx = tokens @ float32(q)``, in any order, with or without fused
+      multiply-adds, is within γ_n sum|d_i fl32(q_i)| of its exact sum, plus
+      at most 2^-150 (1 + γ_n) for each product that underflows (Higham,
+      Accuracy and Stability of Numerical Algorithms, §2.1 and §3.1).
+
+    Adding up, with γ_n (1 + u) + u + γ'_n <= γ_{n+2}, sum|d_i q_i| <= ‖d‖‖q‖
+    and sum|d_i| <= √n ‖d‖, |approx - S| <= γ_{n+2} ‖d‖‖q‖ +
+    n 2^-149 (1 + ‖d‖); the float64 products' own underflow is far smaller.
+    For (n + 2) u <= 1/4, γ_{n+2} <= (4/3)(n + 2) u, so ``bound`` below,
+    2 (n + 2) u ‖d‖‖q‖ + n 2^-124 (1 + ‖d‖)(1 + ‖q‖), holds with room for
+    the float64 rounding of the norms and of the bound itself; its
+    underflow term also covers a BLAS that flushes subnormals to zero. Rows
+    of more than 2^22 - 2 components are not screened.
+
+    At least k rows have S >= their lower bound >= the k-th largest lower
+    bound L, so every row of the top k, ties with the k-th included, has an
+    upper bound >= L and is kept. A row whose bounds are not finite (an
+    approximation that overflowed, a NaN or infinite bound) bounds nothing
+    and is kept. For cosine, the bounds are divided by the score's own
+    divisor ``norms * qn``: correctly rounded division is monotone, so they
+    still enclose ``S / (norms * qn)`` as computed.
+    """
+    n = tokens.shape[1]
+    if n + 2 > 1 << 22:
+        return np.arange(len(tokens))
+    # overflow and inf - inf only loosen bounds, which the mask below catches
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = tokens @ q.astype(np.float32)
+        tiny = n * 2.0**-124 * (1.0 + qn)
+        bound = norms * (2.0 * (n + 2) * 2.0**-24 * qn + tiny) + tiny
+        lower, upper = approx - bound, approx + bound
+        if cosine:
+            lower /= norms * qn
+            upper /= norms * qn
+    loose = ~(np.isfinite(lower) & np.isfinite(upper))
+    lower[loose], upper[loose] = -np.inf, np.inf
+    kth = np.partition(lower, len(lower) - k)[len(lower) - k]
+    return np.flatnonzero(upper >= kth)
 
 
 def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot") -> float:
@@ -218,12 +308,12 @@ def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot"
     return _late_interaction_scores(Q, D, *_whole(D), similarity)[0]
 
 
-def _check_token_dims(query_matrices: TokenMatrixStore, passage_matrices: TokenMatrixStore):
-    """The one dim check of the token heads, made once before any pair is scored."""
-    if query_matrices.dim != passage_matrices.dim:
+def check_dims(queries: TokenMatrixStore, passages: TokenMatrixStore, what: str) -> None:
+    """The one dim check of a query and a passage store (``what`` names
+    their entries), made once before any pair is scored."""
+    if queries.dim != passages.dim:
         raise ValueError(
-            f"query token matrices have dim {query_matrices.dim}, "
-            f"passage token matrices have dim {passage_matrices.dim}"
+            f"query {what} have dim {queries.dim}, passage {what} have dim {passages.dim}"
         )
 
 
@@ -478,7 +568,7 @@ def train_kernel_weights(
     Triples whose query or passages have no stored token matrix are skipped
     and counted; it is an error if none remain.
     """
-    _check_token_dims(query_matrices, passage_matrices)
+    check_dims(query_matrices, passage_matrices, "token matrices")
     resolved = []
     skipped = 0
     for triple in triples:
@@ -541,6 +631,7 @@ class DenseScorer:
         similarity: str = "dot",
     ):
         _check_similarity(similarity)
+        check_dims(query_vectors, passage_vectors, "vectors")
         self.query_vectors = query_vectors
         self.passage_vectors = passage_vectors
         self.similarity = similarity
@@ -551,9 +642,13 @@ class DenseScorer:
     def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
         _check_ids(query_id, passage_ids, self.query_vectors, self.passage_vectors, "vector")
         q = self.query_vectors.vector(query_id).astype(np.float64)
-        vector = self.passage_vectors.vector
-        scores = [dense_score(q, vector(pid), self.similarity) for pid in passage_ids]
-        return np.array(scores, dtype=np.float64)
+        rows, _ = self.passage_vectors.spans(passage_ids)
+        scores = _dense_dots(self.passage_vectors.tokens, rows, q)
+        if self.similarity == "cosine":
+            norms, qn = self.passage_vectors.row_norms[rows], _norm(q)
+            _check_cosine_norms(qn, norms, passage_ids)
+            scores = scores / (norms * qn)
+        return scores
 
 
 class LateInteractionScorer:
@@ -566,7 +661,7 @@ class LateInteractionScorer:
         similarity: str = "dot",
     ):
         _check_similarity(similarity)
-        _check_token_dims(query_matrices, passage_matrices)
+        check_dims(query_matrices, passage_matrices, "token matrices")
         self.query_matrices = query_matrices
         self.passage_matrices = passage_matrices
         self.similarity = similarity
@@ -599,7 +694,7 @@ class KernelScorer:
         _check_similarity(similarity)
         if len(weights.w) != len(bank):
             raise ValueError("weight vector size does not match kernel bank")
-        _check_token_dims(query_matrices, passage_matrices)
+        check_dims(query_matrices, passage_matrices, "token matrices")
         self.query_matrices = query_matrices
         self.passage_matrices = passage_matrices
         self.bank = bank

@@ -365,6 +365,63 @@ class TestErrorHandling:
             f"error: query token matrices have dim {dim}, passage token matrices have dim {queries.dim}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["rerank", "--run", "{work}/bm25.trec", "--scorer", "dense"], ["dense", "retrieve"]],
+        ids=["rerank-dense", "dense-retrieve"],
+    )
+    def test_vector_dim_mismatch_is_one_error_line(self, fixture_dir, work, tmp_path, capsys, argv):
+        from clickrank.embeddings import VectorStore, load_vectors, write_vectors
+
+        queries = load_vectors(fixture_dir / "query_vectors.tkv")
+        wider = tmp_path / "wider.tkv"
+        dim = queries.dim + 1
+        write_vectors(VectorStore(dim, {q: np.ones(dim) for q in queries.ids}), wider)
+        capsys.readouterr()
+        out = tmp_path / "out.trec"
+        code = main(
+            [a.format(work=work) for a in argv]
+            + ["--query-vectors", str(wider), "--passage-vectors", str(fixture_dir / "passage_vectors.tkv"),
+               "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: query vectors have dim {dim}, passage vectors have dim {queries.dim}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rerank", "--run", "{work}/bm25.trec", "--scorer", "dense"], ["dense", "retrieve"]],
+        ids=["rerank-dense", "dense-retrieve"],
+    )
+    def test_zero_norm_passage_is_named_in_one_error_line(
+        self, fixture_dir, work, tmp_path, capsys, argv
+    ):
+        from clickrank.embeddings import VectorStore, load_vectors, write_vectors
+
+        passages = load_vectors(fixture_dir / "passage_vectors.tkv")
+        # the first candidate of the first query, so re-ranking meets it
+        zero = (work / "bm25.trec").read_text().split()[2]
+        zeroed = tmp_path / "zeroed.tkv"
+        write_vectors(
+            VectorStore(
+                passages.dim,
+                {p: np.zeros(passages.dim) if p == zero else passages.vector(p) for p in passages.ids},
+            ),
+            zeroed,
+        )
+        capsys.readouterr()
+        out = tmp_path / "out.trec"
+        code = main(
+            [a.format(work=work) for a in argv]
+            + ["--similarity", "cosine", "--query-vectors", str(fixture_dir / "query_vectors.tkv"),
+               "--passage-vectors", str(zeroed), "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: zero-norm passage vector {zero!r}\n"
+        assert not out.exists()
+
     def test_bm25_parameters_checked_before_the_collection_is_read(self, tmp_path, capsys):
         code = main(
             ["index", "build", "--collection", str(tmp_path / "absent.tsv"), "--b", "1.5",

@@ -1,6 +1,7 @@
 """Property tests over randomly drawn small inputs."""
 
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,9 @@ from clickrank.embeddings import (
     write_token_matrices,
     write_vectors,
 )
+from clickrank.evaluation import fuse_runs
+from clickrank.rankers import DenseScorer, dense_retrieve, dense_score
+from clickrank.runs import RankedRun, canonical_order
 
 # a small vocabulary, so documents share terms and scores tie often
 _WORDS = ["a", "b", "c", "dd", "e1", "the"]
@@ -115,3 +119,249 @@ def test_token_matrix_store_round_trip(data, dim):
     assert lengths.tolist() == [len(matrices[mid]) for mid in ids[::-1]]
     for start, length, mid in zip(starts.tolist(), lengths.tolist(), ids[::-1]):
         assert np.array_equal(_bits(loaded.tokens[start : start + length]), _bits(matrices[mid]))
+
+
+# ---------------------------------------------------------------------------
+# dense retrieval: the exhaustive scan, scorer equality and permutation oracles
+# ---------------------------------------------------------------------------
+
+
+def _dense_scan(vectors, q, k, similarity="dot"):
+    """The exhaustive oracle: each row's score by the definition, one row at
+    a time (float32 components widened to float64, float64 products, numpy's
+    pairwise sum; cosine over the norms by the same sum), then a full sort by
+    descending score, ties by ascending id."""
+    q = np.asarray(q, dtype=np.float64)
+    scored = []
+    for pid, v in vectors.items():
+        d = np.asarray(v, dtype=np.float32).astype(np.float64)
+        score = (d * q).sum()
+        if similarity == "cosine":
+            score = score / (np.sqrt((d * d).sum()) * np.sqrt((q * q).sum()))
+        scored.append((pid, float(score)))
+    return sorted(scored, key=lambda e: (-e[1], e[0]))[:k]
+
+
+def _hex(ranking):
+    """A ranking with its scores as exact bit patterns (the sign of a zero too)."""
+    return [(pid, float(score).hex()) for pid, score in ranking]
+
+
+# small integers tie exactly; the full float32 range reaches overflow of a
+# float32 product and subnormal components
+_component = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-4.0, 4.0, width=32),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+# float64 query components, most of them not float32-representable
+_query_component = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-4.0, 4.0),
+    st.floats(-1e-30, 1e-30),
+    st.floats(-1e6, 1e6, width=32),
+)
+
+
+def _dense_case(data, dim, n, component):
+    ids = data.draw(st.lists(_ids, min_size=n, max_size=n, unique=True))
+    pool = [
+        np.array(data.draw(st.lists(_component, min_size=dim, max_size=dim)), dtype=np.float32)
+        for _ in range(data.draw(st.integers(1, n)))
+    ]
+    # rows drawn from a pool, so some are equal and their scores tie exactly
+    vectors = {pid: pool[data.draw(st.integers(0, len(pool) - 1))] for pid in ids}
+    q = np.array(data.draw(st.lists(component, min_size=dim, max_size=dim)), dtype=np.float64)
+    return vectors, q, data.draw(st.integers(1, n + 2))
+
+
+def _undefined_cosine(vectors, q, similarity):
+    """A zero norm as computed: a tiny nonzero query's squares can underflow."""
+    norms = [(q * q).sum()] + [(v.astype(np.float64) ** 2).sum() for v in vectors.values()]
+    return similarity == "cosine" and min(norms) == 0.0
+
+
+_similarities = st.sampled_from(["dot", "cosine"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24), similarity=_similarities)
+def test_dense_retrieve_equals_an_exhaustive_scan(data, dim, n, similarity):
+    vectors, q, k = _dense_case(data, dim, n, _query_component)
+    store = VectorStore(dim, vectors)
+    if _undefined_cosine(vectors, q, similarity):
+        with pytest.raises(ValueError, match="zero-norm"):
+            dense_retrieve(store, q, k, similarity)
+        return
+    got = dense_retrieve(store, q, k, similarity)
+    assert _hex(got) == _hex(_dense_scan(vectors, q, k, similarity))
+    for pid, score in got:
+        assert score == dense_score(q, vectors[pid], similarity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24), similarity=_similarities)
+def test_dense_retrieve_scores_equal_the_dense_scorer(data, dim, n, similarity):
+    vectors, q, k = _dense_case(data, dim, n, _component)
+    store = VectorStore(dim, vectors)
+    if _undefined_cosine(vectors, q, similarity):
+        return
+    scorer = DenseScorer(VectorStore(dim, {"query": q}), store, similarity)
+    got = dense_retrieve(store, q, k, similarity)
+    for pid, score in got:
+        assert score == scorer.score("query", pid)
+    batch = scorer.score_batch("query", [pid for pid, _ in got])
+    assert _hex(zip([pid for pid, _ in got], batch.tolist())) == _hex(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24), similarity=_similarities)
+def test_dense_retrieve_is_invariant_under_row_permutation(data, dim, n, similarity):
+    vectors, q, k = _dense_case(data, dim, n, _query_component)
+    if _undefined_cosine(vectors, q, similarity):
+        return
+    order = data.draw(st.permutations(list(vectors)))
+    got = dense_retrieve(VectorStore(dim, vectors), q, k, similarity)
+    permuted = VectorStore(dim, {pid: vectors[pid] for pid in order})
+    assert _hex(dense_retrieve(permuted, q, k, similarity)) == _hex(got)
+
+
+def _check_against_scan(vectors, q, similarities=("dot", "cosine")):
+    vectors = {pid: np.asarray(v, dtype=np.float32) for pid, v in vectors.items()}
+    store = VectorStore(len(q), vectors)
+    for similarity in similarities:
+        for k in range(1, len(vectors) + 2):
+            want = _dense_scan(vectors, q, k, similarity)
+            assert _hex(dense_retrieve(store, q, k, similarity)) == _hex(want), (similarity, k)
+    return store
+
+
+def test_dense_rows_one_ulp_apart_around_the_kth_score():
+    # exact scores 1 + j 2^-52, one float64 ulp apart and all 1.0 in float32;
+    # ascending ids run against the scores, so a false tie would be visible
+    q = np.array([1.0, 2.0**-52])
+    vectors = {f"p{j}": [1.0, j] for j in range(8)}
+    vectors.update({f"f{j}": [0.5, -j] for j in range(3)})
+    store = _check_against_scan(vectors, q)
+    got = dense_retrieve(store, q, 8)
+    assert got == [(f"p{j}", 1.0 + j * 2.0**-52) for j in range(7, -1, -1)]
+
+
+def test_dense_query_not_float32_representable():
+    # q[1] rounds to 1.0 in float32; there b's float32 sum 7 + 5 * 2^-24
+    # rounds up to 7 + 2^-21, above a's 7, while exactly a is first
+    q = np.array([1.0, 1.0 + 2.0**-24 - 2.0**-40])
+    assert np.float32(q[1]) == 1.0
+    vectors = {"a": [0.0, 7.0], "b": [7.0, 5 * 2.0**-24], "c": [6.0, 0.0], "d": [0.0, 1.0]}
+    store = _check_against_scan(vectors, q)
+    assert [pid for pid, _ in dense_retrieve(store, q, 2)] == ["a", "b"]
+
+
+def test_dense_components_near_float32_overflow():
+    # the float32 products and sums overflow; the float64 scores do not
+    vectors = {
+        "a": [3e38, 3e38],
+        "b": [1.0, 1.0],
+        "c": [-3e38, -3e38],
+        "d": [3e38, -3e38],
+        "e": [2.0, 0.5],
+    }
+    for q in ([1.0, 1.0], [2.0, 0.5], [1.0, -1.0], [1e-3, 3.0]):
+        _check_against_scan(vectors, np.array(q))
+    assert dense_retrieve(VectorStore(2, vectors), np.array([1.0, 1.0]), 1)[0][0] == "a"
+
+
+def test_dense_components_below_float32_smallest_normal():
+    # each of a's float32 products, 0.49 of the smallest subnormal, rounds
+    # to 0, and b's (0.6 of it) to the subnormal: in float32 b outscores a
+    t = 2.0**-89
+    vectors = {
+        "a": [0.49 * t, 0.49 * t],
+        "b": [0.6 * t, 0.0],
+        "c": [1e-45, 1e-45],
+        "d": [0.0, 0.0],
+        "e": [-1e-45, 3e-39],
+    }
+    q = np.array([2.0**-60, 2.0**-60])
+    _check_against_scan(vectors, q, ("dot",))
+    _check_against_scan({p: v for p, v in vectors.items() if p != "d"}, q, ("cosine",))
+    assert dense_retrieve(VectorStore(2, vectors), q, 1)[0][0] == "a"
+
+
+def test_dense_float32_error_that_grows_with_dim():
+    # rows of 1024 equal components, consecutive float32 values: the exact
+    # scores are 1024 x, one float32 step of x apart, while a float32 sum of
+    # 1024 terms can be off by many steps, more than 2^-23 ‖d‖‖q‖
+    dim = 1024
+    vectors = {f"p{j:04d}": np.full(dim, 1.0 + j * 2.0**-23, dtype=np.float32) for j in range(600)}
+    store = VectorStore(dim, vectors)
+    q = np.ones(dim)
+    for similarity in ("dot", "cosine"):
+        for k in (1, 2, 10, 300, 599):
+            want = _dense_scan(vectors, q, k, similarity)
+            assert _hex(dense_retrieve(store, q, k, similarity)) == _hex(want), (similarity, k)
+    assert dense_retrieve(store, q, 1)[0][0] == "p0599"
+
+
+# ---------------------------------------------------------------------------
+# fusion
+# ---------------------------------------------------------------------------
+
+_QIDS = ["q0", "q1", "q2"]
+_run_entries = st.dictionaries(
+    keys=st.sampled_from([f"p{i}" for i in range(8)]), values=st.integers(-6, 6).map(float), max_size=8
+)
+
+
+def _runs(data, count):
+    return [
+        RankedRun(
+            name=f"r{i}",
+            results={qid: canonical_order(data.draw(_run_entries).items()) for qid in _QIDS},
+        )
+        for i in range(count)
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    count=st.integers(2, 4),
+    method=st.sampled_from(["rrf", "minmax"]),
+    rrf_k=st.integers(0, 70),
+    scale=st.sampled_from([1.0, 0.3, 7.1]),
+)
+def test_fusion_does_not_depend_on_the_order_of_the_runs(data, count, method, rrf_k, scale):
+    # scaled scores, so min-max normalized values are inexact
+    runs = [
+        RankedRun(r.name, results={q: [(p, s * scale) for p, s in e] for q, e in r.results.items()})
+        for r in _runs(data, count)
+    ]
+    want = fuse_runs(runs, method, rrf_k).results
+    for order in permutations(runs):
+        got = fuse_runs(list(order), method, rrf_k).results
+        assert {qid: _hex(e) for qid, e in got.items()} == {qid: _hex(e) for qid, e in want.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    count=st.integers(2, 3),
+    scale=st.integers(-3, 3).map(lambda e: 2.0**e),
+    shift=st.integers(-8, 8).map(float),
+)
+def test_minmax_fusion_is_invariant_under_a_positive_affine_map(data, count, scale, shift):
+    # small integers and a power-of-two scale keep every step exact
+    runs = _runs(data, count)
+    which = data.draw(st.integers(0, count - 1))
+    mapped = list(runs)
+    mapped[which] = RankedRun(
+        name="mapped",
+        results={
+            qid: [(pid, scale * s + shift) for pid, s in entries]
+            for qid, entries in runs[which].results.items()
+        },
+    )
+    want = fuse_runs(runs, "minmax").results
+    got = fuse_runs(mapped, "minmax").results
+    assert {qid: _hex(e) for qid, e in got.items()} == {qid: _hex(e) for qid, e in want.items()}
