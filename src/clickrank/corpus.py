@@ -183,15 +183,6 @@ class Qrels:
         return self._grades == other._grades
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    passage_count: int
-    query_count: int
-    avg_passage_words: float
-    avg_query_words: float
-    empty_text_count: int
-
-
 def _read_tsv_pairs(path: str | Path) -> Iterator[tuple[int, str, str]]:
     """Yield (line_number, id, text) from an id<TAB>text file.
 
@@ -303,25 +294,6 @@ def build_qrels_from_clicks(
             grade = sum(1 for t in thresholds if t <= rate)
             qrels.add(qid, pid, grade)
     return qrels
-
-
-def corpus_stats(store: PassageStore, queries: QuerySet) -> CorpusStats:
-    """Whitespace word-count statistics over passages and queries."""
-    passage_words = 0
-    empty = 0
-    for _, text in store.items():
-        n = len(text.split())
-        passage_words += n
-        if not text.strip():
-            empty += 1
-    query_words = sum(len(q.text.split()) for q in queries)
-    return CorpusStats(
-        passage_count=len(store),
-        query_count=len(queries),
-        avg_passage_words=passage_words / len(store) if len(store) else 0.0,
-        avg_query_words=query_words / len(queries) if len(queries) else 0.0,
-        empty_text_count=empty,
-    )
 
 
 def write_qrels(qrels: Qrels, path: str | Path) -> None:

@@ -25,7 +25,9 @@ The token-level heads gather a batch's passage rows from the store's one
 contiguous token array by offset and score them in blocks of candidates.
 Late interaction screens each block with two matrix products, the
 approximate dot products and an error bound from the absolute values, and
-sums exactly only the token rows that can still hold a maximum. Dense
+sums exactly only the token rows that can still hold a maximum: all of a
+block's lanes at once, by error-free transformations that return
+``math.fsum``'s value bit for bit (``_fsums``). Dense
 retrieval screens the store the same way, with one float32 product and an
 error bound from the norms, and scores exactly only the rows that can still
 reach the top k.
@@ -291,10 +293,10 @@ def _screen(
 def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot") -> float:
     """Sum over query tokens of the max dot product against passage tokens.
 
-    Every dot product and the final sum use exactly rounded summation
-    (``math.fsum``), so the score is bit-identical under any permutation of
-    the rows of Q or D. BLAS reductions do not give that guarantee: their
-    summation grouping can change with memory alignment.
+    Every dot product and the final sum are exactly rounded (``math.fsum``'s
+    value, by ``_fsums``), so the score is bit-identical under any
+    permutation of the rows of Q or D. BLAS reductions do not give that
+    guarantee: their summation grouping can change with memory alignment.
     """
     _check_similarity(similarity)
     Q = np.asarray(Q, dtype=np.float64)
@@ -353,16 +355,19 @@ def _late_interaction_scores(
 def _late_interaction_block(Q: np.ndarray, D: np.ndarray, lengths: np.ndarray) -> list[float]:
     """Exact late-interaction scores of the passages stacked in D.
 
-    A token row's exact dot product is ``math.fsum`` of its float64
-    products. ``Q @ D.T`` computes every dot product in some order, with
-    or without fused multiply-adds, within ``γ_{dim+2} * sum|q_i d_i|`` of
-    that value (Higham, Accuracy and Stability of Numerical Algorithms,
-    §3.1), counting the rounding of the products and of ``fsum``; ``bound``
-    is twice that, from ``|Q| @ |D|.T``, plus a term for products that
-    underflow. Within a passage, a row whose upper bound lies below another
-    row's lower bound cannot hold the maximum, so only the products of the
-    remaining rows (about two per query token) are formed and summed
-    exactly. The maxima are then those of the exact sums over all rows.
+    A token row's dot product is the exactly rounded sum of its float64
+    products (``_fsums``). ``Q @ D.T`` computes every dot product in some
+    order, with or without fused multiply-adds, within
+    ``γ_{dim+2} * sum|q_i d_i|`` of that value (Higham, Accuracy and
+    Stability of Numerical Algorithms, §3.1), counting the rounding of the
+    products and of the exact sum; ``bound`` is twice that, from
+    ``|Q| @ |D|.T``, plus a term for products that underflow. Within a
+    passage, a row whose upper bound lies below another row's lower bound
+    cannot hold the maximum, so only the products of the remaining rows
+    (about two per query token) are formed and summed exactly, all lanes in
+    one ``_fsums`` call. The maxima are then those of the exact sums over
+    all rows, and each passage's score is the exactly rounded sum of its
+    query tokens' maxima.
     """
     dim = Q.shape[1]
     approx = Q @ D.T
@@ -373,14 +378,88 @@ def _late_interaction_block(Q: np.ndarray, D: np.ndarray, lengths: np.ndarray) -
     floor = np.maximum.reduceat(approx - bound, starts, axis=1)
     # a NaN or infinite bound compares False and keeps its row
     keep = ~(approx + bound < np.repeat(floor, lengths, axis=1))
-    token, row = np.nonzero(keep)
-    exact = np.array([math.fsum(lane) for lane in (Q[token] * D[row]).tolist()])
+    token, row = divmod(np.flatnonzero(keep), keep.shape[1])
+    exact = _fsums(Q[token] * D[row])
     passage = np.repeat(np.arange(len(lengths)), lengths)[row]
     best = np.full((Q.shape[0], len(lengths)), -np.inf)
     # maximum.at keeps the later of equal values; reversed, that is the
     # first row, as max() over the rows picks it (the sign of a zero)
     np.maximum.at(best, (token[::-1], passage[::-1]), exact[::-1])
-    return [math.fsum(column) for column in best.T.tolist()]
+    return _fsums(best.T).tolist()
+
+
+def _fsums(P: np.ndarray) -> np.ndarray:
+    """``[math.fsum(row) for row in P]`` for a 2-D float64 array, bit for
+    bit, without a Python loop over the rows.
+
+    A halving TwoSum cascade (Ogita, Rump and Oishi, "Accurate Sum and Dot
+    Product", SIAM J. Sci. Comput. 2005) adds the two halves of every row's
+    remaining columns at once and keeps each addition's rounding error
+    exactly, so the last sum s plus the n - 1 errors is the row's exact sum
+    T. With u = 2^-53, each error is at most u times its addition's result,
+    and a level's results add up to at most (1 + u)^level * sum|x|, so over
+    L = ceil(log2 n) levels the float sum fe of the errors is within
+    γ_{n-2} u L (1 + u)^L sum|x| of theirs. ``slack``, n L 2^-105 times the
+    computed sum|x| plus 2^-1074 for its own underflow, bounds that with
+    room for the rounding of sum|x|, of slack and of fe ± slack. A sum
+    whose result is subnormal is exact, so the additions need no
+    underflow term. A row's ``r = fl(s + fe)`` is certified equal to fl(T)
+    when
+    * ``fl(s + fl(fe + slack)) == fl(s + fl(fe - slack))``: rounding is
+      monotone, so T and r, which lie between, round to that float too; or
+    * at most one error is non-zero: fe is then exact, and r is fl(T) even
+      when T lies exactly halfway between two floats, as sums of float32
+      products often do.
+    A row whose r is zero (the sign of zero is math.fsum's), whose sum|x|
+    reaches 2^1023 (math.fsum may overflow in an intermediate sum, and
+    inf and NaN entries land here) or that is not certified goes through
+    ``math.fsum``, in row order, so its value or its first OverflowError
+    or ValueError is math.fsum's own.
+    """
+    m, n = P.shape
+    if n == 0:
+        return np.zeros(m)
+    # the columns as contiguous rows, so that each level's halves are too
+    X = np.ascontiguousarray(P.T)
+    half = n // 2
+    work = np.empty((n + half + (n + 1) // 2 + (n + 3) // 4, m))
+    E, V = work[:n], work[n : n + half]
+    A, B = work[n + half : n + half + (n + 1) // 2], work[n + half + (n + 1) // 2 :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        absum = np.abs(X, out=E).sum(axis=0)
+        slack = absum * ((n - 1).bit_length() * n * 2.0**-105)
+        slack += 2.0**-1074
+        # halve the rows of X, odd middle row carried over; E[k:k+h] takes
+        # the errors (Knuth's TwoSum, six operations)
+        cur, w, k = X, n, 0
+        while w > 1:
+            h = w // 2
+            a, b, nxt = cur[:h], cur[w - h : w], B if cur is A else A
+            s, v, e = nxt[:h], V[:h], E[k : k + h]
+            np.add(a, b, out=s)
+            np.subtract(s, a, out=v)
+            np.subtract(b, v, out=e)
+            np.subtract(s, v, out=v)
+            np.subtract(a, v, out=v)
+            np.add(v, e, out=e)
+            if w % 2:
+                nxt[h] = cur[h]
+            cur, w, k = nxt, w - h, k + h
+        E, s = E[: n - 1], cur[0]
+        fe = E.sum(axis=0)
+        r = s + fe
+        hi = fe + slack
+        lo = np.subtract(fe, slack, out=slack)
+        hi += s
+        lo += s
+        ok = (E != 0).sum(axis=0) <= 1
+        ok |= hi == lo
+        ok &= absum < 2.0**1023
+        ok &= r != 0
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        r[rest] = [math.fsum(row) for row in P[rest].tolist()]
+    return r
 
 
 def _normalized_rows(M: np.ndarray, name: str, starts: Sequence[int] = (0,)) -> np.ndarray:
@@ -739,9 +818,12 @@ class ExternalScoreScorer:
                     )
                 qid, pid, score_s = parts
                 try:
-                    scores[(qid, pid)] = float(score_s)
+                    score = float(score_s)
                 except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: bad score {score_s!r}") from None
+                    score = math.nan
+                if not math.isfinite(score):
+                    raise ValueError(f"{path}: line {lineno}: bad score {score_s!r}")
+                scores[(qid, pid)] = score
         return cls(scores)
 
     def score(self, query_id: str, passage_id: str) -> float:

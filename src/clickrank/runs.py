@@ -7,6 +7,7 @@ format ``qid Q0 pid rank score run_name``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -72,7 +73,8 @@ def read_run(path: str | Path, name: str | None = None) -> RankedRun:
     """Read a TREC run file.
 
     Entries are re-canonicalized (score desc, passage id asc), so the result
-    is independent of the file's line order.
+    is independent of the file's line order. A score that is not a finite
+    number (``nan``, ``inf``) is rejected: NaN has no place in that order.
     """
     per_query: dict[str, list[tuple[str, float]]] = {}
     run_name = name
@@ -89,7 +91,9 @@ def read_run(path: str | Path, name: str | None = None) -> RankedRun:
             try:
                 score = float(score_s)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad score {score_s!r}") from None
+                score = math.nan
+            if not math.isfinite(score):
+                raise ValueError(f"{path}: line {lineno}: bad score {score_s!r}")
             if run_name is None:
                 run_name = file_run_name
             per_query.setdefault(qid, []).append((pid, score))

@@ -365,6 +365,32 @@ class TestErrorHandling:
             f"error: query token matrices have dim {dim}, passage token matrices have dim {queries.dim}\n"
         )
 
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["eval", "--run", "{bad}", "--qrels", "{fx}/qrels.trec"], "run"),
+            (["rerank", "--run", "{work}/bm25.trec", "--scorer", "scores", "--scores", "{bad}"], "scores"),
+        ],
+        ids=["eval-run", "rerank-scores"],
+    )
+    def test_non_finite_score_is_one_error_line(
+        self, fixture_dir, work, tmp_path, capsys, argv, bad, score
+    ):
+        source = work / ("bm25.trec" if bad == "run" else "scores.tsv")
+        lines = source.read_text().splitlines(keepends=True)
+        fields = lines[2].rstrip("\n").split("\t" if bad == "scores" else " ")
+        fields[-1 if bad == "scores" else 4] = score
+        lines[2] = ("\t" if bad == "scores" else " ").join(fields) + "\n"
+        path = tmp_path / source.name
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([a.format(work=work, fx=fixture_dir, bad=path) for a in argv] + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: line 3: bad score {score!r}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["rerank", "--run", "{work}/bm25.trec", "--scorer", "dense"], ["dense", "retrieve"]],

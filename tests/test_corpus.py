@@ -3,13 +3,11 @@ import pytest
 
 from clickrank.corpus import (
     ClickRecord,
-    CorpusStats,
     Passage,
     PassageStore,
     Query,
     QuerySet,
     build_qrels_from_clicks,
-    corpus_stats,
     load_clicks,
     load_collection,
     load_qrels,
@@ -159,26 +157,6 @@ class TestQrelsFromClicks:
         rates_and_grades.sort()
         grades = [g for _, g in rates_and_grades]
         assert all(a <= b for a, b in zip(grades, grades[1:]))
-
-
-class TestCorpusStats:
-    def test_average_passage_words(self):
-        store = PassageStore([Passage("a", "a b"), Passage("b", "c d e f")])
-        queries = QuerySet([Query("q1", "one two", "head")])
-        stats = corpus_stats(store, queries)
-        assert stats.avg_passage_words == pytest.approx(3.0)
-        assert stats.avg_query_words == pytest.approx(2.0)
-        assert stats.passage_count == 2
-        assert stats.empty_text_count == 0
-
-    def test_empty_inputs(self):
-        stats = corpus_stats(PassageStore([]), QuerySet([]))
-        assert stats == CorpusStats(0, 0, 0.0, 0.0, 0)
-
-    def test_empty_texts_counted(self):
-        store = PassageStore([Passage("a", ""), Passage("b", "  "), Passage("c", "x")])
-        stats = corpus_stats(store, QuerySet([]))
-        assert stats.empty_text_count == 2
 
 
 class TestQrelsFile:

@@ -1,5 +1,7 @@
 """Property tests over randomly drawn small inputs."""
 
+import math
+import random
 import tempfile
 from itertools import permutations
 from pathlib import Path
@@ -11,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from clickrank.bm25 import INDEX_FILES, InvertedIndex, build_index, tokenize
-from clickrank.corpus import Passage, PassageStore
+from clickrank.corpus import Passage, PassageStore, Qrels
 from clickrank.embeddings import (
     TokenMatrixStore,
     VectorStore,
@@ -20,9 +22,9 @@ from clickrank.embeddings import (
     write_token_matrices,
     write_vectors,
 )
-from clickrank.evaluation import fuse_runs
-from clickrank.rankers import DenseScorer, dense_retrieve, dense_score
-from clickrank.runs import RankedRun, canonical_order
+from clickrank.evaluation import evaluate_run, fuse_runs
+from clickrank.rankers import DenseScorer, _fsums, dense_retrieve, dense_score
+from clickrank.runs import RankedRun, canonical_order, read_run, write_run
 
 # a small vocabulary, so documents share terms and scores tie often
 _WORDS = ["a", "b", "c", "dd", "e1", "the"]
@@ -365,3 +367,175 @@ def test_minmax_fusion_is_invariant_under_a_positive_affine_map(data, count, sca
     want = fuse_runs(runs, "minmax").results
     got = fuse_runs(mapped, "minmax").results
     assert {qid: _hex(e) for qid, e in got.items()} == {qid: _hex(e) for qid, e in want.items()}
+
+
+# ---------------------------------------------------------------------------
+# exact sums: _fsums is math.fsum, row by row
+# ---------------------------------------------------------------------------
+
+
+def _fsum_rows(P):
+    """The oracle: math.fsum of each row, or the first exception it raises."""
+    try:
+        return np.array([math.fsum(row) for row in P.tolist()]).view(np.int64).tolist()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _fsums_rows(P):
+    try:
+        return np.asarray(_fsums(P)).view(np.int64).tolist()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_f32 = st.floats(-1e4, 1e4, width=32)
+# products of two float32 values are exact in float64 and carry at most 48
+# significant bits, so their sums often fall exactly halfway between floats
+_f32_product = st.tuples(_f32, _f32).map(lambda ab: float(np.float32(ab[0])) * float(np.float32(ab[1])))
+_magnitude = st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 300))
+_subnormal = st.one_of(
+    st.integers(-6, 6).map(lambda k: k * 2.0**-1074),
+    st.floats(-2.0**-1021, 2.0**-1021),
+)
+_small = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0, 0.5, 2.0**-53, 2.0**-54]))
+_huge = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 8.98846567431158e307, math.inf, -math.inf, math.nan])
+_element = st.one_of(_f32_product, _magnitude, _subnormal, _small, _huge, st.floats())
+
+
+@st.composite
+def _sum_rows(draw):
+    """Rows of one family each: float32 products, wide magnitudes,
+    subnormals, small exact values, values near overflow, or anything; a
+    row may cancel to a zero of either sign."""
+    n = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        family = draw(st.sampled_from([_f32_product, _magnitude, _subnormal, _small, _huge, _element]))
+        row = draw(st.lists(family, min_size=n, max_size=n))
+        if n % 2 == 0 and draw(st.booleans()):
+            # x and -x, shuffled: the sum is a zero
+            half = row[: n // 2]
+            row = draw(st.permutations(half + [-x for x in half]))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(P=_sum_rows(), column_major=st.booleans())
+def test_fsums_is_math_fsum_row_by_row(P, column_major):
+    # bit for bit (the sign of a zero and NaN payloads included), and the
+    # same exception type and message for the first row math.fsum rejects
+    if column_major:
+        P = np.asfortranarray(P)
+    assert _fsums_rows(P) == _fsum_rows(P)
+
+
+def test_fsums_edge_cases():
+    t = 2.0**-53
+    cases = [
+        [[1.0, t]],  # a midpoint with one rounding error
+        [[1.0, t / 2, t / 2], [1.0, -t / 2, -t / 2]],  # midpoints with two
+        [[1e308, 1e308, -1e308]],  # intermediate overflow
+        [[1e308, 1e308, -1e308, 1.0]],  # the same, though halving does not overflow
+        # two rounding errors whose float sum drops the tie-breaking 2^-120
+        [[1.0, t, 2.0**-120], [1.0, t, -(2.0**-120)], [1.0, 2.0**-120, t]],
+        [[math.inf, -math.inf]],
+        [[math.nan, 1.0, 0.0], [1e308, 1e308, -1e308]],  # NaN first, then the overflow
+        [[math.inf, 1.0], [math.inf, math.nan]],
+        [[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]],
+        [[-0.0], [0.0]],
+        [[2.0**-1074, -(2.0**-1074)], [2.0**-1074, 2.0**-1074]],
+        np.zeros((3, 0)).tolist(),
+        np.zeros((0, 4)).tolist(),
+    ]
+    for rows in cases:
+        P = np.array(rows, dtype=np.float64).reshape(len(rows), -1 if rows else 4)
+        assert _fsums_rows(P) == _fsum_rows(P), rows
+
+
+def test_fsums_calls_math_fsum_only_on_uncertified_rows(monkeypatch):
+    rng = np.random.default_rng(7)
+    t = 2.0**-53
+    ordinary = rng.standard_normal((50, 32))
+    f32 = rng.standard_normal((2, 50, 8)).astype(np.float32)
+    products = f32[0].astype(np.float64) * f32[1]
+    fall_back = [
+        [1.0, t / 2, t / 2, 0.0],  # a midpoint with two rounding errors
+        [3.0, -3.0, 0.0, 0.0],  # a zero sum
+        [math.inf, 1.0, 0.0, 0.0],
+        [1e308, 1e308, -1e308, 1.0],  # sum|x| reaches 2^1023; math.fsum overflows
+    ]
+    certified = [[1.0, t, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]  # one rounding error; none
+    want = [_fsum_rows(P) for P in (ordinary, products, np.array(fall_back), np.array(certified))]
+    seen = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: seen.append(list(row)) or fsum(row))
+    assert _fsums_rows(ordinary) == want[0]
+    assert _fsums_rows(products) == want[1]
+    assert _fsums_rows(np.array(certified)) == want[3]
+    assert seen == []
+    assert _fsums_rows(np.array(fall_back)) == want[2]
+    assert seen == fall_back
+
+
+# ---------------------------------------------------------------------------
+# runs: the canonical order and evaluation's invariances
+# ---------------------------------------------------------------------------
+
+_scores = st.one_of(st.integers(-4, 4).map(float), st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+_entries = st.lists(st.tuples(st.text(alphabet="pq01", min_size=1, max_size=3), _scores), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=_entries, data=st.data())
+def test_canonical_order_sorts_by_score_then_id(entries, data):
+    ids = [pid for pid, _ in entries]
+    if len(set(ids)) < len(ids):
+        with pytest.raises(ValueError, match="duplicate passage"):
+            canonical_order(entries)
+        return
+    got = canonical_order(entries)
+    assert sorted(got) == sorted(entries)  # a permutation of the input
+    assert all((-a[1], a[0]) <= (-b[1], b[0]) for a, b in zip(got, got[1:]))
+    assert canonical_order(got) == got
+    shuffled = data.draw(st.permutations(entries))
+    assert canonical_order(shuffled) == got
+
+
+_GRADES = st.dictionaries(
+    keys=st.sampled_from(_QIDS),
+    values=st.dictionaries(keys=st.sampled_from([f"p{i}" for i in range(8)]), values=st.integers(0, 3)),
+)
+
+
+def _reports_equal(a, b):
+    return a.splits == b.splits and a.per_query == b.per_query and a.metric_names == b.metric_names
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    grades=_GRADES,
+    seed=st.integers(0, 2**16),
+    factor=st.sampled_from([2.0**-3, 0.5, 4.0, 1024.0]),
+)
+def test_evaluation_ignores_line_order_and_positive_scaling(data, grades, seed, factor):
+    # a run file holds no query without entries
+    run = RankedRun("r", results={q: e for q, e in _runs(data, 1)[0].results.items() if e})
+    qrels = Qrels(grades)
+    want = evaluate_run(run, qrels, recall_cutoffs=(1, 3, 100))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.trec"
+        write_run(run, path)
+        lines = path.read_text().splitlines(keepends=True)
+        random.Random(seed).shuffle(lines)
+        path.write_text("".join(lines))
+        loaded = read_run(path)
+    assert loaded.results == run.results
+    assert _reports_equal(evaluate_run(loaded, qrels, recall_cutoffs=(1, 3, 100)), want)
+    # a power of two scales every score exactly, so no order changes
+    scaled = RankedRun(
+        run.name, results={q: [(p, s * factor) for p, s in e] for q, e in run.results.items()}
+    )
+    assert _reports_equal(evaluate_run(scaled, qrels, recall_cutoffs=(1, 3, 100)), want)

@@ -689,6 +689,28 @@ class TestScoreBatch:
             assert got.tolist() == oracle
 
 
+    def test_late_interaction_float32_stores_with_repeated_rows(self):
+        # as in synth, every term has one float32 embedding, so a passage
+        # that repeats a term holds identical rows: all of them pass the
+        # screen, and sums of float32 products often fall exactly halfway
+        # between two floats
+        rng = np.random.default_rng(31)
+        for dim in (1, 3, 8, 32):
+            terms = rng.standard_normal((12, dim)).astype(np.float32)
+            draw = lambda most: terms[rng.integers(0, 12, int(rng.integers(1, most)))]
+            q_store = TokenMatrixStore(dim, {f"q{i}": draw(5) for i in range(4)})
+            p_store = TokenMatrixStore(dim, {f"p{i}": np.vstack([draw(6)] * 2) for i in range(30)})
+            for similarity in ("dot", "cosine"):
+                scorer = LateInteractionScorer(q_store, p_store, similarity)
+                for qid in q_store.ids:
+                    got = scorer.score_batch(qid, p_store.ids).tolist()
+                    want = [
+                        _loop_late_interaction(q_store.matrix(qid), p_store.matrix(p), similarity)
+                        for p in p_store.ids
+                    ]
+                    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 class TestScorers:
     def test_late_interaction_scorer(self):
         q_store = TokenMatrixStore(2, {"q1": np.array([[1.0, 0.0], [0.0, 1.0]])})
@@ -719,6 +741,14 @@ class TestScorers:
         assert scorer.score("q1", "p2") == -1.5
         with pytest.raises(MissingEmbeddingError):
             scorer.score("q2", "p1")
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999", "x"])
+    def test_external_scorer_rejects_a_bad_score(self, tmp_path, score):
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"q1\tp1\t0.75\nq1\tp2\t{score}\n")
+        with pytest.raises(ValueError) as exc:
+            ExternalScoreScorer.from_file(path)
+        assert str(exc.value) == f"{path}: line 2: bad score {score!r}"
 
     def test_grade_oracle_scorer(self, small_qrels):
         scorer = GradeOracleScorer(small_qrels)

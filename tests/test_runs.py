@@ -72,6 +72,22 @@ class TestRunFiles:
         with pytest.raises(ValueError, match="line 1"):
             read_run(path)
 
+    @pytest.mark.parametrize("score", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        # a NaN would make the canonical order depend on the line order
+        path = tmp_path / "bad.trec"
+        path.write_text(f"q1 Q0 p2 1 1.0 r\nq1 Q0 p1 2 {score} r\n")
+        with pytest.raises(ValueError) as exc:
+            read_run(path)
+        assert str(exc.value) == f"{path}: line 2: bad score {score!r}"
+
+    def test_unparsable_score_message(self, tmp_path):
+        path = tmp_path / "bad.trec"
+        path.write_text("q1 Q0 p1 1 high r\n")
+        with pytest.raises(ValueError) as exc:
+            read_run(path)
+        assert str(exc.value) == f"{path}: line 1: bad score 'high'"
+
     def test_duplicate_passage_in_file(self, tmp_path):
         path = tmp_path / "dup.trec"
         path.write_text("q1 Q0 p1 1 2.0 r\nq1 Q0 p1 2 1.0 r\n")
