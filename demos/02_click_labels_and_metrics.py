@@ -4,7 +4,7 @@ Run with: python3 demos/02_click_labels_and_metrics.py
 """
 
 from clickrank.corpus import ClickRecord, build_qrels_from_clicks
-from clickrank.evaluation import evaluate_run, judged_at_k, mrr_at_k, ndcg_at_k
+from clickrank.evaluation import evaluate_run
 from clickrank.runs import RankedRun
 
 # A click log aggregates impressions and clicks per (query, passage).
@@ -32,12 +32,13 @@ run = RankedRun(name="demo")
 run.add("q1", [("p1", 3.0), ("p9", 2.5), ("p2", 2.0), ("p3", 1.0)])
 run.add("q2", [("p8", 2.0), ("p4", 1.0)])
 
-print("\nper-query nDCG@10:", {q: round(v, 4) for q, v in ndcg_at_k(run, dctr).values.items()})
-print("per-query MRR@10: ", {q: round(v, 4) for q, v in mrr_at_k(run, dctr).values.items()})
+# evaluate_run computes one metric row per query and averages the rows
+# per split (here one "all" split).
+report = evaluate_run(run, dctr, rank_cutoff=10, recall_cutoffs=(2, 4))
+print()
+for metric in ("nDCG@10", "MRR@10", "J@10"):
+    values = {q: round(row[metric], 4) for q, row in report.per_query.items()}
+    print(f"per-query {metric + ':':8}", values)
 # p9 and p8 were never judged: J@10 shows how much of the ranking the
 # labels actually cover, which matters when comparing systems on click data.
-print("per-query J@10:   ", {q: round(v, 4) for q, v in judged_at_k(run, dctr).values.items()})
-
-# evaluate_run aggregates everything per split (here one "all" split).
-report = evaluate_run(run, dctr, rank_cutoff=10, recall_cutoffs=(2, 4))
 print("\naggregates:", {m: round(v, 4) for m, v in report.splits["all"].metrics.items()})

@@ -38,6 +38,8 @@ from .corpus import (
 )
 from .embeddings import load_token_matrices, load_vectors
 from .evaluation import (
+    DEFAULT_RECALL_CUTOFFS,
+    check_depths,
     evaluate_run,
     fuse_runs,
     load_splits,
@@ -478,9 +480,6 @@ def _cmd_train_kernel(args, config: dict, inputs: _Inputs) -> _Wrote:
     )
 
 
-_DEFAULT_RECALL_CUTOFFS = [100, 200, 1000]
-
-
 def _cmd_eval(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "report output path")
     run = read_run(inputs.flag("run", "run file"))
@@ -494,8 +493,8 @@ def _cmd_eval(args, config: dict, inputs: _Inputs) -> _Wrote:
     if not cutoffs:
         raise CommandError("need at least one cutoff")
     if len(cutoffs) == 1:
-        cutoffs += _DEFAULT_RECALL_CUTOFFS
-        print(f"no recall cutoffs given; using {','.join(map(str, _DEFAULT_RECALL_CUTOFFS))}")
+        cutoffs += DEFAULT_RECALL_CUTOFFS
+        print(f"no recall cutoffs given; using {','.join(map(str, DEFAULT_RECALL_CUTOFFS))}")
     report = evaluate_run(
         run,
         qrels,
@@ -535,12 +534,10 @@ def _cmd_fuse(args, config: dict, inputs: _Inputs) -> _Wrote:
 
 def _cmd_sweep(args, config: dict, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "table output path")
+    depths = check_depths(_int_list(args.depths))
     scorer = _build_scorer(args, inputs)
     first_stage = read_run(inputs.flag("run", "run file"))
     qrels = load_qrels(inputs.flag("qrels", "qrels"))
-    depths = _int_list(args.depths)
-    if not depths:
-        raise CommandError("need at least one depth")
     scored = score_candidates(first_stage, max(depths), scorer, on_missing=args.on_missing)
     table = sweep_table(first_stage, scored, depths, qrels)
     write_sweep_table(table, out)

@@ -4,6 +4,8 @@ File formats:
     collection / queries   TSV ``id<TAB>text``, UTF-8, LF line endings
     click log              TSV ``query_id<TAB>passage_id<TAB>impressions<TAB>clicks``
     qrels                  TREC ``qid 0 pid grade``, space separated
+
+No id may hold whitespace: a run or qrels line could not hold it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .manifest import atomic_write
+from .runs import reject_spaced_ids
 
 logger = logging.getLogger(__name__)
 
@@ -157,9 +160,6 @@ class Qrels:
         """Grade of a pair, or None when the pair is unjudged."""
         return self._grades.get(query_id, {}).get(passage_id)
 
-    def is_judged(self, query_id: str, passage_id: str) -> bool:
-        return passage_id in self._grades.get(query_id, {})
-
     def judged_for(self, query_id: str) -> dict[str, int]:
         return dict(self._grades.get(query_id, {}))
 
@@ -183,11 +183,13 @@ class Qrels:
         return self._grades == other._grades
 
 
-def _read_tsv_pairs(path: str | Path) -> Iterator[tuple[int, str, str]]:
-    """Yield (line_number, id, text) from an id<TAB>text file.
+def _read_tsv_pairs(path: str | Path, what: str) -> Iterator[tuple[str, str]]:
+    """Yield (id, text) from an id<TAB>text file; the ids, which errors call
+    ``what`` ids, must be distinct and hold no whitespace.
 
     Text may itself contain tabs; only the first tab separates the columns.
     """
+    line_of: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -198,19 +200,16 @@ def _read_tsv_pairs(path: str | Path) -> Iterator[tuple[int, str, str]]:
             ident, text = line.split("\t", 1)
             if not ident:
                 raise ValueError(f"{path}: line {lineno}: empty id column")
-            yield lineno, ident, text
+            if ident in line_of:
+                raise ValueError(f"{path}: line {lineno}: duplicate {what} id {ident!r}")
+            line_of[ident] = lineno
+            yield ident, text
+    reject_spaced_ids(path, list(line_of), list(line_of.values()), "line")
 
 
 def load_collection(path: str | Path) -> PassageStore:
     """Load a passage collection from a TSV file, one passage per line."""
-    passages = []
-    seen: set[str] = set()
-    for lineno, pid, text in _read_tsv_pairs(path):
-        if pid in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate passage id {pid!r}")
-        seen.add(pid)
-        passages.append(Passage(pid, text))
-    store = PassageStore(passages)
+    store = PassageStore(Passage(pid, text) for pid, text in _read_tsv_pairs(path, "passage"))
     logger.info("loaded %d passages from %s", len(store), path)
     return store
 
@@ -219,13 +218,7 @@ def load_queries(path: str | Path, split_tag: str) -> QuerySet:
     """Load queries from a TSV file, tagging every query with ``split_tag``."""
     if split_tag not in VALID_SPLITS:
         raise ValueError(f"split tag {split_tag!r} not in {VALID_SPLITS}")
-    queries = []
-    seen: set[str] = set()
-    for lineno, qid, text in _read_tsv_pairs(path):
-        if qid in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate query id {qid!r}")
-        seen.add(qid)
-        queries.append(Query(qid, text, split_tag))
+    queries = [Query(qid, text, split_tag) for qid, text in _read_tsv_pairs(path, "query")]
     if not queries:
         logger.warning("query file %s is empty", path)
     return QuerySet(queries)
@@ -234,6 +227,7 @@ def load_queries(path: str | Path, split_tag: str) -> QuerySet:
 def load_clicks(path: str | Path) -> list[ClickRecord]:
     """Load a click log; repeated (query, passage) rows are kept as-is."""
     records = []
+    lines = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -251,6 +245,9 @@ def load_clicks(path: str | Path) -> list[ClickRecord]:
                 records.append(ClickRecord(qid, pid, imp, clk))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            lines.append(lineno)
+    reject_spaced_ids(path, [r.query_id for r in records], lines, "line")
+    reject_spaced_ids(path, [r.passage_id for r in records], lines, "line")
     return records
 
 
@@ -318,5 +315,8 @@ def load_qrels(path: str | Path) -> Qrels:
                 grade = int(grade_s)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-integer grade") from None
-            qrels.add(qid, pid, grade)
+            try:
+                qrels.add(qid, pid, grade)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return qrels

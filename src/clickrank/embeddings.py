@@ -13,6 +13,7 @@ Two binary interchange formats, both little-endian with float32 payloads:
 Both load into one in-memory layout, ``TokenMatrixStore``; a vector is a
 one-row matrix, so ``VectorStore`` is a token-matrix store with one row per
 id. Each loader parses its own file layout, then both take the same checks.
+An id may not hold whitespace, which run and qrels lines are split on.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .manifest import atomic_write
+from .runs import reject_spaced_ids
 
 VECTOR_MAGIC = b"TKV1"
 MATRIX_MAGIC = b"TKM1"
@@ -184,6 +186,7 @@ class _Reader:
         self.path = Path(path)
         self.data = self.path.read_bytes()
         self.pos = 0
+        self.id_offsets: list[int] = []
         if self.take(4) != magic:
             raise ValueError(f"{self.path}: not a {what} file (bad magic)")
         self.count = self.u32()
@@ -208,16 +211,19 @@ class _Reader:
 
     def ident(self) -> str:
         start = self.skip(self.u32())
+        self.id_offsets.append(start)
         try:
             return self.data[start : self.pos].decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{self.path}: id at offset {start} is not valid UTF-8") from None
 
-    def done(self) -> None:
+    def done(self, ids: list[str]) -> None:
+        """Check that the file ends here and that no id read holds whitespace."""
         if self.pos != len(self.data):
             raise ValueError(
                 f"{self.path}: {len(self.data) - self.pos} trailing bytes after payload"
             )
+        reject_spaced_ids(self.path, ids, self.id_offsets, "offset")
 
 
 def write_vectors(store: VectorStore, path: str | Path) -> None:
@@ -232,7 +238,7 @@ def load_vectors(path: str | Path) -> VectorStore:
     reader = _Reader(path, VECTOR_MAGIC, "vector")
     ids = [reader.ident() for _ in range(reader.count)]
     rows = reader.take(reader.count * reader.dim * 4)
-    reader.done()
+    reader.done(ids)
     store = VectorStore.__new__(VectorStore)
     store._adopt(ids, np.ones(reader.count, dtype=np.int64), reader.dim, rows, reader.path)
     return store
@@ -258,7 +264,7 @@ def load_token_matrices(path: str | Path) -> TokenMatrixStore:
         if lengths[-1] < 1:
             raise ValueError(f"{reader.path}: entry {ids[-1]!r} has zero tokens")
         payloads.append(reader.skip(lengths[-1] * dim * 4))
-    reader.done()
+    reader.done(ids)
     view = memoryview(reader.data)
     rows = b"".join(view[start : start + n * dim * 4] for start, n in zip(payloads, lengths))
     store = TokenMatrixStore.__new__(TokenMatrixStore)

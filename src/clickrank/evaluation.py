@@ -2,17 +2,21 @@
 
 All metrics are computed from the rank order of a run, never from raw score
 magnitudes, so they are invariant to positive rescaling and to run-file line
-permutations. Aggregates are arithmetic means over the per-query values of a
-split.
+permutations. ``evaluate_run`` scans each query's ranked list once into a
+row of nDCG@k, MRR@k, J@k and R@c per recall cutoff c; a split's aggregate
+is the mean of the values its rows hold, summed in sorted query-id order.
 
 Conventions (the common trec_eval ones):
 * nDCG gain is 2^grade - 1 with a 1/log2(rank+1) discount; the ideal DCG
   ranks every judged document of the query, truncated at the cutoff.
 * Unjudged documents count as non-relevant for nDCG/MRR/recall; the judged
   fraction J@k reports how often that assumption is being exercised.
-* Queries judged without any positive grade are excluded from nDCG/MRR/recall
-  means (and counted); queries missing from the qrels entirely score 0 and
-  are counted as unjudged.
+* A query missing from the qrels scores 0 on every metric and stays in the
+  means; a split counts such queries as ``unjudged``, and a call warns once.
+* A query judged without any positive grade has no recall (it is undefined);
+  its nDCG and MRR are left out under the "exclude" zero-positive policy and
+  0 under "zero". A split's ``excluded`` counts, per metric, the rows that
+  leave it out.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Qrels
 from .manifest import atomic_write
@@ -35,123 +40,8 @@ DEFAULT_RANK_CUTOFF = 10
 DEFAULT_RECALL_CUTOFFS = (100, 200, 1000)
 
 
-@dataclass
-class MetricResult:
-    """Per-query values plus their mean.
-
-    ``excluded`` lists queries left out of the mean (no positive grades);
-    ``unjudged`` lists queries missing from the qrels (scored 0, kept in
-    the mean, surfaced as a warning).
-    """
-
-    values: dict[str, float]
-    mean: float
-    excluded: tuple[str, ...] = ()
-    unjudged: tuple[str, ...] = ()
-
-
-def _mean(values: Iterable[float]) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
-
-
-def _mean_by_query(values: Mapping[str, float]) -> float:
-    # summation in sorted-qid order keeps aggregates independent of the
-    # order queries happened to be inserted (e.g. run-file line order)
-    return _mean(values[q] for q in sorted(values))
-
-
-def _split_queries(
-    run: RankedRun, qrels: Qrels, zero_positive_policy: str
-) -> tuple[list[str], list[str], list[str]]:
-    """Partition run queries into (scoreable, excluded, unjudged)."""
-    if zero_positive_policy not in ("exclude", "zero"):
-        raise ValueError(f"unknown zero-positive policy {zero_positive_policy!r}")
-    scoreable: list[str] = []
-    excluded: list[str] = []
-    unjudged: list[str] = []
-    for qid in run.query_ids:
-        if qid not in qrels:
-            unjudged.append(qid)
-        elif not qrels.relevant_pool(qid) and zero_positive_policy == "exclude":
-            excluded.append(qid)
-        else:
-            scoreable.append(qid)
-    if unjudged:
-        logger.warning("%d queries in run %r have no qrels entries", len(unjudged), run.name)
-    return scoreable, excluded, unjudged
-
-
-def mrr_at_k(
-    run: RankedRun, qrels: Qrels, k: int = 10, zero_positive_policy: str = "exclude"
-) -> MetricResult:
-    """Reciprocal rank of the first positive-grade result within the top k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scoreable, excluded, unjudged = _split_queries(run, qrels, zero_positive_policy)
-    values: dict[str, float] = {qid: 0.0 for qid in unjudged}
-    for qid in scoreable:
-        rr = 0.0
-        for rank, (pid, _) in enumerate(run[qid][:k], start=1):
-            grade = qrels.grade(qid, pid)
-            if grade is not None and grade >= 1:
-                rr = 1.0 / rank
-                break
-        values[qid] = rr
-    return MetricResult(values, _mean_by_query(values), tuple(excluded), tuple(unjudged))
-
-
 def _dcg(grades: Sequence[int]) -> float:
     return sum((2.0**g - 1.0) / math.log2(r + 1) for r, g in enumerate(grades, start=1))
-
-
-def ndcg_at_k(
-    run: RankedRun, qrels: Qrels, k: int = 10, zero_positive_policy: str = "exclude"
-) -> MetricResult:
-    """Normalized DCG at cutoff k; ideal ranking over all judged documents."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scoreable, excluded, unjudged = _split_queries(run, qrels, zero_positive_policy)
-    values: dict[str, float] = {qid: 0.0 for qid in unjudged}
-    for qid in scoreable:
-        judged = qrels.judged_for(qid)
-        run_grades = [judged.get(pid, 0) for pid, _ in run[qid][:k]]
-        ideal_grades = sorted(judged.values(), reverse=True)[:k]
-        idcg = _dcg(ideal_grades)
-        values[qid] = _dcg(run_grades) / idcg if idcg > 0 else 0.0
-    return MetricResult(values, _mean_by_query(values), tuple(excluded), tuple(unjudged))
-
-
-def recall_at_k(run: RankedRun, qrels: Qrels, k: int) -> MetricResult:
-    """Fraction of the query's positive-grade passages found in the top k.
-
-    Queries with zero relevant passages are always excluded: recall is
-    undefined for them.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scoreable, excluded, unjudged = _split_queries(run, qrels, "exclude")
-    values: dict[str, float] = {qid: 0.0 for qid in unjudged}
-    for qid in scoreable:
-        relevant = qrels.relevant_pool(qid)
-        found = sum(1 for pid, _ in run[qid][:k] if pid in relevant)
-        values[qid] = found / len(relevant)
-    return MetricResult(values, _mean_by_query(values), tuple(excluded), tuple(unjudged))
-
-
-def judged_at_k(run: RankedRun, qrels: Qrels, k: int = 10) -> MetricResult:
-    """Fraction of the top-k slots holding a judged passage (any grade).
-
-    The denominator is k itself, so short or empty result lists lower the
-    judged fraction rather than inflating it.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    values: dict[str, float] = {}
-    for qid in run.query_ids:
-        judged = sum(1 for pid, _ in run[qid][:k] if qrels.is_judged(qid, pid))
-        values[qid] = judged / k
-    return MetricResult(values, _mean_by_query(values))
 
 
 def load_splits(path: str | Path) -> dict[str, str]:
@@ -210,35 +100,59 @@ def evaluate_run(
     missing = [qid for qid in run.query_ids if qid not in split_map]
     if missing:
         raise ValueError(f"queries missing from the split map: {sorted(missing)[:20]}")
+    for k in (rank_cutoff, *recall_cutoffs):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    if zero_positive_policy not in ("exclude", "zero"):
+        raise ValueError(f"unknown zero-positive policy {zero_positive_policy!r}")
 
-    metric_results: dict[str, MetricResult] = {
-        f"nDCG@{rank_cutoff}": ndcg_at_k(run, qrels, rank_cutoff, zero_positive_policy),
-        f"MRR@{rank_cutoff}": mrr_at_k(run, qrels, rank_cutoff, zero_positive_policy),
-        f"J@{rank_cutoff}": judged_at_k(run, qrels, rank_cutoff),
-    }
-    for c in recall_cutoffs:
-        metric_results[f"R@{c}"] = recall_at_k(run, qrels, c)
-    metric_names = list(metric_results)
+    ndcg, mrr, judged_at = (f"{m}@{rank_cutoff}" for m in ("nDCG", "MRR", "J"))
+    recall = {c: f"R@{c}" for c in recall_cutoffs}
+    metric_names = [ndcg, mrr, judged_at, *recall.values()]
+    depth = max((rank_cutoff, *recall_cutoffs))
 
     per_query: dict[str, dict[str, float]] = {}
-    for name, result in metric_results.items():
-        for qid, value in result.values.items():
-            per_query.setdefault(qid, {})[name] = value
+    unjudged: set[str] = set()
+    for qid, entries in run.results.items():
+        if qid not in qrels:
+            unjudged.add(qid)
+            per_query[qid] = dict.fromkeys(metric_names, 0.0)
+            continue
+        judged = qrels.judged_for(qid)
+        relevant = qrels.relevant_pool(qid)
+        # the one scan to the deepest cutoff: the rank of each positive passage
+        hits = [r for r, (pid, _) in enumerate(entries[:depth], start=1) if pid in relevant]
+        grades = [judged.get(pid, -1) for pid, _ in entries[:rank_cutoff]]  # -1: unjudged
+        row: dict[str, float] = {}
+        if relevant or zero_positive_policy == "zero":
+            ideal = _dcg(sorted(judged.values(), reverse=True)[:rank_cutoff])
+            row[ndcg] = _dcg([max(g, 0) for g in grades]) / ideal if ideal > 0 else 0.0
+            row[mrr] = 1.0 / hits[0] if hits and hits[0] <= rank_cutoff else 0.0
+        row[judged_at] = sum(g >= 0 for g in grades) / rank_cutoff
+        if relevant:
+            for c, name in recall.items():
+                row[name] = bisect_right(hits, c) / len(relevant)
+        per_query[qid] = row
+    if unjudged:
+        logger.warning("%d queries in run %r have no qrels entries", len(unjudged), run.name)
 
-    split_names = sorted(set(split_map[qid] for qid in run.query_ids))
+    members: dict[str, list[str]] = {}
+    for qid in sorted(per_query):
+        members.setdefault(split_map[qid], []).append(qid)
     splits: dict[str, SplitReport] = {}
-    for split in split_names:
-        qids = sorted(qid for qid in run.query_ids if split_map[qid] == split)
+    for split in sorted(members):
+        qids = members[split]
         metrics: dict[str, float] = {}
         excluded: dict[str, int] = {}
-        for name, result in metric_results.items():
-            in_split = [result.values[q] for q in qids if q in result.values]
-            metrics[name] = _mean(in_split)
-            n_excluded = sum(1 for q in qids if q in result.excluded)
-            if n_excluded:
-                excluded[name] = n_excluded
-        unjudged = sum(1 for q in qids if q not in qrels)
-        splits[split] = SplitReport(split, len(qids), metrics, excluded, unjudged)
+        for name in metric_names:
+            # summed in sorted-qid order, so no mean depends on the order
+            # queries were inserted (e.g. run-file line order)
+            values = [per_query[q][name] for q in qids if name in per_query[q]]
+            metrics[name] = sum(values) / len(values) if values else 0.0
+            if len(values) < len(qids):
+                excluded[name] = len(qids) - len(values)
+        n_unjudged = sum(q in unjudged for q in qids)
+        splits[split] = SplitReport(split, len(qids), metrics, excluded, n_unjudged)
 
     return MetricsReport(splits, per_query, dict(split_map), metric_names)
 
@@ -349,9 +263,7 @@ def depth_sweep(
     a scorer poisoned by false-negative training degrades. Each query's top
     ``max(depths)`` candidates are scored once (``score_candidates``).
     """
-    depths = _check_depths(depths)
-    if not depths:
-        return {}
+    depths = check_depths(depths)
     scored = score_candidates(first_stage, depths[-1], scorer, on_missing)
     return sweep_table(first_stage, scored, depths, qrels, rank_cutoff, recall_cutoffs)
 
@@ -367,12 +279,18 @@ def sweep_table(
     """The ``depth_sweep`` table from candidates that ``score_candidates``
     already scored to at least the deepest depth: each depth re-ranks the
     scored ones among each query's top ``depth``."""
+    depths = check_depths(depths)
+    if not first_stage.results:
+        raise ValueError(f"run {first_stage.name!r} has no queries to sweep")
+    # sorted once: a depth's re-ranked list keeps the scored candidates among
+    # its top ``depth`` in this order
+    ranked = {qid: canonical_order(scored[qid]) for qid in first_stage.results}
     table: dict[int, dict[str, float]] = {}
-    for depth in _check_depths(depths):
+    for depth in depths:
         reranked = RankedRun(name=first_stage.name, stage="rerank")
         for qid, entries in first_stage.results.items():
             top = {pid for pid, _ in entries[:depth]}
-            reranked.add(qid, [e for e in scored[qid] if e[0] in top])
+            reranked.results[qid] = [e for e in ranked[qid] if e[0] in top]
         report = evaluate_run(
             reranked, qrels, None, rank_cutoff=rank_cutoff, recall_cutoffs=recall_cutoffs
         )
@@ -380,8 +298,11 @@ def sweep_table(
     return table
 
 
-def _check_depths(depths: Sequence[int]) -> list[int]:
+def check_depths(depths: Sequence[int]) -> list[int]:
+    """The sweep depths as a list; raises unless they are some, all >= 1, rising."""
     depths = list(depths)
+    if not depths:
+        raise ValueError("need at least one depth")
     if any(d < 1 for d in depths):
         raise ValueError("depths must be >= 1")
     if any(a >= b for a, b in zip(depths, depths[1:])):

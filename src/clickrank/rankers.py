@@ -120,29 +120,37 @@ def write_weights(bank: KernelBank, weights: KernelWeights, path: str | Path) ->
 
 
 def load_weights(path: str | Path) -> tuple[KernelBank, KernelWeights]:
-    mus: list[float] = []
-    sigmas: list[float] = []
-    ws: list[float] = []
+    rows: list[list[float]] = []
     bias: float | None = None
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "bias":
-                if len(parts) != 2:
-                    raise ValueError(f"{path}: line {lineno}: malformed bias line")
-                bias = float(parts[1])
-                continue
-            if len(parts) != 3:
+            is_bias = parts[0] == "bias"
+            if is_bias and len(parts) != 2:
+                raise ValueError(f"{path}: line {lineno}: malformed bias line")
+            if is_bias and bias is not None:
+                raise ValueError(f"{path}: line {lineno}: second bias line")
+            if not is_bias and len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 'mu sigma w'")
-            mus.append(float(parts[0]))
-            sigmas.append(float(parts[1]))
-            ws.append(float(parts[2]))
+            values = []
+            for text in parts[is_bias:]:
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: line {lineno}: bad number {text!r}")
+                values.append(value)
+            if is_bias:
+                bias = values[0]
+            else:
+                rows.append(values)
     if bias is None:
         raise ValueError(f"{path}: missing bias line")
-    bank = KernelBank(tuple(mus), tuple(sigmas))
-    return bank, KernelWeights(np.array(ws), bias)
+    mus, sigmas, ws = zip(*rows) if rows else ((), (), ())
+    return KernelBank(mus, sigmas), KernelWeights(np.array(ws), bias)
 
 
 def _check_similarity(similarity: str) -> None:

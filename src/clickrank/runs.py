@@ -8,11 +8,23 @@ format ``qid Q0 pid rank score run_name``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .manifest import atomic_write
+
+_WHITESPACE = re.compile(r"\s")
+
+
+def reject_spaced_ids(path: str | Path, ids: Sequence[str], at: Sequence[int], unit: str) -> None:
+    """Raise if an id holds whitespace, which no run or qrels line can hold,
+    naming the file and the ``unit`` (line or offset) ``at[i]`` of ``ids[i]``.
+    One scan of the joined ids serves the common case."""
+    if _WHITESPACE.search("".join(ids)):
+        i = next(i for i, ident in enumerate(ids) if _WHITESPACE.search(ident))
+        raise ValueError(f"{path}: {unit} {at[i]}: id {ids[i]!r} contains whitespace")
 
 
 def canonical_order(entries: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:

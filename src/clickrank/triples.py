@@ -85,13 +85,6 @@ def stable_query_seed(seed: int, query_id: str) -> int:
     return (seed ^ h) & 0xFFFFFFFFFFFFFFFF
 
 
-def candidate_pool(index: InvertedIndex, query_text: str, depth: int) -> list[str]:
-    """First-stage candidate ids in rank order."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    return [pid for pid, _ in index.search(query_text, depth)]
-
-
 def sample_negatives(
     candidates: Sequence[str],
     relevant_pool: set[str],
@@ -133,7 +126,7 @@ def generate_triples(
         if not positives:
             report.skipped_missing_qrels += 1
             continue
-        pool = candidate_pool(index, queries.text(qid), config.candidate_depth)
+        pool = [pid for pid, _ in index.search(queries.text(qid), config.candidate_depth)]
         rng = np.random.default_rng(stable_query_seed(config.seed, qid))
         produced = 0
         for positive in positives:
@@ -189,7 +182,10 @@ def read_triples(path: str | Path) -> list[TrainingTriple]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated ids")
-            triples.append(TrainingTriple(*parts))
+            try:
+                triples.append(TrainingTriple(*parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return triples
 
 

@@ -22,10 +22,6 @@ from clickrank.evaluation import (
     depth_sweep,
     evaluate_run,
     fuse_runs,
-    judged_at_k,
-    mrr_at_k,
-    ndcg_at_k,
-    recall_at_k,
 )
 from clickrank.corpus import Qrels
 from clickrank.rankers import (
@@ -43,7 +39,7 @@ from clickrank.rankers import (
 )
 from clickrank.runs import RankedRun
 from clickrank.synth import FixtureSpec, generate_fixture
-from clickrank.triples import SamplingConfig, candidate_pool, generate_triples, write_triples
+from clickrank.triples import SamplingConfig, generate_triples, write_triples
 
 
 @contextmanager
@@ -203,7 +199,7 @@ def test_triple_policy_invariants(tmp_path):
 
         # every negative must come from the query's top-500 candidates
         pools = {
-            qid: set(candidate_pool(index, fixture.queries.text(qid), 500))
+            qid: {pid for pid, _ in index.search(fixture.queries.text(qid), 500)}
             for qid in {t.query_id for t in report.triples}
         }
         assert all(t.negative_id in pools[t.query_id] for t in report.triples)
@@ -303,73 +299,73 @@ def _ranked(pids):
 
 def test_metric_correctness_fixture_suite(tmp_path):
     with criterion("metric-hand-oracle-suite"):
-        # (name, ranked ids, judged grades, metric fn, expected value);
+        # (name, ranked ids, judged grades, metric, expected value);
         # expectations derived by hand / scratch oracle before implementation
         inv_log2_3 = 1.0 / math.log2(3)
         cases = [
-            ("mrr rank 1", ["a", "b"], {"a": 1}, lambda r, q: mrr_at_k(r, q).values["q"], 1.0),
-            ("mrr rank 3", ["x", "y", "a"], {"a": 1}, lambda r, q: mrr_at_k(r, q).values["q"], 1 / 3),
+            ("mrr rank 1", ["a", "b"], {"a": 1}, "MRR@10", 1.0),
+            ("mrr rank 3", ["x", "y", "a"], {"a": 1}, "MRR@10", 1 / 3),
             (
                 "mrr beyond cutoff",
                 [f"x{i}" for i in range(10)] + ["a"],
                 {"a": 1},
-                lambda r, q: mrr_at_k(r, q, k=10).values["q"],
+                "MRR@10",
                 0.0,
             ),
             (
                 "ndcg worked graded case",
                 ["a", "b", "c"],
                 {"a": 3, "b": 0, "c": 1},
-                lambda r, q: ndcg_at_k(r, q, k=10).values["q"],
+                "nDCG@10",
                 0.9828422279067397,
             ),
             (
                 "ndcg perfect ordering",
                 ["a", "b", "c"],
                 {"a": 3, "b": 2, "c": 1},
-                lambda r, q: ndcg_at_k(r, q, k=10).values["q"],
+                "nDCG@10",
                 1.0,
             ),
             (
                 "ndcg unjudged head",
                 ["u", "a", "b"],
                 {"a": 2, "b": 1, "c": 0},
-                lambda r, q: ndcg_at_k(r, q, k=10).values["q"],
+                "nDCG@10",
                 0.6590018048024133,
             ),
             (
                 "recall all found",
                 ["r0", "r1", "r2", "r3", "x"],
                 {f"r{i}": 1 for i in range(4)},
-                lambda r, q: recall_at_k(r, q, 100).values["q"],
+                "R@100",
                 1.0,
             ),
             (
                 "recall half found",
                 ["r0", "x", "y"],
                 {"r0": 1, "r1": 2},
-                lambda r, q: recall_at_k(r, q, 3).values["q"],
+                "R@3",
                 0.5,
             ),
             (
                 "judged 3 of 10",
                 [f"p{i}" for i in range(10)],
                 {"p0": 1, "p3": 0, "p7": 2},
-                lambda r, q: judged_at_k(r, q, 10).values["q"],
+                "J@10",
                 0.3,
             ),
             (
                 "ndcg unretrieved judged doc raises the bar",
                 ["a"],
                 {"a": 1, "missing": 2},
-                lambda r, q: ndcg_at_k(r, q, k=10).values["q"],
+                "nDCG@10",
                 1.0 / (3.0 + inv_log2_3),
             ),
         ]
-        for name, pids, grades, fn, expected in cases:
+        for name, pids, grades, metric, expected in cases:
             run = RankedRun(name="case", results={"q": _ranked(pids)})
             qrels = Qrels({"q": grades})
-            got = fn(run, qrels)
+            got = evaluate_run(run, qrels, recall_cutoffs=(3, 100)).per_query["q"][metric]
             assert got == pytest.approx(expected, abs=1e-9), name
 
         # invariance to run-file line order

@@ -700,6 +700,7 @@ _INPUT_FLAGS = {
 }
 _MATRICES = ["--query-matrices", "{fx}/query_matrices.tkm", "--passage-matrices", "{fx}/passage_matrices.tkm"]
 _VECTORS = ["--query-vectors", "{fx}/query_vectors.tkv", "--passage-vectors", "{fx}/passage_vectors.tkv"]
+_KERNEL = ["rerank", "--run", "{work}/bm25.trec", "--scorer", "kernel", "--weights", "{bad}", *_MATRICES]
 
 
 @pytest.fixture(scope="module")
@@ -807,3 +808,128 @@ class TestManifestInputs:
             config = json.loads(Path(argv[1]).read_text())
             given |= {Path(p).resolve() for p in config["paths"].values()}
         assert given == pinned
+
+
+class TestMalformedInputs:
+    """A malformed input file gives one ``error:`` line naming the file and
+    the line (or byte offset) at fault, exit 1, and no output."""
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["eval", "--run", "{work}/bm25.trec", "--qrels", "{bad}"], "q1 0 p1 1\nq1 0 p2 -1\n",
+             "line 2: qrels (q1, p2): grade must be >= 0, got -1"),
+            (["train", "kernel", "--triples", "{bad}", *_MATRICES, "--epochs", "1"],
+             "q\tp1\tp2\nq\tp3\tp3\n",
+             "line 2: triple for query 'q': positive and negative are both 'p3'"),
+            (_KERNEL, "1.0 0.001 x\nbias 0.0\n", "line 1: bad number 'x'"),
+            (_KERNEL, "1.0 0.001 0.5\nbias nan\n", "line 2: bad number 'nan'"),
+            (_KERNEL, "1.0 0.001 0.5\nbias 0.0\nbias 1.0\n", "line 3: second bias line"),
+            (["index", "build", "--collection", "{bad}"], "p0\tsome text\np 1\tmore text\n",
+             "line 2: id 'p 1' contains whitespace"),
+            (["index", "search", "--index", "{work}/index", "--queries", "{bad}"],
+             "q0\ttext\n\nq\u00a01\ttext\n", "line 3: id 'q\\xa01' contains whitespace"),
+            (["qrels", "build", "--clicks", "{bad}"], "q0\tp0\t3\t1\nq 1\tp0\t3\t1\n",
+             "line 2: id 'q 1' contains whitespace"),
+            (["qrels", "build", "--clicks", "{bad}"], "q0\tp0\t3\t1\nq1\tp\x0b0\t3\t1\n",
+             "line 2: id 'p\\x0b0' contains whitespace"),
+        ],
+        ids=[
+            "qrels-negative-grade", "triples-same-id", "weights-unparsable", "weights-nan-bias",
+            "weights-second-bias", "collection-spaced-id", "queries-spaced-id",
+            "clicks-spaced-query-id", "clicks-spaced-passage-id",
+        ],
+    )
+    def test_malformed_input_names_file_and_line(
+        self, fixture_dir, work, tmp_path, capsys, argv, text, message
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([a.format(work=work, fx=fixture_dir, bad=bad) for a in argv] + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["dense", "retrieve", "--query-vectors", "{fx}/query_vectors.tkv",
+              "--passage-vectors", "{bad}"], "vectors"),
+            (["rerank", "--run", "{work}/bm25.trec", "--scorer", "colbert",
+              "--query-matrices", "{fx}/query_matrices.tkm", "--passage-matrices", "{bad}"],
+             "matrices"),
+        ],
+        ids=["tkv1", "tkm1"],
+    )
+    def test_embedding_id_with_whitespace_names_its_offset(
+        self, fixture_dir, work, tmp_path, capsys, argv, kind
+    ):
+        from clickrank.embeddings import (
+            TokenMatrixStore,
+            VectorStore,
+            write_token_matrices,
+            write_vectors,
+        )
+
+        bad = tmp_path / "bad.bin"
+        if kind == "vectors":
+            write_vectors(VectorStore(2, {"p0": np.ones(2), "p 1": np.ones(2)}), bad)
+        else:
+            write_token_matrices(TokenMatrixStore(2, {"p0": np.ones((3, 2)), "p 1": np.ones((1, 2))}), bad)
+        offset = bad.read_bytes().index(b"p 1")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([a.format(work=work, fx=fixture_dir, bad=bad) for a in argv] + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: offset {offset}: id 'p 1' contains whitespace\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "depths, message",
+        [
+            ("10,5", "depths must be strictly ascending, got [10, 5]"),
+            ("0,5", "depths must be >= 1"),
+            ("", "need at least one depth"),
+        ],
+        ids=["falling", "zero", "none"],
+    )
+    def test_sweep_checks_depths_before_scoring(
+        self, fixture_dir, work, tmp_path, capsys, monkeypatch, depths, message
+    ):
+        from clickrank import cli
+
+        calls = []
+
+        class Counting:
+            name = "counting"
+
+            def score_batch(self, qid, pids):
+                calls.append(qid)
+                return np.zeros(len(pids))
+
+        monkeypatch.setattr(cli, "_build_scorer", lambda args, inputs: Counting())
+        argv = ["sweep", "--run", f"{work}/bm25.trec", "--qrels", f"{fixture_dir}/qrels.trec",
+                "--scorer", "oracle", "--out", str(tmp_path / "sweep.tsv")]
+        assert main(argv + ["--depths", "5,10"]) == 0
+        assert calls
+        calls.clear()
+        capsys.readouterr()
+        assert main(argv + ["--depths", depths]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+
+    def test_sweep_over_a_run_without_queries(self, fixture_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.trec"
+        empty.write_text("")
+        out = tmp_path / "sweep.tsv"
+        code = main(
+            ["sweep", "--run", str(empty), "--qrels", str(fixture_dir / "qrels.trec"),
+             "--scorer", "oracle", "--depths", "5,10", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: run 'run' has no queries to sweep\n"
+        assert not out.exists()

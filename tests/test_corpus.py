@@ -108,7 +108,6 @@ class TestQrelsFromClicks:
             [ClickRecord("q1", "p1", 4, 0)], mode="dctr", thresholds=[0.1, 0.3]
         )
         assert qrels.grade("q1", "p1") == 0
-        assert qrels.is_judged("q1", "p1")
         assert qrels.relevant_pool("q1") == set()
 
     def test_repeated_pairs_aggregate_by_summation(self):

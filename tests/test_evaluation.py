@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -8,11 +9,7 @@ from clickrank.evaluation import (
     depth_sweep,
     evaluate_run,
     fuse_runs,
-    judged_at_k,
     load_splits,
-    mrr_at_k,
-    ndcg_at_k,
-    recall_at_k,
     report_to_json,
     write_report,
     write_sweep_table,
@@ -29,44 +26,55 @@ def _run(per_query: dict[str, list[str]], name="r") -> RankedRun:
     return run
 
 
+def _rows(run, qrels, k=10, recall_cutoffs=()):
+    """``evaluate_run``'s per-query metric rows."""
+    return evaluate_run(run, qrels, rank_cutoff=k, recall_cutoffs=recall_cutoffs).per_query
+
+
 class TestMRR:
     def test_first_rank(self):
         run = _run({"q": ["a", "b"]})
         qrels = Qrels({"q": {"a": 1}})
-        assert mrr_at_k(run, qrels).values["q"] == 1.0
+        assert _rows(run, qrels)["q"]["MRR@10"] == 1.0
 
     def test_third_rank(self):
         run = _run({"q": ["x", "y", "a"]})
         qrels = Qrels({"q": {"a": 1}})
-        assert mrr_at_k(run, qrels).values["q"] == pytest.approx(1 / 3)
+        assert _rows(run, qrels)["q"]["MRR@10"] == pytest.approx(1 / 3)
 
     def test_cutoff(self):
         run = _run({"q": [f"x{i}" for i in range(10)] + ["a"]})
         qrels = Qrels({"q": {"a": 1}})
-        assert mrr_at_k(run, qrels, k=10).values["q"] == 0.0
+        assert _rows(run, qrels)["q"]["MRR@10"] == 0.0
+        run = _run({"q": [f"x{i}" for i in range(9)] + ["a"]})
+        assert _rows(run, qrels)["q"]["MRR@10"] == pytest.approx(0.1)
 
     def test_grade_zero_is_not_relevant(self):
         run = _run({"q": ["z", "a"]})
         qrels = Qrels({"q": {"z": 0, "a": 2}})
-        assert mrr_at_k(run, qrels).values["q"] == pytest.approx(0.5)
+        assert _rows(run, qrels)["q"]["MRR@10"] == pytest.approx(0.5)
 
     def test_unjudged_query_scores_zero_and_is_flagged(self):
         run = _run({"q": ["a"], "unknown": ["b"]})
         qrels = Qrels({"q": {"a": 1}})
-        result = mrr_at_k(run, qrels)
-        assert result.values["unknown"] == 0.0
-        assert result.unjudged == ("unknown",)
-        assert result.mean == pytest.approx((1.0 + 0.0) / 2)
+        report = evaluate_run(run, qrels, recall_cutoffs=(10,))
+        assert report.per_query["unknown"] == {"nDCG@10": 0.0, "MRR@10": 0.0, "J@10": 0.0, "R@10": 0.0}
+        assert report.splits["all"].unjudged == 1
+        assert report.splits["all"].excluded == {}
+        assert report.splits["all"].metrics["MRR@10"] == pytest.approx((1.0 + 0.0) / 2)
 
     def test_zero_positive_query_excluded(self):
         run = _run({"q": ["a"], "noPos": ["z"]})
         qrels = Qrels({"q": {"a": 1}, "noPos": {"z": 0}})
-        result = mrr_at_k(run, qrels)
-        assert result.excluded == ("noPos",)
-        assert result.mean == 1.0
-        # and the policy is togglable
-        result2 = mrr_at_k(run, qrels, zero_positive_policy="zero")
-        assert result2.mean == pytest.approx(0.5)
+        report = evaluate_run(run, qrels, recall_cutoffs=(10,))
+        assert report.per_query["noPos"] == {"J@10": pytest.approx(0.1)}
+        assert report.splits["all"].excluded == {"nDCG@10": 1, "MRR@10": 1, "R@10": 1}
+        assert report.splits["all"].metrics["MRR@10"] == 1.0
+        # and the policy is togglable; recall stays undefined under it
+        report = evaluate_run(run, qrels, recall_cutoffs=(10,), zero_positive_policy="zero")
+        assert report.per_query["noPos"] == {"nDCG@10": 0.0, "MRR@10": 0.0, "J@10": pytest.approx(0.1)}
+        assert report.splits["all"].excluded == {"R@10": 1}
+        assert report.splits["all"].metrics["MRR@10"] == pytest.approx(0.5)
 
 
 class TestNDCG:
@@ -76,37 +84,37 @@ class TestNDCG:
         # IDCG = 7 + 1/log2(3); both derived with the scratch oracle.
         run = _run({"q": ["a", "b", "c"]})
         qrels = Qrels({"q": {"a": 3, "b": 0, "c": 1}})
-        got = ndcg_at_k(run, qrels, k=10).values["q"]
+        got = _rows(run, qrels)["q"]["nDCG@10"]
         assert got == pytest.approx(0.9828422279067397, abs=1e-12)
 
     def test_perfect_ordering_is_one(self):
         run = _run({"q": ["a", "b", "c"]})
         qrels = Qrels({"q": {"a": 3, "b": 2, "c": 1}})
-        assert ndcg_at_k(run, qrels).values["q"] == pytest.approx(1.0)
+        assert _rows(run, qrels)["q"]["nDCG@10"] == pytest.approx(1.0)
 
     def test_single_relevant_at_rank_one(self):
         run = _run({"q": ["a", "x"]})
         qrels = Qrels({"q": {"a": 1}})
-        assert ndcg_at_k(run, qrels).values["q"] == pytest.approx(1.0)
+        assert _rows(run, qrels)["q"]["nDCG@10"] == pytest.approx(1.0)
 
     def test_unjudged_leading_result_counts_as_zero_gain(self):
         # run [unjudged, grade2, grade1]; judged pool adds a grade-0 doc.
         # hand-derived: DCG = 3/log2(3) + 1/log2(4), IDCG = 3 + 1/log2(3)
         run = _run({"q": ["u", "a", "b"]})
         qrels = Qrels({"q": {"a": 2, "b": 1, "c": 0}})
-        got = ndcg_at_k(run, qrels).values["q"]
+        got = _rows(run, qrels)["q"]["nDCG@10"]
         assert got == pytest.approx(0.6590018048024133, abs=1e-12)
 
     def test_graded_swap_penalized(self):
         run = _run({"q": ["low", "high"]})
         qrels = Qrels({"q": {"low": 1, "high": 2}})
-        assert ndcg_at_k(run, qrels).values["q"] == pytest.approx(0.7967075809905066, abs=1e-12)
+        assert _rows(run, qrels)["q"]["nDCG@10"] == pytest.approx(0.7967075809905066, abs=1e-12)
 
     def test_ideal_uses_all_judged_not_only_retrieved(self):
         # a grade-2 doc that the run never retrieved still raises the bar
         run = _run({"q": ["a"]})
         qrels = Qrels({"q": {"a": 1, "missing": 2}})
-        got = ndcg_at_k(run, qrels).values["q"]
+        got = _rows(run, qrels)["q"]["nDCG@10"]
         import math
 
         expected = 1.0 / (3.0 + 1.0 / math.log2(3))
@@ -117,47 +125,47 @@ class TestRecall:
     def test_all_found(self):
         run = _run({"q": [f"r{i}" for i in range(4)] + ["x"]})
         qrels = Qrels({"q": {f"r{i}": 1 for i in range(4)}})
-        assert recall_at_k(run, qrels, 100).values["q"] == 1.0
+        assert _rows(run, qrels, recall_cutoffs=(100,))["q"]["R@100"] == 1.0
 
     def test_half_found(self):
         run = _run({"q": ["r0", "x", "y"]})
         qrels = Qrels({"q": {"r0": 1, "r1": 2}})
-        assert recall_at_k(run, qrels, 3).values["q"] == 0.5
+        assert _rows(run, qrels, recall_cutoffs=(3,))["q"]["R@3"] == 0.5
 
     def test_cutoff_limits_credit(self):
         run = _run({"q": ["x", "r0"]})
         qrels = Qrels({"q": {"r0": 1}})
-        assert recall_at_k(run, qrels, 1).values["q"] == 0.0
-        assert recall_at_k(run, qrels, 2).values["q"] == 1.0
+        assert _rows(run, qrels, recall_cutoffs=(1,))["q"]["R@1"] == 0.0
+        assert _rows(run, qrels, recall_cutoffs=(2,))["q"]["R@2"] == 1.0
 
     def test_zero_relevant_excluded(self):
         run = _run({"q": ["a"], "empty": ["b"]})
         qrels = Qrels({"q": {"a": 1}, "empty": {"b": 0}})
-        result = recall_at_k(run, qrels, 10)
-        assert result.excluded == ("empty",)
-        assert "empty" not in result.values
+        report = evaluate_run(run, qrels, recall_cutoffs=(10,))
+        assert report.splits["all"].excluded["R@10"] == 1
+        assert "R@10" not in report.per_query["empty"]
 
 
 class TestJudged:
     def test_fully_judged(self):
         run = _run({"q": [f"p{i}" for i in range(10)]})
         qrels = Qrels({"q": {f"p{i}": i % 2 for i in range(10)}})
-        assert judged_at_k(run, qrels, 10).values["q"] == 1.0
+        assert _rows(run, qrels, k=10)["q"]["J@10"] == 1.0
 
     def test_partial(self):
         run = _run({"q": [f"p{i}" for i in range(10)]})
         qrels = Qrels({"q": {"p0": 1, "p3": 0, "p7": 2}})
-        assert judged_at_k(run, qrels, 10).values["q"] == pytest.approx(0.3)
+        assert _rows(run, qrels, k=10)["q"]["J@10"] == pytest.approx(0.3)
 
     def test_empty_result_list(self):
         run = RankedRun(name="r", results={"q": []})
         qrels = Qrels({"q": {"a": 1}})
-        assert judged_at_k(run, qrels, 10).values["q"] == 0.0
+        assert _rows(run, qrels, k=10)["q"]["J@10"] == 0.0
 
     def test_grade_zero_counts_as_judged(self):
         run = _run({"q": ["a", "b"]})
         qrels = Qrels({"q": {"a": 0, "zz": 1}})
-        assert judged_at_k(run, qrels, 2).values["q"] == pytest.approx(0.5)
+        assert _rows(run, qrels, k=2)["q"]["J@2"] == pytest.approx(0.5)
 
 
 class TestEvaluateRun:
@@ -205,6 +213,17 @@ class TestEvaluateRun:
         a = evaluate_run(base, qrels)
         b = evaluate_run(scaled, qrels)
         assert a.splits["all"].metrics == b.splits["all"].metrics
+
+    def test_unjudged_warning_logged_once_per_call(self, caplog):
+        run = _run({"q": ["a"], "u1": ["b"], "u2": ["c"]})
+        qrels = Qrels({"q": {"a": 1}})
+        with caplog.at_level(logging.WARNING, logger="clickrank.evaluation"):
+            evaluate_run(run, qrels, {"q": "head", "u1": "head", "u2": "tail"})
+        assert caplog.messages == ["2 queries in run 'r' have no qrels entries"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="clickrank.evaluation"):
+            evaluate_run(_run({"q": ["a"]}), qrels)
+        assert caplog.messages == []
 
     def test_missing_split_assignment_is_an_error(self):
         run = _run({"q1": ["a"], "q2": ["b"]})
@@ -378,6 +397,11 @@ class TestDepthSweep:
         run, qrels = self._fixture_run()
         with pytest.raises(ValueError, match="ascending"):
             depth_sweep(run, GradeOracleScorer(qrels), [10, 5], qrels)
+
+    def test_run_without_queries_rejected(self):
+        _, qrels = self._fixture_run()
+        with pytest.raises(ValueError, match="no queries"):
+            depth_sweep(RankedRun(name="empty"), GradeOracleScorer(qrels), [1, 2], qrels)
 
     def test_table_file(self, tmp_path):
         run, qrels = self._fixture_run()

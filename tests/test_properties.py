@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tempfile
 from itertools import permutations
 from pathlib import Path
@@ -13,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from clickrank.bm25 import INDEX_FILES, InvertedIndex, build_index, tokenize
-from clickrank.corpus import Passage, PassageStore, Qrels
+from clickrank.corpus import Passage, PassageStore, Qrels, load_qrels, write_qrels
 from clickrank.embeddings import (
     TokenMatrixStore,
     VectorStore,
@@ -23,8 +24,18 @@ from clickrank.embeddings import (
     write_vectors,
 )
 from clickrank.evaluation import evaluate_run, fuse_runs
-from clickrank.rankers import DenseScorer, _fsums, dense_retrieve, dense_score
+from clickrank.rankers import (
+    DenseScorer,
+    KernelBank,
+    KernelWeights,
+    _fsums,
+    dense_retrieve,
+    dense_score,
+    load_weights,
+    write_weights,
+)
 from clickrank.runs import RankedRun, canonical_order, read_run, write_run
+from clickrank.triples import TrainingTriple, read_triples, write_triples
 
 # a small vocabulary, so documents share terms and scores tie often
 _WORDS = ["a", "b", "c", "dd", "e1", "the"]
@@ -67,7 +78,11 @@ def test_index_round_trip_and_search_equals_score(corpus, query, k, stopwords, b
     assert loaded.search(" ".join(query), k) == expected
 
 
-_ids = st.text(min_size=1, max_size=6)
+# any character but whitespace, which no id may hold: a TREC line splits on it
+_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+_ids = st.text(
+    st.characters(codec="utf-8", exclude_characters=_WHITESPACE), min_size=1, max_size=6
+)
 _finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
@@ -539,3 +554,63 @@ def test_evaluation_ignores_line_order_and_positive_scaling(data, grades, seed, 
         run.name, results={q: [(p, s * factor) for p, s in e] for q, e in run.results.items()}
     )
     assert _reports_equal(evaluate_run(scaled, qrels, recall_cutoffs=(1, 3, 100)), want)
+
+
+# ---------------------------------------------------------------------------
+# text artifacts: qrels, triples and kernel weights read back as written
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(grades=st.dictionaries(_ids, st.dictionaries(_ids, st.integers(0, 2**40), min_size=1)))
+def test_qrels_round_trip(grades):
+    qrels = Qrels(grades)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.trec", Path(tmp) / "second.trec"
+        write_qrels(qrels, first)
+        loaded = load_qrels(first)
+        write_qrels(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded == qrels
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples=st.lists(st.tuples(_ids, _ids, _ids).filter(lambda t: t[1] != t[2]), max_size=12))
+def test_triples_round_trip(triples):
+    triples = [TrainingTriple(*t) for t in triples]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.tsv", Path(tmp) / "second.tsv"
+        write_triples(triples, first)
+        loaded = read_triples(first)
+        write_triples(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded == triples
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits64(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    mus=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12, unique=True),
+    bias=_finite,
+)
+def test_weights_round_trip_bit_exact(data, mus, bias):
+    mus = sorted(mus, reverse=True)
+    n = len(mus)
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    sigmas = data.draw(st.lists(positive, min_size=n, max_size=n))
+    w = np.array(data.draw(st.lists(_finite, min_size=n, max_size=n)))
+    bank, weights = KernelBank(tuple(mus), tuple(sigmas)), KernelWeights(w, bias)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights.txt"
+        write_weights(bank, weights, path)
+        bank2, weights2 = load_weights(path)
+    # bit for bit, the sign of a zero included
+    assert _bits64(bank2.mus) == _bits64(mus) and _bits64(bank2.sigmas) == _bits64(sigmas)
+    assert _bits64(weights2.w) == _bits64(w) and _bits64(weights2.bias) == _bits64(bias)

@@ -6,7 +6,6 @@ from clickrank.corpus import Passage, PassageStore, Qrels, Query, QuerySet
 from clickrank.triples import (
     SamplingConfig,
     TrainingTriple,
-    candidate_pool,
     generate_triples,
     read_triples,
     sample_negatives,
@@ -50,21 +49,6 @@ class TestStableSeed:
         assert stable_query_seed(7, "q1") == stable_query_seed(7, "q1")
         assert stable_query_seed(7, "q1") != stable_query_seed(7, "q2")
         assert stable_query_seed(7, "q1") != stable_query_seed(8, "q1")
-
-
-class TestCandidatePool:
-    def test_matches_search_output(self):
-        store, queries = _tiny_corpus()
-        index = build_index(store)
-        pool = candidate_pool(index, "shared", 500)
-        assert pool == [pid for pid, _ in index.search("shared", 500)]
-        assert len(pool) == 12
-
-    def test_depth_validation(self):
-        store, _ = _tiny_corpus()
-        index = build_index(store)
-        with pytest.raises(ValueError, match="depth"):
-            candidate_pool(index, "shared", 0)
 
 
 class TestSampleNegatives:
@@ -139,7 +123,7 @@ class TestGenerateTriples:
             index,
             SamplingConfig(candidate_depth=depth, max_negatives_per_positive=5, seed=0),
         )
-        pool = set(candidate_pool(index, "shared", depth))
+        pool = {pid for pid, _ in index.search("shared", depth)}
         assert all(t.negative_id in pool for t in report.triples)
 
     def test_max_negatives_respected(self):
@@ -220,7 +204,7 @@ class TestGenerateTriples:
         )
         queries = QuerySet([Query("q1", "shared", "train")])
         index = build_index(store)
-        ranked = candidate_pool(index, "shared", 100)
+        ranked = [pid for pid, _ in index.search("shared", 100)]
         positive = ranked[3]
         qrels = Qrels({"q1": {positive: 1}})
         report = generate_triples(
