@@ -36,9 +36,9 @@ _F32 = np.dtype("<f4")
 
 # Upper bound on the bytes of the largest array formed for one block of a
 # store's rows: here the float64 rows of ``row_norms``; in ``rankers`` the
-# dense head's float64 products, late interaction's float64 passage rows and
-# (query tokens, passage tokens) dot products and bounds, and the kernel
-# head's (kernels, passages, query tokens, tokens) values.
+# dense head's float64 products, late interaction's gathered passage rows and
+# (query tokens, passage tokens) float64 screen bounds, and the kernel head's
+# (kernels, passages, query tokens, tokens) values.
 BLOCK_BYTES = 1 << 23
 
 
@@ -49,8 +49,9 @@ class TokenMatrixStore:
     array, ``tokens``, entries in insertion order: entry i holds rows
     ``offsets[i]:offsets[i + 1]``. ``matrix`` returns a read-only view;
     ``spans`` locates a batch of entries, so the scoring heads gather their
-    rows from ``tokens`` by offset. The array is a view of one immutable
-    ``bytes`` object, which pickles without a second copy of the rows.
+    rows from ``tokens`` by offset, with the norms ``row_norms`` caches once
+    per store. The array is a view of one immutable ``bytes`` object, which
+    pickles without a second copy of the rows.
     """
 
     _kind = "matrix"
@@ -125,6 +126,21 @@ class TokenMatrixStore:
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         return zip(self._ids, np.split(self.tokens, self.offsets[1:-1]))
 
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """Each row's Euclidean norm: the square root of numpy's pairwise sum
+        of its float64 squares, the reduction of the dense score and of
+        ``np.linalg.norm`` along a row. Formed ``BLOCK_BYTES`` of float64
+        rows at a time, so the store is never copied to float64 whole."""
+        tokens = self.tokens
+        norms = np.empty(len(tokens), dtype=np.float64)
+        step = max(1, BLOCK_BYTES // (8 * self.dim))
+        for first in range(0, len(tokens), step):
+            rows = tokens[first : first + step].astype(np.float64)
+            norms[first : first + step] = np.sqrt((rows * rows).sum(axis=1))
+        norms.flags.writeable = False
+        return norms
+
 
 class VectorStore(TokenMatrixStore):
     """Immutable id -> vector map with one shared dimensionality.
@@ -155,21 +171,6 @@ class VectorStore(TokenMatrixStore):
         rank = np.empty(len(self._ids), dtype=np.int64)
         rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = np.arange(len(self._ids))
         return rank
-
-    @cached_property
-    def row_norms(self) -> np.ndarray:
-        """Each vector's Euclidean norm: the square root of numpy's pairwise
-        sum of its float64 squares, the reduction of the dense score. Formed
-        ``BLOCK_BYTES`` of float64 rows at a time, so the store is never
-        copied to float64 whole."""
-        tokens = self.tokens
-        norms = np.empty(len(tokens), dtype=np.float64)
-        step = max(1, BLOCK_BYTES // (8 * self.dim))
-        for first in range(0, len(tokens), step):
-            rows = tokens[first : first + step].astype(np.float64)
-            norms[first : first + step] = np.sqrt((rows * rows).sum(axis=1))
-        norms.flags.writeable = False
-        return norms
 
 
 def _write_id(f, ident: str) -> None:

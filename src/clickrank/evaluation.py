@@ -12,7 +12,8 @@ Conventions (the common trec_eval ones):
 * Unjudged documents count as non-relevant for nDCG/MRR/recall; the judged
   fraction J@k reports how often that assumption is being exercised.
 * A query missing from the qrels scores 0 on every metric and stays in the
-  means; a split counts such queries as ``unjudged``, and a call warns once.
+  means; a split counts such queries as ``unjudged``, and a call warns once
+  (a depth sweep once, not once per depth).
 * A query judged without any positive grade has no recall (it is undefined);
   its nDCG and MRR are left out under the "exclude" zero-positive policy and
   0 under "zero". A split's ``excluded`` counts, per metric, the rows that
@@ -95,6 +96,21 @@ def evaluate_run(
     ``split_map`` must assign each run query to exactly one split; a missing
     assignment is an error so silently dropped queries cannot skew a split.
     """
+    report = _evaluate(run, qrels, split_map, rank_cutoff, recall_cutoffs, zero_positive_policy)
+    _warn_unjudged(report, run.name)
+    return report
+
+
+def _warn_unjudged(report: MetricsReport, run_name: str) -> None:
+    unjudged = sum(sr.unjudged for sr in report.splits.values())
+    if unjudged:
+        logger.warning("%d queries in run %r have no qrels entries", unjudged, run_name)
+
+
+def _evaluate(
+    run, qrels, split_map, rank_cutoff, recall_cutoffs, zero_positive_policy
+) -> MetricsReport:
+    """``evaluate_run`` without its warning."""
     if split_map is None:
         split_map = {qid: "all" for qid in run.query_ids}
     missing = [qid for qid in run.query_ids if qid not in split_map]
@@ -133,8 +149,6 @@ def evaluate_run(
             for c, name in recall.items():
                 row[name] = bisect_right(hits, c) / len(relevant)
         per_query[qid] = row
-    if unjudged:
-        logger.warning("%d queries in run %r have no qrels entries", len(unjudged), run.name)
 
     members: dict[str, list[str]] = {}
     for qid in sorted(per_query):
@@ -291,10 +305,10 @@ def sweep_table(
         for qid, entries in first_stage.results.items():
             top = {pid for pid, _ in entries[:depth]}
             reranked.results[qid] = [e for e in ranked[qid] if e[0] in top]
-        report = evaluate_run(
-            reranked, qrels, None, rank_cutoff=rank_cutoff, recall_cutoffs=recall_cutoffs
-        )
+        report = _evaluate(reranked, qrels, None, rank_cutoff, recall_cutoffs, "exclude")
         table[depth] = dict(report.splits["all"].metrics)
+    # every depth holds the same queries: one warning covers the sweep
+    _warn_unjudged(report, first_stage.name)
     return table
 
 

@@ -21,16 +21,15 @@ score does not depend on the other candidates of the batch: the batched
 heads return bit for bit what scoring the pair alone returns, and
 ``score(query_id, passage_id)`` is that one-pair call.
 
-The token-level heads gather a batch's passage rows from the store's one
-contiguous token array by offset and score them in blocks of candidates.
-Late interaction screens each block with two matrix products, the
-approximate dot products and an error bound from the absolute values, and
-sums exactly only the token rows that can still hold a maximum: all of a
-block's lanes at once, by error-free transformations that return
-``math.fsum``'s value bit for bit (``_fsums``). Dense
-retrieval screens the store the same way, with one float32 product and an
-error bound from the norms, and scores exactly only the rows that can still
-reach the top k.
+The token-level heads gather a batch's float32 passage rows, and the norms
+each store caches once, from the store's one contiguous token array by
+offset (``_gather``), and score them in blocks of candidates. Late
+interaction screens each block with one float32 matrix product and an error
+bound from the norms (``_bounds``), and sums exactly only the token rows
+that can still hold a maximum: all of a block's lanes at once, by
+error-free transformations that return ``math.fsum``'s value bit for bit
+(``_fsums``). Dense retrieval screens the store with the same bound and
+scores exactly only the rows that can still reach the top k.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,8 +79,8 @@ class KernelBank:
             raise ValueError(f"kernel centers must lie in [-1, 1], got {self.mus}")
         if any(a <= b for a, b in zip(self.mus, self.mus[1:])):
             raise ValueError(f"kernel centers must be strictly descending, got {self.mus}")
-        if any(s <= 0 for s in self.sigmas):
-            raise ValueError(f"kernel widths must be positive, got {self.sigmas}")
+        if not all(0 < s < math.inf for s in self.sigmas):
+            raise ValueError(f"kernel widths must be finite and positive, got {self.sigmas}")
 
     def __len__(self) -> int:
         return len(self.mus)
@@ -177,9 +176,10 @@ def _dense_dots(tokens: np.ndarray, rows: Sequence[int], q: np.ndarray) -> np.nd
     return scores
 
 
-def _norm(x: np.ndarray) -> float:
-    """A float64 vector's norm by the reduction of ``VectorStore.row_norms``."""
-    return float(np.sqrt((x * x).sum()))
+def _norms(M: np.ndarray) -> np.ndarray:
+    """The norm of a float64 vector, or of each row of a float64 matrix, by
+    the reduction of ``TokenMatrixStore.row_norms``."""
+    return np.sqrt((M * M).sum(axis=-1))
 
 
 def _check_cosine_norms(qn: float, norms: np.ndarray, ids: Sequence[str]) -> None:
@@ -202,7 +202,7 @@ def dense_score(q_vec: np.ndarray, d_vec: np.ndarray, similarity: str = "dot") -
         raise ValueError(f"dimension mismatch: {q.shape} vs {d.shape}")
     score = _dense_dots(d[None, :], [0], q)[0]
     if similarity == "cosine":
-        qn, dn = _norm(q), _norm(d)
+        qn, dn = _norms(q), _norms(d)
         if qn == 0.0 or dn == 0.0:
             raise ValueError("cosine similarity undefined for a zero-norm vector")
         score = score / (dn * qn)
@@ -227,7 +227,7 @@ def dense_retrieve(
     q = np.asarray(q_vec, dtype=np.float64)
     if q.shape != (store.dim,):
         raise ValueError(f"query dim {q.shape} does not match store dim {store.dim}")
-    ids, tokens, norms, qn = store.ids, store.tokens, store.row_norms, _norm(q)
+    ids, tokens, norms, qn = store.ids, store.tokens, store.row_norms, _norms(q)
     cosine = similarity == "cosine"
     if cosine:
         _check_cosine_norms(qn, norms, ids)
@@ -251,51 +251,82 @@ def _screen(
 ) -> np.ndarray:
     """The rows of tokens that can hold one of the k best dense scores of q.
 
-    With n = dim, u = 2^-24 and s = sum d_i q_i exactly, for a row d:
-
-    * the score S (``_dense_dots``) is within γ'_n sum|d_i q_i| of s, γ' in
-      float64 (u' = 2^-53);
-    * rounding q to float32 moves each component by at most u|q_i| plus
-      2^-150 where it underflows, so s moves by at most
-      u sum|d_i q_i| + 2^-150 sum|d_i|;
-    * ``approx = tokens @ float32(q)``, in any order, with or without fused
-      multiply-adds, is within γ_n sum|d_i fl32(q_i)| of its exact sum, plus
-      at most 2^-150 (1 + γ_n) for each product that underflows (Higham,
-      Accuracy and Stability of Numerical Algorithms, §2.1 and §3.1).
-
-    Adding up, with γ_n (1 + u) + u + γ'_n <= γ_{n+2}, sum|d_i q_i| <= ‖d‖‖q‖
-    and sum|d_i| <= √n ‖d‖, |approx - S| <= γ_{n+2} ‖d‖‖q‖ +
-    n 2^-149 (1 + ‖d‖); the float64 products' own underflow is far smaller.
-    For (n + 2) u <= 1/4, γ_{n+2} <= (4/3)(n + 2) u, so ``bound`` below,
-    2 (n + 2) u ‖d‖‖q‖ + n 2^-124 (1 + ‖d‖)(1 + ‖q‖), holds with room for
-    the float64 rounding of the norms and of the bound itself; its
-    underflow term also covers a BLAS that flushes subnormals to zero. Rows
-    of more than 2^22 - 2 components are not screened.
-
-    At least k rows have S >= their lower bound >= the k-th largest lower
-    bound L, so every row of the top k, ties with the k-th included, has an
-    upper bound >= L and is kept. A row whose bounds are not finite (an
-    approximation that overflowed, a NaN or infinite bound) bounds nothing
-    and is kept. For cosine, the bounds are divided by the score's own
-    divisor ``norms * qn``: correctly rounded division is monotone, so they
-    still enclose ``S / (norms * qn)`` as computed.
+    ``approx = tokens @ float32(q)`` approximates every score, and
+    ``_bounds`` encloses each score as computed. At least k rows have a
+    score >= their lower bound >= the k-th largest lower bound L, so every
+    row of the top k, ties with the k-th included, has an upper bound >= L
+    and is kept.
     """
-    n = tokens.shape[1]
-    if n + 2 > 1 << 22:
-        return np.arange(len(tokens))
-    # overflow and inf - inf only loosen bounds, which the mask below catches
     with np.errstate(over="ignore", invalid="ignore"):
         approx = tokens @ q.astype(np.float32)
-        tiny = n * 2.0**-124 * (1.0 + qn)
-        bound = norms * (2.0 * (n + 2) * 2.0**-24 * qn + tiny) + tiny
-        lower, upper = approx - bound, approx + bound
-        if cosine:
-            lower /= norms * qn
-            upper /= norms * qn
-    loose = ~(np.isfinite(lower) & np.isfinite(upper))
-    lower[loose], upper[loose] = -np.inf, np.inf
+    lower, upper = _bounds(approx, norms, qn, tokens.shape[1], cosine)
     kth = np.partition(lower, len(lower) - k)[len(lower) - k]
     return np.flatnonzero(upper >= kth)
+
+
+def _bounds(
+    approx: np.ndarray, norms: np.ndarray, qn: np.ndarray, n: int, cosine: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 lower and upper bounds on exact scores from their float32
+    approximations ``approx``, given the norms of the rows d and of the
+    queries q (broadcast against approx) and the dim n.
+
+    approx holds float32 dot products of d and q rounded to float32 (exact
+    for store rows), in any order, with or without fused multiply-adds. The
+    exact score S is the dense score (``_dense_dots``) or a late-interaction
+    dot product (the exactly rounded sum of the float64 products). With
+    u = 2^-24, u' = 2^-53 and s = sum d_i q_i exactly (Higham, Accuracy and
+    Stability of Numerical Algorithms, §2.1, §3.1 and Lemma 3.3):
+
+    * S is within γ'_n sum|d_i q_i| + n 2^-1075 of s;
+    * rounding to float32 moves a component by at most u times itself, or
+      2^-150 where it underflows, so a product of rounded components is
+      within (2u + u^2)|d_i q_i| + 2^-149 (|d_i| + |q_i|) of d_i q_i;
+    * approx is within γ_n times the sum of those products' magnitudes of
+      their exact sum, plus 2^-150 (1 + γ_n) per float32 product that
+      underflows.
+
+    With γ_n (1 + u)^2 + 2u + u^2 <= γ_{n+2}, sum|d_i q_i| <= ‖d‖‖q‖ and
+    sum|d_i| <= √n ‖d‖, |approx - S| <= (γ_{n+2} + γ'_n) ‖d‖‖q‖ +
+    n 2^-148 (1 + ‖d‖ + ‖q‖). For (n + 2) u <= 1/4, γ_{n+2} <= (4/3)(n + 2) u,
+    so ``bound``, 2 (n + 2) u ‖d‖‖q‖ + n 2^-124 (1 + ‖d‖)(1 + ‖q‖), holds
+    with room for γ'_n, for the float64 rounding of the norms, of the bound
+    and of approx ± bound, for norms whose squares underflowed (short by at
+    most √n 2^-537 each) and for a BLAS that flushes subnormals to zero.
+    Rows of more than 2^22 - 2 components are not bounded.
+
+    Under cosine the bounds are divided by ``norms * qn`` (rounding each by
+    u') and widened by 2^-50 = 8u'. The dense score divides S by the same
+    product. Late interaction sums exactly the float64 products of the rows
+    over their norms, each within 3u' of the product over the norms, so its
+    score is within 4u' sum|d_i q_i| / (‖d‖‖q‖) of s / (‖d‖‖q‖): the
+    widening covers that ratio up to about 1, and the underflow term over
+    the norms covers what underflowed squares add to it.
+
+    A bound that is not finite (an approximation that overflowed, a NaN or
+    infinite bound, a zero or overflowed divisor) bounds nothing: it is
+    returned as -inf and inf.
+    """
+    if n + 2 > 1 << 22:
+        return np.full(approx.shape, -np.inf), np.full(approx.shape, np.inf)
+    # overflow, 0 / 0 and inf - inf only loosen bounds, which the mask below catches
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tiny = n * 2.0**-124 * (1.0 + qn)
+        bound = norms * (2.0 * (n + 2) * 2.0**-24 * qn + tiny)
+        bound += tiny
+        lower = approx - bound
+        upper = np.add(approx, bound, out=bound)
+        if cosine:
+            scale = norms * qn
+            lower /= scale
+            upper /= scale
+            lower -= 2.0**-50
+            upper += 2.0**-50
+        # any NaN or infinity makes a sum non-finite: only then is the mask formed
+        if not np.isfinite(lower.sum() + upper.sum()):
+            loose = ~(np.isfinite(lower) & np.isfinite(upper))
+            lower[loose], upper[loose] = -np.inf, np.inf
+    return lower, upper
 
 
 def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot") -> float:
@@ -315,7 +346,8 @@ def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot"
         raise ValueError("token matrices must have at least one row")
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
-    return _late_interaction_scores(Q, D, *_whole(D), similarity)[0]
+    Q = _gather(Q, _norms(Q), *_whole(Q), "query", similarity == "cosine")
+    return _late_interaction_scores(Q, D, _norms(D), *_whole(D))[0]
 
 
 def check_dims(queries: TokenMatrixStore, passages: TokenMatrixStore, what: str) -> None:
@@ -332,64 +364,88 @@ def _whole(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(1, dtype=np.int64), np.array([len(D)], dtype=np.int64)
 
 
-def _gather(tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+class _Rows(NamedTuple):
+    """Token rows as the token heads score them: the rows (float32 from a
+    store, or a caller's float64), their float64 norms, and whether they
+    are scored over those norms (cosine)."""
+
+    rows: np.ndarray
+    norms: np.ndarray
+    unit: bool
+
+    def widened(self, index: np.ndarray | None = None) -> np.ndarray:
+        """The rows (those at ``index``) as float64, over their norms when
+        ``unit``."""
+        rows, norms = self.rows, self.norms
+        if index is not None:
+            rows, norms = rows.take(index, axis=0), norms[index]
+        return rows / norms[:, None] if self.unit else rows.astype(np.float64)
+
+
+def _gather(
+    tokens: np.ndarray,
+    norms: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    name: str,
+    cosine: bool,
+) -> _Rows:
     """The rows ``starts[i]:starts[i] + lengths[i]`` of tokens for each i in
-    turn, as one float64 array."""
+    turn, with their ``norms``. Under cosine a zero row is an error, named
+    by its index within its span."""
     ends = np.cumsum(lengths)
     index = np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
-    return tokens[index].astype(np.float64, copy=False)
+    # take gathers whole rows, here about 2.5 times as fast as tokens[index]
+    gathered = _Rows(tokens.take(index, axis=0), norms[index], cosine)
+    if cosine and (gathered.norms == 0.0).any():
+        row = int(np.argmax(gathered.norms == 0.0))
+        span = int(np.searchsorted(ends, row, side="right"))
+        within = row - (ends[span] - lengths[span])
+        raise ValueError(f"zero-norm {name} token row at index {within}")
+    return gathered
 
 
 def _late_interaction_scores(
-    Q: np.ndarray, tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray, similarity: str
+    Q: _Rows, tokens: np.ndarray, norms: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> list[float]:
     """``late_interaction_score(Q, D)`` for the passage D at each span of
-    tokens (``_gather``), bit for bit."""
-    Q = np.asarray(Q, dtype=np.float64)
-    if similarity == "cosine":
-        Q = _normalized_rows(Q, "query")
+    tokens (``_gather``), bit for bit; ``norms`` are the norms of tokens' rows."""
     longest = int(lengths.max(initial=1))
-    per_block = max(1, BLOCK_BYTES // (8 * longest * max(Q.shape)))
+    per_block = max(1, BLOCK_BYTES // (8 * longest * max(Q.rows.shape)))
     scores: list[float] = []
     for first in range(0, len(lengths), per_block):
         block = lengths[first : first + per_block]
-        D = _gather(tokens, starts[first : first + per_block], block)
-        if similarity == "cosine":
-            D = _normalized_rows(D, "passage", np.cumsum(block) - block)
+        D = _gather(tokens, norms, starts[first : first + per_block], block, "passage", Q.unit)
         scores.extend(_late_interaction_block(Q, D, block))
     return scores
 
 
-def _late_interaction_block(Q: np.ndarray, D: np.ndarray, lengths: np.ndarray) -> list[float]:
+def _late_interaction_block(Q: _Rows, D: _Rows, lengths: np.ndarray) -> list[float]:
     """Exact late-interaction scores of the passages stacked in D.
 
     A token row's dot product is the exactly rounded sum of its float64
-    products (``_fsums``). ``Q @ D.T`` computes every dot product in some
-    order, with or without fused multiply-adds, within
-    ``γ_{dim+2} * sum|q_i d_i|`` of that value (Higham, Accuracy and
-    Stability of Numerical Algorithms, §3.1), counting the rounding of the
-    products and of the exact sum; ``bound`` is twice that, from
-    ``|Q| @ |D|.T``, plus a term for products that underflow. Within a
-    passage, a row whose upper bound lies below another row's lower bound
-    cannot hold the maximum, so only the products of the remaining rows
-    (about two per query token) are formed and summed exactly, all lanes in
-    one ``_fsums`` call. The maxima are then those of the exact sums over
-    all rows, and each passage's score is the exactly rounded sum of its
-    query tokens' maxima.
+    products (``_fsums``), over the rows' norms for cosine. The float32
+    product ``D @ Q.T`` approximates every one, and ``_bounds`` encloses
+    each exact value from the rows' norms. Within a passage, a row whose
+    upper bound lies below another row's lower bound cannot hold the
+    maximum, so only the remaining rows (about two per query token) are
+    widened to float64, and their products summed exactly, all lanes in one
+    ``_fsums`` call. The maxima are then those of the exact sums over all
+    rows, and each passage's score is the exactly rounded sum of its query
+    tokens' maxima.
     """
-    dim = Q.shape[1]
-    approx = Q @ D.T
-    bound = np.abs(Q) @ np.abs(D).T
-    bound *= 2.0 * (dim + 2) * 2.0**-53
-    bound += 2.0 * (dim + 2) * 2.0**-1022
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = D.rows.astype(np.float32, copy=False) @ Q.rows.astype(np.float32, copy=False).T
+    # one row per query token, so the bound arithmetic runs along passage rows
+    approx = np.array(approx.T, dtype=np.float64, order="C")
+    lower, upper = _bounds(approx, D.norms, Q.norms[:, None], Q.rows.shape[1], Q.unit)
     starts = np.cumsum(lengths) - lengths
-    floor = np.maximum.reduceat(approx - bound, starts, axis=1)
-    # a NaN or infinite bound compares False and keeps its row
-    keep = ~(approx + bound < np.repeat(floor, lengths, axis=1))
+    floor = np.maximum.reduceat(lower, starts, axis=1)
+    keep = upper >= np.repeat(floor, lengths, axis=1)
     token, row = divmod(np.flatnonzero(keep), keep.shape[1])
-    exact = _fsums(Q[token] * D[row])
+    exact = _fsums(Q.widened().take(token, axis=0) * D.widened(row))
     passage = np.repeat(np.arange(len(lengths)), lengths)[row]
-    best = np.full((Q.shape[0], len(lengths)), -np.inf)
+    best = np.full((len(Q.rows), len(lengths)), -np.inf)
     # maximum.at keeps the later of equal values; reversed, that is the
     # first row, as max() over the rows picks it (the sign of a zero)
     np.maximum.at(best, (token[::-1], passage[::-1]), exact[::-1])
@@ -470,18 +526,6 @@ def _fsums(P: np.ndarray) -> np.ndarray:
     return r
 
 
-def _normalized_rows(M: np.ndarray, name: str, starts: Sequence[int] = (0,)) -> np.ndarray:
-    """M's rows over their norms. A zero row is named by its index within
-    its matrix, the matrices stacked in M from rows ``starts``."""
-    norms = np.linalg.norm(M, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        row = int(zero[0])
-        first = int(np.searchsorted(starts, row, side="right")) - 1
-        raise ValueError(f"zero-norm {name} token row at index {row - starts[first]}")
-    return M / norms[:, None]
-
-
 def kernel_features(
     Q: np.ndarray,
     D: np.ndarray,
@@ -501,19 +545,21 @@ def kernel_features(
         raise ValueError("expected non-empty 2-d token matrices")
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
-    return _kernel_feature_rows(Q, D, *_whole(D), bank, similarity)[0]
+    Q = _gather(Q, _norms(Q), *_whole(Q), "query", similarity == "cosine")
+    return _kernel_feature_rows(Q, D, _norms(D), *_whole(D), bank)[0]
 
 
 def _kernel_feature_rows(
-    Q: np.ndarray,
+    Q: _Rows,
     tokens: np.ndarray,
+    norms: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
     bank: KernelBank,
-    similarity: str = "cosine",
 ) -> np.ndarray:
     """``kernel_features(Q, D)`` for the passage D at each span of tokens
-    (``_gather``), as rows of one array.
+    (``_gather``), as rows of one array; ``norms`` are the norms of tokens'
+    rows.
 
     Passages with the same token count are stacked and matched against Q
     in one batched matmul, and all kernels are evaluated at once. Every
@@ -522,23 +568,20 @@ def _kernel_feature_rows(
     """
     if not len(lengths):
         return np.empty((0, len(bank)), dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    D = _gather(tokens, starts, lengths)
+    D = _gather(tokens, norms, starts, lengths, "passage", Q.unit).widened()
     first_rows = np.cumsum(lengths) - lengths
-    if similarity == "cosine":
-        Q = _normalized_rows(Q, "query")
-        D = _normalized_rows(D, "passage", first_rows)
     mus = np.array(bank.mus)[:, None, None, None]
     sigmas = np.array(bank.sigmas)[:, None, None, None]
     widths = 2.0 * sigmas * sigmas
     features = np.empty((len(lengths), len(bank)), dtype=np.float64)
+    Qw = Q.widened()
     for length in np.unique(lengths).tolist():
         same = np.flatnonzero(lengths == length)
-        per_block = max(1, BLOCK_BYTES // (len(bank) * Q.shape[0] * length * 8))
+        per_block = max(1, BLOCK_BYTES // (len(bank) * len(Qw) * length * 8))
         for block in np.array_split(same, -(-len(same) // per_block)):
             rows = (first_rows[block][:, None] + np.arange(length)).ravel()
-            M = Q @ D[rows].reshape(len(block), length, -1).transpose(0, 2, 1)
-            if similarity == "cosine":
+            M = Qw @ D[rows].reshape(len(block), length, -1).transpose(0, 2, 1)
+            if Q.unit:
                 # rounding can push |cos| marginally past 1; the kernels assume [-1, 1]
                 M = np.clip(M, -1.0, 1.0)
             kernel = np.exp(-((M - mus) ** 2) / widths)
@@ -678,10 +721,12 @@ def train_kernel_weights(
         by_query.setdefault(triple.query_id, {}).update(
             {triple.positive_id: None, triple.negative_id: None}
         )
+    queries, passages = query_matrices, passage_matrices
     features: dict[tuple[str, str], np.ndarray] = {}
     for qid, pids in by_query.items():
+        Q = _gather(queries.tokens, queries.row_norms, *queries.spans([qid]), "query", cosine=True)
         rows = _kernel_feature_rows(
-            query_matrices.matrix(qid), passage_matrices.tokens, *passage_matrices.spans(pids), bank
+            Q, passages.tokens, passages.row_norms, *passages.spans(pids), bank
         )
         features.update(((qid, pid), row) for pid, row in zip(pids, rows))
     pos_rows = [features[(t.query_id, t.positive_id)] for t in resolved]
@@ -699,13 +744,20 @@ def train_kernel_weights(
 # ---------------------------------------------------------------------------
 
 
-def _check_ids(query_id: str, passage_ids: Sequence[str], queries, passages, what: str) -> None:
-    """The missing-id check of the scorers that look both ids up in stores."""
-    if query_id not in queries:
-        raise MissingEmbeddingError(f"no query {what} for {query_id!r}", passage_ids)
-    missing = [pid for pid in passage_ids if pid not in passages]
-    if missing:
-        raise MissingEmbeddingError(f"no passage {what} for {missing[0]!r}", missing)
+def _spans(query_id: str, passage_ids: Sequence[str], queries, passages, what: str):
+    """The spans (first rows, token counts) of the query's and of each
+    passage's rows in their stores, each id looked up once. A missing id
+    raises ``MissingEmbeddingError``; only then are the passages looked up
+    again, to list every missing one."""
+    try:
+        query = queries.spans([query_id])
+    except KeyError:
+        raise MissingEmbeddingError(f"no query {what} for {query_id!r}", passage_ids) from None
+    try:
+        return query, passages.spans(passage_ids)
+    except KeyError:
+        missing = [pid for pid in passage_ids if pid not in passages]
+        raise MissingEmbeddingError(f"no passage {what} for {missing[0]!r}", missing) from None
 
 
 class DenseScorer:
@@ -727,12 +779,13 @@ class DenseScorer:
         return float(self.score_batch(query_id, [passage_id])[0])
 
     def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
-        _check_ids(query_id, passage_ids, self.query_vectors, self.passage_vectors, "vector")
-        q = self.query_vectors.vector(query_id).astype(np.float64)
-        rows, _ = self.passage_vectors.spans(passage_ids)
+        ((query,), _), (rows, _) = _spans(
+            query_id, passage_ids, self.query_vectors, self.passage_vectors, "vector"
+        )
+        q = self.query_vectors.tokens[query].astype(np.float64)
         scores = _dense_dots(self.passage_vectors.tokens, rows, q)
         if self.similarity == "cosine":
-            norms, qn = self.passage_vectors.row_norms[rows], _norm(q)
+            norms, qn = self.passage_vectors.row_norms[rows], _norms(q)
             _check_cosine_norms(qn, norms, passage_ids)
             scores = scores / (norms * qn)
         return scores
@@ -757,13 +810,10 @@ class LateInteractionScorer:
         return float(self.score_batch(query_id, [passage_id])[0])
 
     def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
-        _check_ids(query_id, passage_ids, self.query_matrices, self.passage_matrices, "token matrix")
-        scores = _late_interaction_scores(
-            self.query_matrices.matrix(query_id),
-            self.passage_matrices.tokens,
-            *self.passage_matrices.spans(passage_ids),
-            self.similarity,
-        )
+        queries, passages = self.query_matrices, self.passage_matrices
+        query, (starts, lengths) = _spans(query_id, passage_ids, queries, passages, "token matrix")
+        Q = _gather(queries.tokens, queries.row_norms, *query, "query", self.similarity == "cosine")
+        scores = _late_interaction_scores(Q, passages.tokens, passages.row_norms, starts, lengths)
         return np.array(scores, dtype=np.float64)
 
 
@@ -792,13 +842,11 @@ class KernelScorer:
         return float(self.score_batch(query_id, [passage_id])[0])
 
     def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
-        _check_ids(query_id, passage_ids, self.query_matrices, self.passage_matrices, "token matrix")
+        queries, passages = self.query_matrices, self.passage_matrices
+        query, (starts, lengths) = _spans(query_id, passage_ids, queries, passages, "token matrix")
+        Q = _gather(queries.tokens, queries.row_norms, *query, "query", self.similarity == "cosine")
         features = _kernel_feature_rows(
-            self.query_matrices.matrix(query_id),
-            self.passage_matrices.tokens,
-            *self.passage_matrices.spans(passage_ids),
-            self.bank,
-            similarity=self.similarity,
+            Q, passages.tokens, passages.row_norms, starts, lengths, self.bank
         )
         return np.array([kernel_score(f, self.weights) for f in features], dtype=np.float64)
 

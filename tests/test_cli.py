@@ -315,17 +315,23 @@ class TestErrorHandling:
             (["fuse", "--method", "rrf", "--rrf-k", "-100"], "rrf_k must be >= 0"),
             (["index", "build", "--k1", "-1"], "BM25 k1 must be >= 0"),
             (["index", "build", "--b", "1.5"], "BM25 b must be in [0, 1]"),
+            (["train", "kernel", "--mus", "1.0,0.5", "--sigmas", "nan,0.1"],
+             "kernel widths must be finite and positive, got (nan, 0.1)"),
+            (["train", "kernel", "--mus", "1.0,0.5", "--sigmas", "0.1,inf"],
+             "kernel widths must be finite and positive, got (0.1, inf)"),
         ],
-        ids=["rrf-k-minus-1", "rrf-k-minus-100", "k1-negative", "b-above-1"],
+        ids=["rrf-k-minus-1", "rrf-k-minus-100", "k1-negative", "b-above-1", "sigma-nan", "sigma-inf"],
     )
     def test_out_of_range_parameter_is_one_error_line(
-        self, fixture_dir, tmp_path, capsys, command, named
+        self, fixture_dir, work, tmp_path, capsys, command, named
     ):
         run = tmp_path / "run.trec"
         run.write_text("q00000 Q0 p000000 1 1.0 r\n")
         inputs = {
             "fuse": ["--runs", str(run), str(run)],
             "index": ["--collection", str(fixture_dir / "collection.tsv")],
+            "train": ["--triples", str(work / "triples.tsv"),
+                      *[a.format(fx=fixture_dir) for a in _MATRICES], "--epochs", "1"],
         }[command[0]]
         out = tmp_path / "out"
         code = main([*command, *inputs, "--out", str(out)])

@@ -209,6 +209,25 @@ class TestTokenMatrixStore:
         for mid in store.ids:
             assert np.array_equal(loaded.matrix(mid), store.matrix(mid))
 
+    @pytest.mark.parametrize("dim", [1, 7, 32, 300])
+    def test_row_norms_are_numpys_row_norms_bit_for_bit(self, dim, monkeypatch):
+        # the token heads' cosine divides by these cached norms, where it
+        # divided by np.linalg.norm of each batch's rows
+        import clickrank.embeddings as embeddings
+
+        rng = np.random.default_rng(dim)
+        scale = lambda n: np.exp(rng.uniform(-40.0, 40.0, (n, 1)))
+        matrices = {
+            f"m{i}": (rng.standard_normal((n, dim)) * scale(n)).astype(np.float32)
+            for i, n in enumerate(rng.integers(1, 9, 40))
+        }
+        # blocks of three rows, so rows and blocks do not line up with entries
+        monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * dim * 3)
+        store = TokenMatrixStore(dim, matrices)
+        want = np.concatenate([np.linalg.norm(m.astype(np.float64), axis=1) for m in matrices.values()])
+        assert store.row_norms.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert not store.row_norms.flags.writeable
+
     def test_zero_token_in_file_rejected(self, tmp_path):
         blob = b"TKM1" + _u32(1) + _u32(4) + _ident("bad") + _u32(0)
         path = tmp_path / "m.tkm"

@@ -403,6 +403,20 @@ class TestDepthSweep:
         with pytest.raises(ValueError, match="no queries"):
             depth_sweep(RankedRun(name="empty"), GradeOracleScorer(qrels), [1, 2], qrels)
 
+    def test_unjudged_warning_logged_once_per_sweep(self, caplog):
+        run, qrels = self._fixture_run()
+        run.add("u1", [("x5", 1.0)])
+        run.add("u2", [("x6", 1.0)])
+        message = "2 queries in run 'first' have no qrels entries"
+        with caplog.at_level(logging.WARNING, logger="clickrank.evaluation"):
+            table = depth_sweep(run, GradeOracleScorer(qrels), [1, 2, 4, 5], qrels)
+        assert len(table) == 4
+        assert caplog.messages == [message]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="clickrank.evaluation"):
+            evaluate_run(run, qrels)
+        assert caplog.messages == [message]
+
     def test_table_file(self, tmp_path):
         run, qrels = self._fixture_run()
         table = depth_sweep(run, GradeOracleScorer(qrels), [1, 3], qrels)

@@ -28,9 +28,11 @@ from clickrank.rankers import (
     DenseScorer,
     KernelBank,
     KernelWeights,
+    LateInteractionScorer,
     _fsums,
     dense_retrieve,
     dense_score,
+    late_interaction_score,
     load_weights,
     write_weights,
 )
@@ -318,6 +320,57 @@ def test_dense_float32_error_that_grows_with_dim():
             want = _dense_scan(vectors, q, k, similarity)
             assert _hex(dense_retrieve(store, q, k, similarity)) == _hex(want), (similarity, k)
     assert dense_retrieve(store, q, 1)[0][0] == "p0599"
+
+
+# ---------------------------------------------------------------------------
+# late interaction: the nested-loop oracle over the float32 screen
+# ---------------------------------------------------------------------------
+
+
+def _loop_late(Q, D, similarity):
+    """Each query row's maximum exactly rounded dot product over D's rows,
+    first row on ties; cosine over the rows' norms."""
+    Q, D = np.asarray(Q, dtype=np.float64), np.asarray(D, dtype=np.float64)
+    if similarity == "cosine":
+        Q = Q / np.sqrt((Q * Q).sum(axis=1))[:, None]
+        D = D / np.sqrt((D * D).sum(axis=1))[:, None]
+    return math.fsum(
+        max(math.fsum(a * b for a, b in zip(q, d)) for d in D.tolist()) for q in Q.tolist()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), similarity=_similarities)
+def test_late_interaction_equals_the_nested_loop(data, dim, similarity):
+    row = lambda component: st.lists(component, min_size=dim, max_size=dim)
+    rows = lambda component, count: np.array(
+        data.draw(st.lists(row(component), min_size=1, max_size=count))
+    )
+    # passage rows drawn from a pool, so some are equal and tie exactly
+    pool = rows(_component, 6).astype(np.float32)
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)
+    passages = {f"p{i}": pool[data.draw(picks)] for i in range(data.draw(st.integers(1, 4)))}
+    Q = rows(_query_component, 3)
+    Q32 = rows(_component, 3).astype(np.float32)
+    # a zero norm as computed: tiny components' squares can underflow
+    undefined = lambda M: (
+        similarity == "cosine" and ((M.astype(np.float64) ** 2).sum(axis=1) == 0.0).any()
+    )
+    for q in (Q, Q32):
+        want = {}
+        for pid, D in passages.items():
+            if undefined(q) or undefined(D):
+                with pytest.raises(ValueError, match="zero-norm"):
+                    late_interaction_score(q, D, similarity)
+                continue
+            want[pid] = _loop_late(q, D, similarity).hex()
+            assert late_interaction_score(q, D, similarity).hex() == want[pid]
+        if q is Q32 and len(want) == len(passages):
+            scorer = LateInteractionScorer(
+                TokenMatrixStore(dim, {"q": q}), TokenMatrixStore(dim, passages), similarity
+            )
+            got = scorer.score_batch("q", list(passages)).tolist()
+            assert [x.hex() for x in got] == list(want.values())
 
 
 # ---------------------------------------------------------------------------

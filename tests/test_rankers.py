@@ -302,6 +302,114 @@ class TestLateInteraction:
         assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, w) for w in want]
 
 
+def _check_late(Q, passages, similarities=("dot", "cosine")):
+    """Every passage's late-interaction score, through the public function
+    and, for float32 inputs, through a scorer over stores, against the
+    nested loop, bit for bit (the sign of a zero too)."""
+    Q = np.asarray(Q, dtype=np.float64)
+    passages = {p: np.asarray(D, dtype=np.float64) for p, D in passages.items()}
+    float32 = all(np.array_equal(M.astype(np.float32), M) for M in (Q, *passages.values()))
+    wanted = {}
+    for similarity in similarities:
+        want = wanted[similarity] = [
+            _loop_late_interaction(Q, D, similarity).hex() for D in passages.values()
+        ]
+        got = [late_interaction_score(Q, D, similarity).hex() for D in passages.values()]
+        assert got == want, similarity
+        if float32:
+            dim = Q.shape[1]
+            scorer = LateInteractionScorer(
+                TokenMatrixStore(dim, {"q": Q}), TokenMatrixStore(dim, passages), similarity
+            )
+            got = [x.hex() for x in scorer.score_batch("q", list(passages)).tolist()]
+            assert got == want, similarity
+    return wanted
+
+
+class TestLateInteractionScreen:
+    """Cases built against the float32 screen: each one's float32 dot
+    products order some rows unlike their exact values."""
+
+    def test_rows_one_float32_ulp_apart(self):
+        # exact dot products 8 x, one float32 step of x apart; rows shuffled
+        dim = 8
+        rng = np.random.default_rng(40)
+        steps = rng.permutation(64)
+        D = np.vstack([np.full(dim, 1.0 + j * 2.0**-23, dtype=np.float32) for j in steps])
+        Q = np.vstack([np.ones(dim), np.full(dim, -1.0), np.eye(dim)[3]])
+        want = _check_late(Q, {"all": D, "half": D[:32], "one": D[:1]})
+        top = 1.0 + 63 * 2.0**-23
+        assert want["dot"][0] == math.fsum([8 * top, -8.0, top]).hex()
+
+    def test_float32_products_that_overflow(self):
+        # every row's float64 products are finite; the float32 ones overflow:
+        # "nan" to inf - inf, "big" to inf
+        q = [[1e20, 1e20, 1.0], [0.0, 0.0, -1.0]]
+        nan, big, five = [1e20, -1e20, 0.0], [1e19, 1e19, 0.0], [0.0, 0.0, 5.0]
+        passages = {
+            "nan-five": [nan, five],
+            "five-nan": [five, nan],
+            "big-five": [five, big],
+            "nan-big-five": [nan, big, five],
+            "nan": [nan],
+        }
+        want = _check_late(q, passages)
+        assert [float.fromhex(x) for x in want["dot"]] == [5.0, 5.0, 2e39 + 0.0, 2e39 + 0.0, 0.0]
+
+    def test_components_below_float32_smallest_normal(self):
+        # a's float32 products, 0.49 of the smallest subnormal, round to 0,
+        # and b's (0.6 of it) to the subnormal: in float32 b outscores a
+        t = 2.0**-89
+        a, b = [0.49 * t, 0.49 * t], [0.6 * t, 0.0]
+        q = [[2.0**-60, 2.0**-60]]
+        for rows in ([a, b], [b, a], [b, a, [1e-45, 1e-45], [-1e-45, 3e-39]]):
+            _check_late(q, {"p": rows})
+        assert late_interaction_score(q, [b, a]) == _loop_late_interaction(q, [a])
+        # float64 components below float32's smallest subnormal round to 0
+        # (a's) or up to it (b's)
+        a, b = [0.49 * 2.0**-149, 0.49 * 2.0**-149], [0.76 * 2.0**-149, 0.0]
+        for rows in ([a, b], [b, a]):
+            _check_late([[1.0, 1.0]], {"p": rows})
+        assert late_interaction_score([[1.0, 1.0]], [b, a]) == 0.98 * 2.0**-149
+
+    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
+    def test_float32_error_that_grows_with_dim(self, similarity):
+        dim = 1024
+        # equal components, consecutive float32 values: the exact dot products
+        # are 1024 x, one float32 step of x apart, while a float32 sum of 1024
+        # terms can be off by many steps
+        rng = np.random.default_rng(41)
+        steps = rng.permutation(200)
+        D = np.vstack([np.full(dim, 1.0 + j * 2.0**-23, dtype=np.float32) for j in steps])
+        passages = {"all": D, "top": D[steps >= 150], "low": D[steps < 60]}
+        # a row whose float32 products below half an ulp of 1 are lost beside
+        # the 1, against single-component rows just under its exact value
+        d = np.full(dim, np.float32(2.0**-12 * 0.95))
+        d[0] = 1.0
+        exact = math.fsum((d.astype(np.float64) ** 2).tolist())
+        below = [1.0 + m * 2.0**-23 for m in range(1, int((exact - 1.0) * 2.0**23) + 1)]
+        for m, value in enumerate(below[-120:]):
+            passages[f"b{m}"] = np.vstack([np.eye(dim)[0] * value, d])
+        _check_late(np.vstack([np.ones(dim), d]), passages, (similarity,))
+
+    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
+    def test_float64_inputs_not_float32_representable(self, similarity):
+        # q[1] rounds to 1.0 in float32; there b's float32 dot product
+        # 7 + 5 * 2^-24 rounds up to 7 + 2^-21, above a's 7, while exactly a
+        # is first
+        q = [[1.0, 1.0 + 2.0**-24 - 2.0**-40]]
+        a, b, c = [0.0, 7.0], [7.0, 5 * 2.0**-24], [6.0, 0.0]
+        passages = {"ab": [a, b], "ba": [b, a], "cba": [c, b, a]}
+        want = _check_late(q, passages, (similarity,))
+        if similarity == "dot":
+            assert want["dot"][1] == _loop_late_interaction(q, [a]).hex()
+        # float64 rows one float64 ulp apart, equal in float32
+        rng = np.random.default_rng(42)
+        base = rng.standard_normal(16)
+        rows = np.vstack([base + j * np.spacing(base) for j in range(6)])
+        _check_late(np.vstack([base, -base]), {"p": rows[rng.permutation(6)]}, (similarity,))
+
+
 class TestKernelBank:
     def test_default_bank_shape(self):
         bank = KernelBank.default()
@@ -313,8 +421,9 @@ class TestKernelBank:
     def test_validation(self):
         with pytest.raises(ValueError, match="descending"):
             KernelBank((0.5, 0.9), (0.1, 0.1))
-        with pytest.raises(ValueError, match="positive"):
-            KernelBank((0.9, 0.5), (0.1, 0.0))
+        for width in (0.0, -0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                KernelBank((0.9, 0.5), (0.1, width))
         with pytest.raises(ValueError, match="length"):
             KernelBank((0.9,), (0.1, 0.1))
 
@@ -568,6 +677,43 @@ class TestRerank:
             rerank(run, 2, scorer, on_missing="error")
         out = rerank(run, 2, scorer, on_missing="skip")
         assert out["q9"] == [] and [p for p, _ in out["q1"]] == ["a"]
+
+    @pytest.mark.parametrize("head", ["dense", "late_interaction", "kernel"])
+    def test_missing_ids_named_and_each_candidate_looked_up_once(self, head):
+        class Counting(dict):
+            lookups = 0
+
+            def __getitem__(self, key):
+                Counting.lookups += 1
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                Counting.lookups += 1
+                return super().__contains__(key)
+
+        store = VectorStore if head == "dense" else TokenMatrixStore
+        rows = (lambda v: v) if head == "dense" else (lambda v: [v])
+        queries = store(2, {"q": rows([1.0, 0.5])})
+        passages = store(2, {p: rows([1.0, i]) for i, p in enumerate("abcde")})
+        scorer = {
+            "dense": lambda: DenseScorer(queries, passages),
+            "late_interaction": lambda: LateInteractionScorer(queries, passages),
+            "kernel": lambda: KernelScorer(
+                queries, passages, KernelBank.default(), KernelWeights(np.ones(11), 0.0)
+            ),
+        }[head]()
+        what = "vector" if head == "dense" else "token matrix"
+        passages._entries = Counting(passages._entries)
+        scorer.score_batch("q", list("edcba"))
+        assert Counting.lookups == 5
+        with pytest.raises(MissingEmbeddingError) as exc:
+            scorer.score_batch("q", ["a", "x", "b", "y"])
+        assert str(exc.value) == f"no passage {what} for 'x'"
+        assert exc.value.passage_ids == ("x", "y")
+        with pytest.raises(MissingEmbeddingError) as exc:
+            scorer.score_batch("q9", ["a", "x"])
+        assert str(exc.value) == f"no query {what} for 'q9'"
+        assert exc.value.passage_ids == ("a", "x")
 
     def test_depth_validation(self):
         run = self._first_stage()
