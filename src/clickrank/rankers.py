@@ -30,6 +30,13 @@ that can still hold a maximum: all of a block's lanes at once, by
 error-free transformations that return ``math.fsum``'s value bit for bit
 (``_fsums``). Dense retrieval screens the store with the same bound and
 scores exactly only the rows that can still reach the top k.
+
+The kernel head sorts a batch's candidates by token count (a stable sort)
+and gathers their rows once in that order, so each token count's passages
+are one contiguous slice. Their matches fill one buffer, each passage's
+from its own BLAS product of the shape it has alone; the kernels run once
+over that buffer, and each sum keeps the axis and length it has for one
+passage, so every feature keeps its bits (``_kernel_feature_rows``).
 """
 
 from __future__ import annotations
@@ -561,31 +568,73 @@ def _kernel_feature_rows(
     (``_gather``), as rows of one array; ``norms`` are the norms of tokens'
     rows.
 
-    Passages with the same token count are stacked and matched against Q
-    in one batched matmul, and all kernels are evaluated at once. Every
-    reduction still runs along the same axis and length as for a single
-    passage, so each feature is bit-identical.
+    The candidates are sorted by token count (a stable sort) and their rows
+    gathered once in that order, so the passages of one count lie in one
+    contiguous slice. Each group's per-passage products ``Qw @ Dᵀ`` write
+    into one match buffer; the clip and the kernels run once over that
+    buffer, and each group sums its kernel values along the token axis into
+    one (kernels, candidates, query tokens) array, which is logged and
+    summed over the query tokens once. Buffers hold at most ``BLOCK_BYTES``
+    of kernel values: longer lists are cut into chunks of candidates.
+
+    Each feature is bit-identical to the one-passage call, whatever the
+    other candidates, their order or the chunks:
+    * elementwise operations do not depend on layout;
+    * each passage's matches still come from its own BLAS product of the
+      same shape;
+    * every reduction keeps its axis, length and contiguity;
+    * the kernels' ``(mu - M)^2 / -w`` is ``-((M - mu)^2) / w`` exactly:
+      ``mu - M`` is the exact negation of ``M - mu``, ``x / -w == -(x / w)``,
+      and negating the matches first gives a NaN match the sign that
+      negating its square gives it.
     """
-    if not len(lengths):
-        return np.empty((0, len(bank)), dtype=np.float64)
-    D = _gather(tokens, norms, starts, lengths, "passage", Q.unit).widened()
-    first_rows = np.cumsum(lengths) - lengths
-    mus = np.array(bank.mus)[:, None, None, None]
-    sigmas = np.array(bank.sigmas)[:, None, None, None]
-    widths = 2.0 * sigmas * sigmas
-    features = np.empty((len(lengths), len(bank)), dtype=np.float64)
-    Qw = Q.widened()
-    for length in np.unique(lengths).tolist():
-        same = np.flatnonzero(lengths == length)
-        per_block = max(1, BLOCK_BYTES // (len(bank) * len(Qw) * length * 8))
-        for block in np.array_split(same, -(-len(same) // per_block)):
-            rows = (first_rows[block][:, None] + np.arange(length)).ravel()
-            M = Qw @ D[rows].reshape(len(block), length, -1).transpose(0, 2, 1)
-            if Q.unit:
-                # rounding can push |cos| marginally past 1; the kernels assume [-1, 1]
-                M = np.clip(M, -1.0, 1.0)
-            kernel = np.exp(-((M - mus) ** 2) / widths)
-            features[block] = np.log(KERNEL_EPSILON + kernel.sum(axis=3)).sum(axis=2).T
+    count, kernels, width = len(lengths), len(bank), len(Q.rows)
+    features = np.empty((count, kernels), dtype=np.float64)
+    if not count:
+        return features
+    order = np.argsort(lengths, kind="stable")
+    try:
+        D = _gather(tokens, norms, starts[order], lengths[order], "passage", Q.unit)
+    except ValueError:
+        # name the zero row the candidates' own order meets first
+        _gather(tokens, norms, starts, lengths, "passage", Q.unit)
+        raise
+    X, Qw, lengths = D.widened(), Q.widened(), lengths[order]
+    ends = np.cumsum(lengths)
+    # the candidates at which a run of equal token counts begins, then count
+    cuts = np.flatnonzero(np.diff(lengths, prepend=0, append=0)).tolist()
+    mus, sigmas = np.array(bank.mus)[:, None], np.array(bank.sigmas)[:, None]
+    widths = -2.0 * sigmas * sigmas  # negated: x / -w == -(x / w)
+    sums = np.empty((kernels, count, width))
+    per_chunk = max(1, BLOCK_BYTES // (8 * kernels * width))  # passage rows
+    first = 0
+    while first < count:
+        top = ends[first] - lengths[first]
+        last = max(first + 1, int(np.searchsorted(ends, top + per_chunk, side="right")))
+        bounds = [first, *(c for c in cuts if first < c < last), last]
+        # each group's candidates a:b and rows r0:r1 of the chunk
+        pairs = zip(bounds, bounds[1:])
+        groups = [(a, b, ends[a] - lengths[a] - top, ends[b - 1] - top) for a, b in pairs]
+        chunk = X[top : ends[last - 1]]
+        M = np.empty(width * len(chunk))
+        for a, b, r0, r1 in groups:
+            passages = chunk[r0:r1].reshape(b - a, lengths[a], -1).transpose(0, 2, 1)
+            np.matmul(Qw, passages, out=M[width * r0 : width * r1].reshape(b - a, width, -1))
+        if Q.unit:
+            # rounding can push |cos| marginally past 1; the kernels assume [-1, 1]
+            np.clip(M, -1.0, 1.0, out=M)
+        # -(M - mu)^2 / w as (mu - M)^2 / -w: one negation over the matches,
+        # not one per kernel
+        kernel = np.add(np.negative(M, out=M), mus)
+        np.square(kernel, out=kernel)
+        np.divide(kernel, widths, out=kernel)
+        np.exp(kernel, out=kernel)
+        for a, b, r0, r1 in groups:
+            span = kernel[:, width * r0 : width * r1].reshape(kernels, b - a, width, -1)
+            span.sum(axis=3, out=sums[:, a:b])
+        first = last
+    np.add(sums, KERNEL_EPSILON, out=sums)
+    features[order] = np.log(sums, out=sums).sum(axis=2).T
     return features
 
 
@@ -845,10 +894,9 @@ class KernelScorer:
         queries, passages = self.query_matrices, self.passage_matrices
         query, (starts, lengths) = _spans(query_id, passage_ids, queries, passages, "token matrix")
         Q = _gather(queries.tokens, queries.row_norms, *query, "query", self.similarity == "cosine")
-        features = _kernel_feature_rows(
-            Q, passages.tokens, passages.row_norms, starts, lengths, self.bank
-        )
-        return np.array([kernel_score(f, self.weights) for f in features], dtype=np.float64)
+        F = _kernel_feature_rows(Q, passages.tokens, passages.row_norms, starts, lengths, self.bank)
+        # one ddot per row, the value kernel_score's np.dot gives
+        return (F[:, None, :] @ self.weights.w[:, None])[:, 0, 0] + self.weights.bias
 
 
 class ExternalScoreScorer:

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from itertools import permutations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,15 +24,22 @@ from clickrank.embeddings import (
     write_token_matrices,
     write_vectors,
 )
+from clickrank import rankers
 from clickrank.evaluation import evaluate_run, fuse_runs
 from clickrank.rankers import (
+    KERNEL_EPSILON,
     DenseScorer,
     KernelBank,
+    KernelScorer,
     KernelWeights,
     LateInteractionScorer,
     _fsums,
+    _gather,
+    _kernel_feature_rows,
     dense_retrieve,
     dense_score,
+    kernel_features,
+    kernel_score,
     late_interaction_score,
     load_weights,
     write_weights,
@@ -371,6 +379,117 @@ def test_late_interaction_equals_the_nested_loop(data, dim, similarity):
             )
             got = scorer.score_batch("q", list(passages)).tolist()
             assert [x.hex() for x in got] == list(want.values())
+
+
+# ---------------------------------------------------------------------------
+# kernel pooling: a batch of passages against one passage at a time
+# ---------------------------------------------------------------------------
+
+# token counts on both sides of numpy's pairwise-sum blocks (8 and 128)
+_token_counts = st.one_of(
+    st.sampled_from([1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 150]), st.integers(1, 150)
+)
+
+
+def _kernel_one_passage(Q, D, bank, cosine):
+    """One passage's kernel features by the expression that scored one
+    token count at a time: ``Q @ D.T``, the clip, the kernels, the sum over
+    the passage tokens, the log and the sum over the query tokens."""
+    Q, D = np.asarray(Q, dtype=np.float64), np.asarray(D, dtype=np.float64)
+    if cosine:
+        Q = Q / np.sqrt((Q * Q).sum(axis=1))[:, None]
+        D = D / np.sqrt((D * D).sum(axis=1))[:, None]
+    M = Q @ D.T
+    if cosine:
+        M = np.clip(M, -1.0, 1.0)
+    mus = np.array(bank.mus)[:, None, None]
+    widths = 2.0 * np.array(bank.sigmas)[:, None, None] ** 2
+    kernel = np.exp(-((M - mus) ** 2) / widths)
+    return np.log(KERNEL_EPSILON + kernel.sum(-1)).sum(-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(1, 5),
+    width=st.integers(1, 40),
+    similarity=_similarities,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_features_equal_one_passage_at_a_time(data, dim, width, similarity, seed):
+    rng = np.random.default_rng(seed)
+    cosine = similarity == "cosine"
+    bank = KernelBank.default()
+    # repeated token counts, so one count's group holds several passages
+    pool = data.draw(st.lists(_token_counts, min_size=1, max_size=4))
+    counts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    Q = rng.standard_normal((width, dim))
+    # dot components near 1e154 make products near 1e308: matches overflow
+    scale = data.draw(st.sampled_from([1.0, 1e154] if not cosine else [1.0]))
+    passages = []
+    for n in counts:
+        D = rng.standard_normal((n, dim)) * rng.choice([1.0, scale], size=(n, 1))
+        # rows along a query row's direction: cosines at and past ±1
+        along = np.flatnonzero(rng.random(n) < 0.3)
+        D[along] = Q[rng.integers(width, size=len(along))] * rng.choice([-3.0, 0.5, 1.0], (len(along), 1))
+        passages.append(D)
+    Q[0] *= scale
+    tokens = np.concatenate(passages)
+    lengths = np.array(counts)
+    starts = np.cumsum(lengths) - lengths
+    order = rng.permutation(len(counts))
+    # a cap in passage rows per chunk small enough to split one count's group
+    cap = data.draw(st.integers(1, 300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        qnorms, norms = np.sqrt((Q * Q).sum(axis=1)), np.sqrt((tokens * tokens).sum(axis=1))
+        query = _gather(Q, qnorms, np.array([0]), np.array([width]), "query", cosine)
+        with mock.patch.object(rankers, "BLOCK_BYTES", 8 * len(bank) * width * cap):
+            got = _kernel_feature_rows(query, tokens, norms, starts, lengths, bank)
+            permuted = _kernel_feature_rows(
+                query, tokens, norms, starts[order], lengths[order], bank
+            )
+        want = np.array([_kernel_one_passage(Q, D, bank, cosine) for D in passages])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(permuted.view(np.int64), got[order].view(np.int64))
+    if scale != 1.0:
+        return
+    # the scorer over float32 stores: permuted candidates, permuted scores
+    ids = [f"p{i}" for i in range(len(passages))]
+    store = TokenMatrixStore(dim, {pid: D.astype(np.float32) for pid, D in zip(ids, passages)})
+    queries = TokenMatrixStore(dim, {"q": Q.astype(np.float32)})
+    weights = KernelWeights(rng.standard_normal(len(bank)), float(rng.standard_normal()))
+    scorer = KernelScorer(queries, store, bank, weights, similarity)
+    with mock.patch.object(rankers, "BLOCK_BYTES", 8 * len(bank) * width * cap):
+        scores = scorer.score_batch("q", ids)
+        permuted = scorer.score_batch("q", [ids[i] for i in order])
+    one = lambda pid: _kernel_one_passage(queries.matrix("q"), store.matrix(pid), bank, cosine)
+    want = [kernel_score(one(pid), weights) for pid in ids]
+    assert [s.hex() for s in scores.tolist()] == [s.hex() for s in want]
+    assert [s.hex() for s in permuted.tolist()] == [want[i].hex() for i in order]
+
+
+def test_kernel_features_of_nan_dot_matches_keep_every_bit():
+    # inf * 0 makes a NaN match whatever the BLAS; the features keep the sign
+    # the one-passage expression gives it, as well as the overflowed matches
+    Q = np.array([[np.inf, 1.0], [1e155, -1e155]])
+    D = np.array([[0.0, 1.0], [1e155, 1e155], [0.5, 0.25]])
+    bank = KernelBank.default()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _kernel_one_passage(Q, D, bank, cosine=False)
+        got = kernel_features(Q, D, bank, similarity="dot")
+    assert np.isnan(want).all()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_kernel_features_of_cosines_past_one_keep_every_bit():
+    # each row's normalised self-match rounds to 1 + 2^-52; the clip makes it 1
+    Q = np.array([[1.304, 0.947, -0.704], [1.802, 1.315, 0.357]])
+    D = np.vstack([Q, -Q, [[0.696, -1.184, -0.662]]])
+    U = Q / np.sqrt((Q * Q).sum(axis=1))[:, None]
+    assert (U @ U.T).diagonal().tolist() == [1.0 + 2.0**-52] * 2
+    bank = KernelBank.default()
+    want = _kernel_one_passage(Q, D, bank, cosine=True)
+    assert np.array_equal(kernel_features(Q, D, bank).view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

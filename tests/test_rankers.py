@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from clickrank import rankers
 from clickrank.embeddings import TokenMatrixStore, VectorStore
 from clickrank.rankers import (
     DenseScorer,
@@ -13,6 +14,8 @@ from clickrank.rankers import (
     KernelWeights,
     LateInteractionScorer,
     MissingEmbeddingError,
+    _gather,
+    _kernel_feature_rows,
     dense_retrieve,
     dense_score,
     fit_hinge,
@@ -273,17 +276,20 @@ class TestLateInteraction:
 
     @pytest.mark.parametrize("head", ["late_interaction", "kernel"])
     def test_zero_norm_passage_row_named_within_its_passage(self, head):
+        bad, long, short = np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((5, 2)), np.ones((2, 2))
+        long[4], short[0] = 0.0, 0.0
         q_store = TokenMatrixStore(2, {"q": np.array([[1.0, 0.0]])})
-        p_store = TokenMatrixStore(
-            2, {"ok": np.ones((3, 2)), "bad": np.array([[1.0, 0.0], [0.0, 0.0]])}
-        )
+        p_store = TokenMatrixStore(2, {"ok": np.ones((3, 2)), "bad": bad, "long": long, "short": short})
         scorer = (
             LateInteractionScorer(q_store, p_store, "cosine")
             if head == "late_interaction"
             else KernelScorer(q_store, p_store, KernelBank.default(), KernelWeights(np.ones(11), 0.0))
         )
-        with pytest.raises(ValueError, match="zero-norm passage token row at index 1"):
-            scorer.score_batch("q", ["ok", "bad"])
+        # the kernel head gathers the shorter passage first; the error still
+        # names the zero row of the first candidate that has one
+        for pids, index in ((["ok", "bad"], 1), (["long", "short"], 4), (["short", "long"], 0)):
+            with pytest.raises(ValueError, match=f"zero-norm passage token row at index {index}"):
+                scorer.score_batch("q", pids)
 
     def test_sign_of_a_zero_maximum_is_the_first_rows(self):
         # every dot product is a zero; max() over the rows keeps the first
@@ -878,6 +884,45 @@ class TestScorers:
         assert scorer.score("q", "d") == pytest.approx(
             kernel_score(kernel_features(Q, D, bank), weights)
         )
+
+    @pytest.mark.parametrize("count", [0, 1, 400])
+    def test_kernel_scorer_linear_layer_is_kernel_score_bit_for_bit(self, count):
+        rng = np.random.default_rng(19)
+        bank = KernelBank.default()
+        # weights of mixed magnitudes, so that the summation order shows
+        scales = 10.0 ** rng.integers(-8, 9, len(bank))
+        weights = KernelWeights(rng.standard_normal(len(bank)) * scales, 0.3)
+        passages = {f"p{i}": rng.standard_normal((int(rng.integers(1, 40)), 6)) for i in range(count)}
+        queries = TokenMatrixStore(6, {"q": rng.standard_normal((4, 6))})
+        store = TokenMatrixStore(6, passages)
+        pids = list(passages)
+        Q = _gather(queries.tokens, queries.row_norms, *queries.spans(["q"]), "query", cosine=True)
+        rows = _kernel_feature_rows(Q, store.tokens, store.row_norms, *store.spans(pids), bank)
+        got = KernelScorer(queries, store, bank, weights).score_batch("q", pids)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert [s.hex() for s in got.tolist()] == [kernel_score(r, weights).hex() for r in rows]
+
+    def test_kernel_rows_gathered_by_token_count_ties_in_candidate_order(self, monkeypatch):
+        # a stable sort: the gather order, and so the chunks, follow from the
+        # candidate list alone, whatever sort numpy picks for the platform
+        rng = np.random.default_rng(23)
+        lengths = rng.integers(1, 4, 300)
+        passages = {f"p{i}": rng.standard_normal((n, 3)) for i, n in enumerate(lengths)}
+        store = TokenMatrixStore(3, passages)
+        queries = TokenMatrixStore(3, {"q": rng.standard_normal((2, 3))})
+        pids = [f"p{i}" for i in rng.permutation(len(lengths))]
+        gathered = []
+        real = rankers._gather
+
+        def spy(tokens, norms, starts, counts, name, cosine):
+            gathered.append((name, starts.tolist()))
+            return real(tokens, norms, starts, counts, name, cosine)
+
+        monkeypatch.setattr(rankers, "_gather", spy)
+        scorer = KernelScorer(queries, store, KernelBank.default(), KernelWeights(np.ones(11), 0.0))
+        scorer.score_batch("q", pids)
+        starts, counts = store.spans(pids)
+        assert gathered[-1] == ("passage", starts[np.argsort(counts, kind="stable")].tolist())
 
     def test_external_scorer_file_roundtrip(self, tmp_path):
         path = tmp_path / "scores.tsv"
