@@ -579,7 +579,7 @@ def _cmd_synth(args, config: dict, inputs: _Inputs) -> _Wrote:
         {
             "passages": spec.n_passages,
             "queries": spec.n_queries,
-            "dim": spec.dim,
+            "dim": fixture.query_vectors.dim,
             "term_dim": spec.term_dim,
         },
         [f"generated fixture with {spec.n_passages} passages / {spec.n_queries} queries -> {out}"],

@@ -9,17 +9,22 @@ carry only a subset of the signal terms, or none, and some non-relevant
 passages carry a stray signal term), so exact-term retrieval is beatable by
 the planted vectors.
 
-Everything is a pure function of the fixture parameters and their seed.
+Everything is a pure function of the fixture parameters and their seed. The
+generator works on row numbers into one vocabulary: background words come
+from one Zipf CDF built once (``_zipf_sampler``), and each token-matrix store
+is one gather from a ``(vocabulary, term_dim)`` float32 table of unit-length
+term vectors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .bm25 import tokenize
 from .corpus import (
     DEFAULT_CTR_THRESHOLDS,
     ClickRecord,
@@ -35,6 +40,8 @@ from .manifest import atomic_write
 
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
+# the distinct background words (consonant-vowel syllables, two per word)
+_BACKGROUND_WORDS = (len(_CONSONANTS) * len(_VOWELS)) ** 2
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,13 @@ class FixtureSpec:
     def __post_init__(self) -> None:
         if self.n_passages < 1 or self.n_queries < 1:
             raise ValueError("fixture sizes must be >= 1")
+        if self.dim < 1 or self.term_dim < 1:
+            raise ValueError("dim and term_dim must be >= 1")
+        if not 1 <= self.background_vocab_size <= _BACKGROUND_WORDS:
+            raise ValueError(
+                f"background_vocab_size must lie in [1, {_BACKGROUND_WORDS}], "
+                f"the number of two-syllable words"
+            )
         if self.signal_terms_per_query < 1:
             raise ValueError("need at least one signal term per query")
         if not 0.0 <= self.distractor_rate < 1.0:
@@ -129,6 +143,21 @@ def _make_vocabulary(rng: np.random.Generator, count: int, syllables: int, taken
     return words
 
 
+def _zipf_sampler(rng: np.random.Generator, size: int) -> Callable[[int], list[int]]:
+    """``n -> rng.choice(size, size=n, p=zipf).tolist()`` for weights 1/rank,
+    from the same stream: the ``cumsum``-over-last-entry CDF that ``choice``
+    checks and rebuilds on every call is built once here."""
+    zipf = 1.0 / np.arange(1, size + 1)
+    zipf /= zipf.sum()
+    cdf = zipf.cumsum()
+    cdf /= cdf[-1]
+
+    def draw(n: int) -> list[int]:
+        return cdf.searchsorted(rng.random(n), side="right").tolist()
+
+    return draw
+
+
 def generate_fixture(spec: FixtureSpec = FixtureSpec()) -> Fixture:
     rng = np.random.default_rng(spec.seed)
     taken: set[str] = set()
@@ -138,15 +167,13 @@ def generate_fixture(spec: FixtureSpec = FixtureSpec()) -> Fixture:
         for i in range(spec.n_queries)
     }
     query_ids = sorted(signal_terms)
+    vocabulary = background + [t for qid in query_ids for t in signal_terms[qid]]
+    row_of = {t: i for i, t in enumerate(vocabulary)}
+    signal_rows = {qid: [row_of[t] for t in signal_terms[qid]] for qid in query_ids}
 
     # word frequencies fall off with rank so common terms exist for queries
     # to share with most passages
-    zipf = 1.0 / np.arange(1, len(background) + 1)
-    zipf /= zipf.sum()
-
-    def background_words(n: int) -> list[str]:
-        picks = rng.choice(len(background), size=n, p=zipf)
-        return [background[i] for i in picks]
+    background_rows = _zipf_sampler(rng, len(background))
 
     relevant_counts = {
         qid: int(rng.integers(1, spec.max_relevant_per_query + 1)) for qid in query_ids
@@ -170,41 +197,46 @@ def generate_fixture(spec: FixtureSpec = FixtureSpec()) -> Fixture:
             relevant[qid][pid] = int(rng.integers(1, 3))
     background_pids = passage_ids[cursor:]
 
-    passages = []
+    passage_rows = []
     for pid in passage_ids:
-        words = background_words(int(rng.integers(15, 50)))
+        rows = background_rows(int(rng.integers(15, 50)))
         qid = owner_of.get(pid)
         if qid is not None:
             first_of_query = pid == min(relevant[qid])
-            terms = signal_terms[qid]
+            terms = signal_rows[qid]
             if first_of_query:
-                chosen = list(terms)
+                chosen = terms
             else:
                 u = rng.random()
                 if u < 0.5:
-                    chosen = list(terms)
+                    chosen = terms
                 elif u < 0.8:
                     chosen = [terms[int(rng.integers(len(terms)))]]
                 else:
                     chosen = []  # relevance visible only in the planted vectors
             for term in chosen:
                 for _ in range(int(rng.integers(1, 3))):
-                    words.insert(int(rng.integers(len(words) + 1)), term)
+                    rows.insert(int(rng.integers(len(rows) + 1)), term)
         elif rng.random() < spec.distractor_rate:
             stray_q = query_ids[int(rng.integers(len(query_ids)))]
-            term = signal_terms[stray_q][int(rng.integers(spec.signal_terms_per_query))]
-            words.insert(int(rng.integers(len(words) + 1)), term)
-        passages.append(Passage(pid, " ".join(words)))
-    store = PassageStore(passages)
+            term = signal_rows[stray_q][int(rng.integers(spec.signal_terms_per_query))]
+            rows.insert(int(rng.integers(len(rows) + 1)), term)
+        passage_rows.append(rows)
+    store = PassageStore(
+        Passage(pid, " ".join([vocabulary[r] for r in rows]))
+        for pid, rows in zip(passage_ids, passage_rows)
+    )
 
     queries = []
+    query_rows = []
     splits = ("head", "torso", "tail")
     split_of: dict[str, str] = {}
     for i, qid in enumerate(query_ids):
-        words = list(signal_terms[qid]) + background_words(int(rng.integers(1, 3)))
+        rows = signal_rows[qid] + background_rows(int(rng.integers(1, 3)))
         split = splits[i % len(splits)]
         split_of[qid] = split
-        queries.append(Query(qid, " ".join(words), split))
+        queries.append(Query(qid, " ".join([vocabulary[r] for r in rows]), split))
+        query_rows.append(rows)
     query_set = QuerySet(queries)
 
     clicks: list[ClickRecord] = []
@@ -225,21 +257,21 @@ def generate_fixture(spec: FixtureSpec = FixtureSpec()) -> Fixture:
 
     query_vectors, passage_vectors = _plant_vectors(spec, rng, query_ids, passage_ids, relevant)
 
-    vocabulary = background + [t for qid in query_ids for t in signal_terms[qid]]
-    term_table = {}
-    for term in vocabulary:
-        v = rng.standard_normal(spec.term_dim)
-        term_table[term] = (v / np.linalg.norm(v)).astype(np.float32)
+    # one draw per term in vocabulary order; each row's norm is the 1-D
+    # np.linalg.norm (a dot product), since a norm along axis 1 sums in
+    # another order and can round differently
+    draws = rng.standard_normal((len(vocabulary), spec.term_dim))
+    norms = np.array([np.linalg.norm(v) for v in draws])
+    table = (draws / norms[:, None]).astype(np.float32)
 
-    def matrices_for(texts: dict[str, str]) -> TokenMatrixStore:
-        mats = {
-            ident: np.stack([term_table[t] for t in tokenize(text)])
-            for ident, text in texts.items()
-        }
-        return TokenMatrixStore(spec.term_dim, mats)
+    def matrices_for(ids: list[str], rows: list[list[int]]) -> TokenMatrixStore:
+        lengths = [len(r) for r in rows]
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=sum(lengths))
+        matrices = np.split(table[flat], np.cumsum(lengths[:-1]))
+        return TokenMatrixStore(spec.term_dim, dict(zip(ids, matrices)))
 
-    query_matrices = matrices_for({q.id: q.text for q in query_set})
-    passage_matrices = matrices_for(dict(store.items()))
+    query_matrices = matrices_for(query_ids, query_rows)
+    passage_matrices = matrices_for(passage_ids, passage_rows)
 
     return Fixture(
         spec=spec,

@@ -7,6 +7,7 @@ import pytest
 
 from clickrank.bm25 import INDEX_FILES
 from clickrank.cli import main
+from clickrank.embeddings import load_vectors
 from clickrank.manifest import manifest_path_for
 
 
@@ -53,6 +54,25 @@ class TestSynthCommand:
             outs.append(out)
         for name in ("collection.tsv", "passage_vectors.tkv", "manifest.json"):
             assert _sha(outs[0] / name) == _sha(outs[1] / name), name
+
+
+    @pytest.mark.parametrize("queries, dim", [(15, 8), (15, 64)])
+    def test_manifest_records_the_written_dim(self, tmp_path, queries, dim):
+        out = tmp_path / "fx"
+        assert main(["synth", "--out", str(out), "--passages", "150", "--queries", str(queries),
+                     "--dim", str(dim), "--seed", "3"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = {load_vectors(out / name).dim for name in ("query_vectors.tkv", "passage_vectors.tkv")}
+        assert written == {manifest["config"]["dim"]} == {max(queries, dim)}
+
+    @pytest.mark.parametrize(
+        "flags", [["--dim", "0"], ["--dim", "-3"], ["--term-dim", "0"]], ids=["dim-0", "dim-neg", "term-dim-0"]
+    )
+    def test_nonpositive_dim_is_one_error_line(self, tmp_path, capsys, flags):
+        out = tmp_path / "fx"
+        assert main(["synth", "--out", str(out), "--passages", "60", "--queries", "5", *flags]) == 1
+        assert capsys.readouterr().err == "error: dim and term_dim must be >= 1\n"
+        assert not out.exists()
 
 
 class TestPipeline:
