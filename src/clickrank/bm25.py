@@ -18,8 +18,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
+from array import array
+from collections import defaultdict
 from collections.abc import Iterator, Mapping
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,9 @@ _ARRAYS = {
 }
 # Every file of an index directory; meta.json is written last.
 INDEX_FILES = ("ids.json", "terms.json", *(f"{name}.npy" for name in _ARRAYS), "meta.json")
+
+# tokens after which ``build_index`` ends a block of passages (1 MiB of int64 keys)
+_BLOCK_TOKENS = 1 << 17
 
 # Maximal runs of alphanumeric characters; underscore is a separator too.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -338,31 +343,40 @@ def build_index(
     """Tokenize every passage and build the inverted index.
 
     Stopwords (if any) are dropped from passages here and from queries at
-    search time; they do not contribute to document lengths.
+    search time; they do not contribute to document lengths. A block of
+    passages ends at the first passage end past ``_BLOCK_TOKENS`` tokens;
+    beyond the int32 postings, the build holds one block's tokens at a time.
     """
     if len(store) == 0:
         raise ValueError("cannot index an empty passage store")
     stopwords = frozenset(stopwords)
     ids = sorted(store)
-    lengths: list[int] = []
-    distinct: list[int] = []
-    vocabulary: dict[str, int] = {}  # term -> number in first-seen order
-    seen_terms: list[int] = []
-    frequencies: list[int] = []
-    for pid in ids:
-        tokens = [t for t in tokenize(store.text(pid)) if t not in stopwords]
-        counts = Counter(tokens)
+    vocabulary = defaultdict(count().__next__)  # term -> number in first-seen order
+    lengths = array("i")
+    block = array("q")  # term numbers of the block's tokens
+    blocks: list[tuple[np.ndarray, ...]] = []  # (document, term, frequency) postings
+    first = 0  # document number of the block's first passage
+    for end, pid in enumerate(ids, 1):
+        tokens = tokenize(store.text(pid))
+        if stopwords:
+            tokens = [t for t in tokens if t not in stopwords]
+        block.extend(map(vocabulary.__getitem__, tokens))
         lengths.append(len(tokens))
-        distinct.append(len(counts))
-        seen_terms.extend(vocabulary.setdefault(t, len(vocabulary)) for t in counts)
-        frequencies.extend(counts.values())
+        if len(block) >= _BLOCK_TOKENS or end == len(ids):
+            keys = np.repeat(np.arange(first, end, dtype=np.int64) << 32, lengths[first:end])
+            keys |= np.frombuffer(block, dtype=np.int64)
+            del block[:]
+            keys, tf = np.unique(keys, return_counts=True)
+            blocks.append(tuple(a.astype(np.int32) for a in (keys >> 32, keys & 0xFFFFFFFF, tf)))
+            first = end
+    doc_of, seen_terms, frequencies = (np.concatenate(column) for column in zip(*blocks))
+    del blocks  # the per-block columns, copied above
     terms = sorted(vocabulary)
     rank = np.empty(len(terms), dtype=np.int64)
     rank[[vocabulary[t] for t in terms]] = np.arange(len(terms))
-    term_of = rank[np.asarray(seen_terms, dtype=np.int64)]
-    # a stable sort by term keeps each term's documents in ascending order
-    order = np.argsort(term_of, kind="stable")
-    doc_of = np.repeat(np.arange(len(ids), dtype=np.int32), distinct)
+    term_of = rank[seen_terms]
+    # (term, document) keys are unique: any sort is term-major, documents ascending
+    order = np.argsort(term_of << 32 | doc_of)
     term_offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(term_of, minlength=len(terms)), out=term_offsets[1:])
     return InvertedIndex(
@@ -370,7 +384,7 @@ def build_index(
         terms,
         term_offsets,
         doc_of[order],
-        np.asarray(frequencies, dtype=np.int32)[order],
+        frequencies[order],
         np.asarray(lengths, dtype=np.int32),
         k1=k1,
         b=b,

@@ -68,6 +68,8 @@ class FixtureSpec:
             )
         if self.signal_terms_per_query < 1:
             raise ValueError("need at least one signal term per query")
+        if self.max_relevant_per_query < 1:
+            raise ValueError("max_relevant_per_query must be >= 1")
         if not 0.0 <= self.distractor_rate < 1.0:
             raise ValueError("distractor_rate must lie in [0, 1)")
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -729,6 +730,16 @@ _VECTORS = ["--query-vectors", "{fx}/query_vectors.tkv", "--passage-vectors", "{
 _KERNEL = ["rerank", "--run", "{work}/bm25.trec", "--scorer", "kernel", "--weights", "{bad}", *_MATRICES]
 
 
+def _tkv(ids: list[str], rows, dim: int = 2) -> bytes:
+    """A ``TKV1`` file's bytes, written field by field so that any field can be wrong."""
+    head = b"TKV1" + struct.pack("<II", len(ids), dim)
+    names = b"".join(struct.pack("<I", len(i.encode())) + i.encode() for i in ids)
+    return head + names + np.asarray(rows, dtype="<f4").tobytes()
+
+
+_TKV_GOOD = _tkv(["p0", "p1"], [[1.0, 0.0], [0.0, 1.0]])
+
+
 @pytest.fixture(scope="module")
 def work(fixture_dir, tmp_path_factory):
     """Inputs made from the fixture: an index, BM25 and dense runs, triples,
@@ -913,6 +924,33 @@ class TestMalformedInputs:
             f"error: {bad}: offset {offset}: id 'p 1' contains whitespace\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--query-vectors", "--passage-vectors"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"TKM1" + _TKV_GOOD[4:], "not a vector file (bad magic)"),
+            (b"", "truncated file (needed 4 bytes at offset 0)"),
+            (_TKV_GOOD[:-4], "truncated file (needed 16 bytes at offset 24)"),
+            (_TKV_GOOD + b"\0", "1 trailing bytes after payload"),
+            (_tkv(["p0"], [], dim=0), "header dim must be >= 1, got 0"),
+            (_tkv(["p0", "p0"], [[1.0, 0.0], [0.0, 1.0]]), "duplicate id 'p0'"),
+            (_tkv(["p0", "p1"], [[1.0, np.nan], [0.0, 1.0]]),
+             "vector for id 'p0' has a non-finite component"),
+        ],
+        ids=["bad-magic", "empty", "truncated", "trailing-bytes", "dim-0", "duplicate-id", "nan"],
+    )
+    def test_malformed_vector_file(self, fixture_dir, tmp_path, capsys, flag, payload, message):
+        bad = tmp_path / "bad.tkv"
+        bad.write_bytes(payload)
+        argv = [a.format(fx=fixture_dir) for a in _VECTORS]
+        argv[argv.index(flag) + 1] = str(bad)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["dense", "retrieve", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        # no run, manifest or temporary file
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.tkv"]
 
     @pytest.mark.parametrize(
         "depths, message",

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tempfile
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 from unittest import mock
@@ -14,6 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from clickrank import bm25
 from clickrank.bm25 import INDEX_FILES, InvertedIndex, build_index, tokenize
 from clickrank.corpus import Passage, PassageStore, Qrels, load_qrels, write_qrels
 from clickrank.embeddings import (
@@ -86,6 +88,75 @@ def test_index_round_trip_and_search_equals_score(corpus, query, k, stopwords, b
     # bit for bit: == on the floats, ties broken by ascending passage id
     assert index.search(" ".join(query), k) == expected
     assert loaded.search(" ".join(query), k) == expected
+
+
+def _counter_build(store: PassageStore, stopwords: frozenset[str]) -> InvertedIndex:
+    """The index built one passage at a time with a ``Counter``: the reference
+    ``build_index`` must match in every bit."""
+    ids = sorted(store)
+    vocabulary: dict[str, int] = {}  # term -> number in first-seen order
+    lengths, distinct, seen_terms, frequencies = [], [], [], []
+    for pid in ids:
+        tokens = [t for t in tokenize(store.text(pid)) if t not in stopwords]
+        counts = Counter(tokens)
+        lengths.append(len(tokens))
+        distinct.append(len(counts))
+        seen_terms.extend(vocabulary.setdefault(t, len(vocabulary)) for t in counts)
+        frequencies.extend(counts.values())
+    terms = sorted(vocabulary)
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[[vocabulary[t] for t in terms]] = np.arange(len(terms))
+    term_of = rank[np.asarray(seen_terms, dtype=np.int64)]
+    order = np.argsort(term_of, kind="stable")
+    doc_of = np.repeat(np.arange(len(ids), dtype=np.int32), distinct)
+    term_offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_of, minlength=len(terms)), out=term_offsets[1:])
+    tf = np.asarray(frequencies, dtype=np.int32)[order]
+    lengths = np.asarray(lengths, dtype=np.int32)
+    return InvertedIndex(ids, terms, term_offsets, doc_of[order], tf, lengths, stopwords=stopwords)
+
+
+# mixed case, non-ASCII letters (some lowercase to two characters), digits
+# and underscores, joined by separators; "" leaves a separator alone
+_pieces = st.tuples(
+    st.sampled_from(
+        ["", "a", "A", "ab", "aB", "Ä", "ä", "straße", "ΣΑΣ", "σας", "İ", "x1", "42", "the"]
+    ),
+    st.sampled_from([" ", "_", "-", ". ", ""]),
+)
+_texts = st.lists(_pieces, max_size=10).map(lambda parts: "".join(w + sep for w, sep in parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpus=st.dictionaries(
+        st.text(alphabet="pq01", min_size=1, max_size=4), _texts, min_size=1, max_size=12
+    ),
+    stopwords=st.frozensets(st.sampled_from(["a", "ab", "ä", "the", "42", "σας"]), max_size=3),
+    stop_everything=st.booleans(),
+    block_tokens=st.sampled_from([1, 5, 20, bm25._BLOCK_TOKENS]),
+)
+def test_build_index_equals_the_per_passage_counter_build(
+    corpus, stopwords, stop_everything, block_tokens
+):
+    store = PassageStore(Passage(pid, text) for pid, text in corpus.items())
+    if stop_everything:
+        stopwords |= {t for text in corpus.values() for t in tokenize(text)}
+    with mock.patch.object(bm25, "_BLOCK_TOKENS", block_tokens):
+        index = build_index(store, stopwords=stopwords)
+    want = _counter_build(store, stopwords)
+    assert index.ids == want.ids and index.terms == want.terms
+    if stop_everything:
+        assert index.terms == [] and not index.lengths.any()
+    for column in ("term_offsets", "postings_doc", "postings_tf", "lengths", "norm"):
+        got, expected = getattr(index, column), getattr(want, column)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), column
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = Path(tmp) / "got", Path(tmp) / "want"
+        index.save(got)
+        want.save(expected)
+        for name in INDEX_FILES:
+            assert (got / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 # any character but whitespace, which no id may hold: a TREC line splits on it

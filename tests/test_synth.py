@@ -88,8 +88,13 @@ class TestSpecValidation:
             ({"dim": 0}, "dim"),
             ({"dim": -3}, "dim"),
             ({"term_dim": 0}, "term_dim"),
+            ({"max_relevant_per_query": 0}, "max_relevant_per_query"),
+            ({"max_relevant_per_query": -2}, "max_relevant_per_query"),
         ],
-        ids=["vocab-0", "vocab-above-two-syllable-words", "dim-0", "dim-negative", "term-dim-0"],
+        ids=[
+            "vocab-0", "vocab-above-two-syllable-words", "dim-0", "dim-negative", "term-dim-0",
+            "max-relevant-0", "max-relevant-negative",
+        ],
     )
     def test_rejected(self, bad, named):
         with pytest.raises(ValueError, match=named):
