@@ -71,10 +71,19 @@ class TokenMatrixStore:
             raise ValueError(f"matrix {mid!r} has no token rows")
         return np.ascontiguousarray(arr)
 
+    @classmethod
+    def from_rows(cls, ids: list[str], lengths, dim: int, rows: bytes, path=None):
+        """The store of ``lengths`` (each >= 1) little-endian float32 rows of
+        ``dim`` per id, held in ``rows`` in id order; ``path`` names the file
+        they were read from. The one construction from a row buffer, for the
+        loaders and ``synth``."""
+        store = cls.__new__(cls)
+        store._adopt(ids, lengths, dim, rows, path)
+        return store
+
     def _adopt(self, ids: list[str], lengths, dim: int, rows: bytes, path=None) -> None:
-        """Take over ``lengths`` (each >= 1) little-endian float32 rows of
-        ``dim`` per id, after checking that the ids are distinct and every
-        component is finite; ``path`` names the file they were read from."""
+        """Take over ``from_rows``' arguments, after checking that the ids
+        are distinct and every component is finite."""
         self.dim = int(dim)
         self._ids = ids
         self._entries = {mid: i for i, mid in enumerate(ids)}
@@ -240,9 +249,9 @@ def load_vectors(path: str | Path) -> VectorStore:
     ids = [reader.ident() for _ in range(reader.count)]
     rows = reader.take(reader.count * reader.dim * 4)
     reader.done(ids)
-    store = VectorStore.__new__(VectorStore)
-    store._adopt(ids, np.ones(reader.count, dtype=np.int64), reader.dim, rows, reader.path)
-    return store
+    return VectorStore.from_rows(
+        ids, np.ones(reader.count, dtype=np.int64), reader.dim, rows, reader.path
+    )
 
 
 def write_token_matrices(store: TokenMatrixStore, path: str | Path) -> None:
@@ -268,6 +277,4 @@ def load_token_matrices(path: str | Path) -> TokenMatrixStore:
     reader.done(ids)
     view = memoryview(reader.data)
     rows = b"".join(view[start : start + n * dim * 4] for start, n in zip(payloads, lengths))
-    store = TokenMatrixStore.__new__(TokenMatrixStore)
-    store._adopt(ids, lengths, dim, rows, reader.path)
-    return store
+    return TokenMatrixStore.from_rows(ids, lengths, dim, rows, reader.path)

@@ -25,11 +25,10 @@ The token-level heads gather a batch's float32 passage rows, and the norms
 each store caches once, from the store's one contiguous token array by
 offset (``_gather``), and score them in blocks of candidates. Late
 interaction screens each block with one float32 matrix product and an error
-bound from the norms (``_bounds``), and sums exactly only the token rows
-that can still hold a maximum: all of a block's lanes at once, by
-error-free transformations that return ``math.fsum``'s value bit for bit
-(``_fsums``). Dense retrieval screens the store with the same bound and
-scores exactly only the rows that can still reach the top k.
+bound from the norms (``_bounds``), and scores only the token rows that can
+still hold a maximum, each by the dense score's definition (``_dense_dots``).
+Dense retrieval screens the store with the same bound and scores only the
+rows that can still reach the top k.
 
 The kernel head sorts a batch's candidates by token count (a stable sort)
 and gathers their rows once in that order, so each token count's passages
@@ -156,7 +155,11 @@ def load_weights(path: str | Path) -> tuple[KernelBank, KernelWeights]:
     if bias is None:
         raise ValueError(f"{path}: missing bias line")
     mus, sigmas, ws = zip(*rows) if rows else ((), (), ())
-    return KernelBank(mus, sigmas), KernelWeights(np.array(ws), bias)
+    try:
+        bank = KernelBank(mus, sigmas)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return bank, KernelWeights(np.array(ws), bias)
 
 
 def _check_similarity(similarity: str) -> None:
@@ -169,7 +172,9 @@ def _dense_dots(tokens: np.ndarray, rows: Sequence[int], q: np.ndarray) -> np.nd
     tokens: the components widened to float64, each product rounded to
     float64, and numpy's pairwise sum along the row.
 
-    This is the one definition of the dense score. A row's value depends on
+    This is the one definition of a dot product: the dense score's, and
+    each late-interaction lane's (``_late_interaction_block`` forms the same
+    products and sum over two gathered row arrays). A row's value depends on
     that row and q alone, not on which other rows share the call, how many
     or in what order; a BLAS gemv gives no such guarantee. The rows are
     widened ``BLOCK_BYTES`` at a time.
@@ -280,8 +285,8 @@ def _bounds(
 
     approx holds float32 dot products of d and q rounded to float32 (exact
     for store rows), in any order, with or without fused multiply-adds. The
-    exact score S is the dense score (``_dense_dots``) or a late-interaction
-    dot product (the exactly rounded sum of the float64 products). With
+    exact score S is the dense score (``_dense_dots``), which also scores
+    each late-interaction lane: float64 products, summed pairwise. With
     u = 2^-24, u' = 2^-53 and s = sum d_i q_i exactly (Higham, Accuracy and
     Stability of Numerical Algorithms, §2.1, §3.1 and Lemma 3.3):
 
@@ -304,11 +309,12 @@ def _bounds(
 
     Under cosine the bounds are divided by ``norms * qn`` (rounding each by
     u') and widened by 2^-50 = 8u'. The dense score divides S by the same
-    product. Late interaction sums exactly the float64 products of the rows
-    over their norms, each within 3u' of the product over the norms, so its
-    score is within 4u' sum|d_i q_i| / (‖d‖‖q‖) of s / (‖d‖‖q‖): the
-    widening covers that ratio up to about 1, and the underflow term over
-    the norms covers what underflowed squares add to it.
+    product. A late-interaction lane is the dense dot product of the rows
+    over their norms, whose components each round once more, so it is
+    within (3u' + γ'_n) sum|d_i q_i| / (‖d‖‖q‖) of s / (‖d‖‖q‖), a ratio of
+    about 1 at most. ``bound`` over ‖d‖‖q‖ leaves (2/3)(n + 2) u >= 2^-23
+    unused by γ_{n+2}, which covers that, and the underflow term over the
+    norms covers what underflowed squares add to it.
 
     A bound that is not finite (an approximation that overflowed, a NaN or
     infinite bound, a zero or overflowed divisor) bounds nothing: it is
@@ -339,10 +345,14 @@ def _bounds(
 def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot") -> float:
     """Sum over query tokens of the max dot product against passage tokens.
 
-    Every dot product and the final sum are exactly rounded (``math.fsum``'s
-    value, by ``_fsums``), so the score is bit-identical under any
-    permutation of the rows of Q or D. BLAS reductions do not give that
-    guarantee: their summation grouping can change with memory alignment.
+    Each dot product is the dense score's (``_dense_dots``: float64 products
+    and numpy's pairwise sum along the row), so a one-row Q and D score as
+    ``dense_score`` does under dot. The sum of the maxima is exactly rounded
+    (``math.fsum``). The score is therefore bit-identical under any
+    permutation of the rows of Q or D: a dot product sums along the dim,
+    which no row permutation touches, and an exactly rounded sum does not
+    depend on its order. BLAS reductions give no such guarantee: their
+    summation grouping can change with memory alignment and the CPU.
     """
     _check_similarity(similarity)
     Q = np.asarray(Q, dtype=np.float64)
@@ -428,18 +438,17 @@ def _late_interaction_scores(
 
 
 def _late_interaction_block(Q: _Rows, D: _Rows, lengths: np.ndarray) -> list[float]:
-    """Exact late-interaction scores of the passages stacked in D.
+    """Late-interaction scores of the passages stacked in D.
 
-    A token row's dot product is the exactly rounded sum of its float64
-    products (``_fsums``), over the rows' norms for cosine. The float32
-    product ``D @ Q.T`` approximates every one, and ``_bounds`` encloses
-    each exact value from the rows' norms. Within a passage, a row whose
-    upper bound lies below another row's lower bound cannot hold the
-    maximum, so only the remaining rows (about two per query token) are
-    widened to float64, and their products summed exactly, all lanes in one
-    ``_fsums`` call. The maxima are then those of the exact sums over all
-    rows, and each passage's score is the exactly rounded sum of its query
-    tokens' maxima.
+    A token row's dot product is the dense score's, over the rows' norms for
+    cosine: float64 products and numpy's pairwise sum along the row. The
+    float32 product ``D @ Q.T`` approximates every one, and ``_bounds``
+    encloses each float64 value from the rows' norms. Within a passage, a
+    row whose upper bound lies below another row's lower bound cannot hold
+    the maximum, so only the remaining rows (about two per query token) are
+    widened to float64 and summed, all lanes in one row-wise sum. The maxima
+    are then those over all rows, and each passage's score is the exactly
+    rounded sum of its query tokens' maxima.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         approx = D.rows.astype(np.float32, copy=False) @ Q.rows.astype(np.float32, copy=False).T
@@ -450,87 +459,13 @@ def _late_interaction_block(Q: _Rows, D: _Rows, lengths: np.ndarray) -> list[flo
     floor = np.maximum.reduceat(lower, starts, axis=1)
     keep = upper >= np.repeat(floor, lengths, axis=1)
     token, row = divmod(np.flatnonzero(keep), keep.shape[1])
-    exact = _fsums(Q.widened().take(token, axis=0) * D.widened(row))
+    dots = (Q.widened().take(token, axis=0) * D.widened(row)).sum(axis=1)
     passage = np.repeat(np.arange(len(lengths)), lengths)[row]
     best = np.full((len(Q.rows), len(lengths)), -np.inf)
     # maximum.at keeps the later of equal values; reversed, that is the
     # first row, as max() over the rows picks it (the sign of a zero)
-    np.maximum.at(best, (token[::-1], passage[::-1]), exact[::-1])
-    return _fsums(best.T).tolist()
-
-
-def _fsums(P: np.ndarray) -> np.ndarray:
-    """``[math.fsum(row) for row in P]`` for a 2-D float64 array, bit for
-    bit, without a Python loop over the rows.
-
-    A halving TwoSum cascade (Ogita, Rump and Oishi, "Accurate Sum and Dot
-    Product", SIAM J. Sci. Comput. 2005) adds the two halves of every row's
-    remaining columns at once and keeps each addition's rounding error
-    exactly, so the last sum s plus the n - 1 errors is the row's exact sum
-    T. With u = 2^-53, each error is at most u times its addition's result,
-    and a level's results add up to at most (1 + u)^level * sum|x|, so over
-    L = ceil(log2 n) levels the float sum fe of the errors is within
-    γ_{n-2} u L (1 + u)^L sum|x| of theirs. ``slack``, n L 2^-105 times the
-    computed sum|x| plus 2^-1074 for its own underflow, bounds that with
-    room for the rounding of sum|x|, of slack and of fe ± slack. A sum
-    whose result is subnormal is exact, so the additions need no
-    underflow term. A row's ``r = fl(s + fe)`` is certified equal to fl(T)
-    when
-    * ``fl(s + fl(fe + slack)) == fl(s + fl(fe - slack))``: rounding is
-      monotone, so T and r, which lie between, round to that float too; or
-    * at most one error is non-zero: fe is then exact, and r is fl(T) even
-      when T lies exactly halfway between two floats, as sums of float32
-      products often do.
-    A row whose r is zero (the sign of zero is math.fsum's), whose sum|x|
-    reaches 2^1023 (math.fsum may overflow in an intermediate sum, and
-    inf and NaN entries land here) or that is not certified goes through
-    ``math.fsum``, in row order, so its value or its first OverflowError
-    or ValueError is math.fsum's own.
-    """
-    m, n = P.shape
-    if n == 0:
-        return np.zeros(m)
-    # the columns as contiguous rows, so that each level's halves are too
-    X = np.ascontiguousarray(P.T)
-    half = n // 2
-    work = np.empty((n + half + (n + 1) // 2 + (n + 3) // 4, m))
-    E, V = work[:n], work[n : n + half]
-    A, B = work[n + half : n + half + (n + 1) // 2], work[n + half + (n + 1) // 2 :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        absum = np.abs(X, out=E).sum(axis=0)
-        slack = absum * ((n - 1).bit_length() * n * 2.0**-105)
-        slack += 2.0**-1074
-        # halve the rows of X, odd middle row carried over; E[k:k+h] takes
-        # the errors (Knuth's TwoSum, six operations)
-        cur, w, k = X, n, 0
-        while w > 1:
-            h = w // 2
-            a, b, nxt = cur[:h], cur[w - h : w], B if cur is A else A
-            s, v, e = nxt[:h], V[:h], E[k : k + h]
-            np.add(a, b, out=s)
-            np.subtract(s, a, out=v)
-            np.subtract(b, v, out=e)
-            np.subtract(s, v, out=v)
-            np.subtract(a, v, out=v)
-            np.add(v, e, out=e)
-            if w % 2:
-                nxt[h] = cur[h]
-            cur, w, k = nxt, w - h, k + h
-        E, s = E[: n - 1], cur[0]
-        fe = E.sum(axis=0)
-        r = s + fe
-        hi = fe + slack
-        lo = np.subtract(fe, slack, out=slack)
-        hi += s
-        lo += s
-        ok = (E != 0).sum(axis=0) <= 1
-        ok |= hi == lo
-        ok &= absum < 2.0**1023
-        ok &= r != 0
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        r[rest] = [math.fsum(row) for row in P[rest].tolist()]
-    return r
+    np.maximum.at(best, (token[::-1], passage[::-1]), dots[::-1])
+    return [math.fsum(col) for col in best.T.tolist()]
 
 
 def kernel_features(
@@ -704,6 +639,7 @@ def fit_hinge(
     neg_features[i]) per training triple. ``init_w`` overrides the seeded
     random initialization, N(0, 0.01^2) per weight.
     """
+    _check_hyperparameters(lr, epochs, margin)
     pos = np.asarray(pos_features, dtype=np.float64)
     neg = np.asarray(neg_features, dtype=np.float64)
     if pos.shape != neg.shape or pos.ndim != 2 or pos.shape[0] == 0:
@@ -732,6 +668,15 @@ def fit_hinge(
     return w, bias, telemetry
 
 
+def _check_hyperparameters(lr: float, epochs: int, margin: float) -> None:
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"lr must be finite and above 0, got {lr}")
+    if not math.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin}")
+
+
 def train_kernel_weights(
     triples,
     query_matrices: TokenMatrixStore,
@@ -747,6 +692,7 @@ def train_kernel_weights(
     Triples whose query or passages have no stored token matrix are skipped
     and counted; it is an error if none remain.
     """
+    _check_hyperparameters(lr, epochs, margin)
     check_dims(query_matrices, passage_matrices, "token matrices")
     resolved = []
     skipped = 0

@@ -264,13 +264,12 @@ def generate_fixture(spec: FixtureSpec = FixtureSpec()) -> Fixture:
     # another order and can round differently
     draws = rng.standard_normal((len(vocabulary), spec.term_dim))
     norms = np.array([np.linalg.norm(v) for v in draws])
-    table = (draws / norms[:, None]).astype(np.float32)
+    table = (draws / norms[:, None]).astype("<f4")
 
     def matrices_for(ids: list[str], rows: list[list[int]]) -> TokenMatrixStore:
         lengths = [len(r) for r in rows]
         flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=sum(lengths))
-        matrices = np.split(table[flat], np.cumsum(lengths[:-1]))
-        return TokenMatrixStore(spec.term_dim, dict(zip(ids, matrices)))
+        return TokenMatrixStore.from_rows(ids, lengths, spec.term_dim, table[flat].tobytes())
 
     query_matrices = matrices_for(query_ids, query_rows)
     passage_matrices = matrices_for(passage_ids, passage_rows)
@@ -320,10 +319,7 @@ def _plant_vectors(
 
     rotated_queries = raw_queries @ rotation
     rotated_passages = raw_passages @ rotation
-    qstore = VectorStore(
-        dim, {qid: rotated_queries[i] for i, qid in enumerate(query_ids)}
+    return tuple(
+        VectorStore.from_rows(ids, [1] * len(ids), dim, rows.astype("<f4").tobytes())
+        for ids, rows in ((query_ids, rotated_queries), (passage_ids, rotated_passages))
     )
-    pstore = VectorStore(
-        dim, {pid: rotated_passages[i] for i, pid in enumerate(passage_ids)}
-    )
-    return qstore, pstore

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +312,33 @@ class TestErrorHandling:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named in lines[0]
 
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--epochs", "-3"], "epochs must be >= 0, got -3"),
+            (["--lr", "0"], "lr must be finite and above 0, got 0.0"),
+            (["--lr", "nan"], "lr must be finite and above 0, got nan"),
+            (["--margin", "nan"], "margin must be finite, got nan"),
+            (["--margin", "inf"], "margin must be finite, got inf"),
+        ],
+        ids=["epochs-negative", "lr-zero", "lr-nan", "margin-nan", "margin-inf"],
+    )
+    def test_train_kernel_rejects_nonsense_hyperparameters(
+        self, fixture_dir, tmp_path, capsys, flags, named
+    ):
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("q00000\tp000000\tp000001\n")
+        out = tmp_path / "weights.txt"
+        code = main(
+            ["train", "kernel", "--triples", str(triples),
+             "--query-matrices", str(fixture_dir / "query_matrices.tkm"),
+             "--passage-matrices", str(fixture_dir / "passage_matrices.tkm"),
+             *flags, "--out", str(out), "--telemetry", str(tmp_path / "telemetry.json")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists() and not (tmp_path / "telemetry.json").exists()
 
     def test_corrupt_index_is_one_error_line(self, fixture_dir, tmp_path, capsys):
         index_dir = tmp_path / "index"
@@ -685,6 +716,61 @@ class TestRerankAndSweepManifests:
             assert orig["inputs"]["passage_matrices"]["digest"] != edit["inputs"]["passage_matrices"]["digest"]
             assert orig["inputs"]["run"] == edit["inputs"]["run"]
 
+    def test_colbert_and_dense_bytes_do_not_depend_on_the_cpu(self, fixture_dir, bm25_run, tmp_path):
+        # colbert and dense scores are numpy's pairwise sums and math.fsum;
+        # their float32 BLAS screens only choose which rows are scored, so
+        # another BLAS kernel or SIMD level must give the same bytes
+        try:
+            config = np.show_config(mode="dicts")
+            blas = config["Build Dependencies"]["blas"].get("openblas configuration", "")
+            found = config["SIMD Extensions"]["found"] or []
+        except (TypeError, KeyError):
+            pytest.skip("this numpy does not report its BLAS build and SIMD targets")
+        if "DYNAMIC_ARCH" not in blas:
+            pytest.skip("OpenBLAS without DYNAMIC_ARCH cannot switch kernels")
+        if "X86_V4" not in found:
+            pytest.skip("the CPU has no AVX-512 loops to switch off")
+        avx512 = " ".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if f in found)
+        script = textwrap.dedent(
+            """
+            import sys
+            from clickrank.cli import main
+
+            out, fx, run = sys.argv[1:]
+            matrices = ["--query-matrices", f"{fx}/query_matrices.tkm",
+                        "--passage-matrices", f"{fx}/passage_matrices.tkm"]
+            vectors = ["--query-vectors", f"{fx}/query_vectors.tkv",
+                       "--passage-vectors", f"{fx}/passage_vectors.tkv"]
+            for sim in ("dot", "cosine"):
+                assert main(["rerank", "--run", run, "--scorer", "colbert", *matrices,
+                             "--similarity", sim, "--out", f"{out}/colbert_{sim}.trec"]) == 0
+                assert main(["dense", "retrieve", *vectors, "--k", "50", "--similarity", sim,
+                             "--out", f"{out}/dense_{sim}.trec"]) == 0
+            """
+        )
+        forced = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+        base = {k: v for k, v in os.environ.items() if k not in forced}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        settings = {
+            "default": {},
+            "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+            "no_avx512": {"NPY_DISABLE_CPU_FEATURES": avx512},
+        }
+        written = {}
+        for name, extra in settings.items():
+            out = tmp_path / name
+            out.mkdir()
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(out), str(fixture_dir), str(bm25_run)],
+                env={**base, **extra}, capture_output=True, text=True, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            written[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(written["default"]) == 8  # four runs and their manifests
+        assert written["prescott"] == written["default"]
+        assert written["no_avx512"] == written["default"]
+
     def test_oracle_qrels_and_kernel_weights_pinned(self, fixture_dir, bm25_run, tmp_path):
         out = tmp_path / "oracle.trec"
         assert main(
@@ -862,6 +948,11 @@ class TestMalformedInputs:
             (_KERNEL, "1.0 0.001 x\nbias 0.0\n", "line 1: bad number 'x'"),
             (_KERNEL, "1.0 0.001 0.5\nbias nan\n", "line 2: bad number 'nan'"),
             (_KERNEL, "1.0 0.001 0.5\nbias 0.0\nbias 1.0\n", "line 3: second bias line"),
+            (_KERNEL, "bias 0.0\n", "kernel bank must contain at least one kernel"),
+            (_KERNEL, "0.5 0.1 1.0\n0.9 0.1 1.0\nbias 0.0\n",
+             "kernel centers must be strictly descending, got (0.5, 0.9)"),
+            (_KERNEL, "1.0 0.0 0.5\nbias 0.0\n",
+             "kernel widths must be finite and positive, got (0.0,)"),
             (["index", "build", "--collection", "{bad}"], "p0\tsome text\np 1\tmore text\n",
              "line 2: id 'p 1' contains whitespace"),
             (["index", "search", "--index", "{work}/index", "--queries", "{bad}"],
@@ -873,7 +964,8 @@ class TestMalformedInputs:
         ],
         ids=[
             "qrels-negative-grade", "triples-same-id", "weights-unparsable", "weights-nan-bias",
-            "weights-second-bias", "collection-spaced-id", "queries-spaced-id",
+            "weights-second-bias", "weights-bias-only", "weights-ascending-centers",
+            "weights-zero-width", "collection-spaced-id", "queries-spaced-id",
             "clicks-spaced-query-id", "clicks-spaced-passage-id",
         ],
     )

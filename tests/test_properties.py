@@ -35,7 +35,6 @@ from clickrank.rankers import (
     KernelScorer,
     KernelWeights,
     LateInteractionScorer,
-    _fsums,
     _gather,
     _kernel_feature_rows,
     dense_retrieve,
@@ -407,15 +406,14 @@ def test_dense_float32_error_that_grows_with_dim():
 
 
 def _loop_late(Q, D, similarity):
-    """Each query row's maximum exactly rounded dot product over D's rows,
-    first row on ties; cosine over the rows' norms."""
+    """The exactly rounded sum of each query row's maximum dense dot product
+    (float64 products, numpy's pairwise sum) over D's rows, first row on
+    ties; cosine over the rows' norms."""
     Q, D = np.asarray(Q, dtype=np.float64), np.asarray(D, dtype=np.float64)
     if similarity == "cosine":
         Q = Q / np.sqrt((Q * Q).sum(axis=1))[:, None]
         D = D / np.sqrt((D * D).sum(axis=1))[:, None]
-    return math.fsum(
-        max(math.fsum(a * b for a, b in zip(q, d)) for d in D.tolist()) for q in Q.tolist()
-    )
+    return math.fsum(max(float(np.multiply(d, q).sum()) for d in D) for q in Q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -625,116 +623,6 @@ def test_minmax_fusion_is_invariant_under_a_positive_affine_map(data, count, sca
     want = fuse_runs(runs, "minmax").results
     got = fuse_runs(mapped, "minmax").results
     assert {qid: _hex(e) for qid, e in got.items()} == {qid: _hex(e) for qid, e in want.items()}
-
-
-# ---------------------------------------------------------------------------
-# exact sums: _fsums is math.fsum, row by row
-# ---------------------------------------------------------------------------
-
-
-def _fsum_rows(P):
-    """The oracle: math.fsum of each row, or the first exception it raises."""
-    try:
-        return np.array([math.fsum(row) for row in P.tolist()]).view(np.int64).tolist()
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def _fsums_rows(P):
-    try:
-        return np.asarray(_fsums(P)).view(np.int64).tolist()
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-_f32 = st.floats(-1e4, 1e4, width=32)
-# products of two float32 values are exact in float64 and carry at most 48
-# significant bits, so their sums often fall exactly halfway between floats
-_f32_product = st.tuples(_f32, _f32).map(lambda ab: float(np.float32(ab[0])) * float(np.float32(ab[1])))
-_magnitude = st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 300))
-_subnormal = st.one_of(
-    st.integers(-6, 6).map(lambda k: k * 2.0**-1074),
-    st.floats(-2.0**-1021, 2.0**-1021),
-)
-_small = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0, 0.5, 2.0**-53, 2.0**-54]))
-_huge = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 8.98846567431158e307, math.inf, -math.inf, math.nan])
-_element = st.one_of(_f32_product, _magnitude, _subnormal, _small, _huge, st.floats())
-
-
-@st.composite
-def _sum_rows(draw):
-    """Rows of one family each: float32 products, wide magnitudes,
-    subnormals, small exact values, values near overflow, or anything; a
-    row may cancel to a zero of either sign."""
-    n = draw(st.integers(1, 40))
-    rows = []
-    for _ in range(draw(st.integers(1, 6))):
-        family = draw(st.sampled_from([_f32_product, _magnitude, _subnormal, _small, _huge, _element]))
-        row = draw(st.lists(family, min_size=n, max_size=n))
-        if n % 2 == 0 and draw(st.booleans()):
-            # x and -x, shuffled: the sum is a zero
-            half = row[: n // 2]
-            row = draw(st.permutations(half + [-x for x in half]))
-        rows.append(row)
-    return np.array(rows, dtype=np.float64).reshape(len(rows), n)
-
-
-@settings(max_examples=400, deadline=None)
-@given(P=_sum_rows(), column_major=st.booleans())
-def test_fsums_is_math_fsum_row_by_row(P, column_major):
-    # bit for bit (the sign of a zero and NaN payloads included), and the
-    # same exception type and message for the first row math.fsum rejects
-    if column_major:
-        P = np.asfortranarray(P)
-    assert _fsums_rows(P) == _fsum_rows(P)
-
-
-def test_fsums_edge_cases():
-    t = 2.0**-53
-    cases = [
-        [[1.0, t]],  # a midpoint with one rounding error
-        [[1.0, t / 2, t / 2], [1.0, -t / 2, -t / 2]],  # midpoints with two
-        [[1e308, 1e308, -1e308]],  # intermediate overflow
-        [[1e308, 1e308, -1e308, 1.0]],  # the same, though halving does not overflow
-        # two rounding errors whose float sum drops the tie-breaking 2^-120
-        [[1.0, t, 2.0**-120], [1.0, t, -(2.0**-120)], [1.0, 2.0**-120, t]],
-        [[math.inf, -math.inf]],
-        [[math.nan, 1.0, 0.0], [1e308, 1e308, -1e308]],  # NaN first, then the overflow
-        [[math.inf, 1.0], [math.inf, math.nan]],
-        [[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]],
-        [[-0.0], [0.0]],
-        [[2.0**-1074, -(2.0**-1074)], [2.0**-1074, 2.0**-1074]],
-        np.zeros((3, 0)).tolist(),
-        np.zeros((0, 4)).tolist(),
-    ]
-    for rows in cases:
-        P = np.array(rows, dtype=np.float64).reshape(len(rows), -1 if rows else 4)
-        assert _fsums_rows(P) == _fsum_rows(P), rows
-
-
-def test_fsums_calls_math_fsum_only_on_uncertified_rows(monkeypatch):
-    rng = np.random.default_rng(7)
-    t = 2.0**-53
-    ordinary = rng.standard_normal((50, 32))
-    f32 = rng.standard_normal((2, 50, 8)).astype(np.float32)
-    products = f32[0].astype(np.float64) * f32[1]
-    fall_back = [
-        [1.0, t / 2, t / 2, 0.0],  # a midpoint with two rounding errors
-        [3.0, -3.0, 0.0, 0.0],  # a zero sum
-        [math.inf, 1.0, 0.0, 0.0],
-        [1e308, 1e308, -1e308, 1.0],  # sum|x| reaches 2^1023; math.fsum overflows
-    ]
-    certified = [[1.0, t, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]  # one rounding error; none
-    want = [_fsum_rows(P) for P in (ordinary, products, np.array(fall_back), np.array(certified))]
-    seen = []
-    fsum = math.fsum
-    monkeypatch.setattr(math, "fsum", lambda row: seen.append(list(row)) or fsum(row))
-    assert _fsums_rows(ordinary) == want[0]
-    assert _fsums_rows(products) == want[1]
-    assert _fsums_rows(np.array(certified)) == want[3]
-    assert seen == []
-    assert _fsums_rows(np.array(fall_back)) == want[2]
-    assert seen == fall_back
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,16 +58,22 @@ def _loop_kernel_features(Q, D, bank, eps=1e-10):
     return np.array(feats)
 
 
+def _lane(d, q):
+    """One token pair's dot product by the dense score's definition: float64
+    products and numpy's pairwise sum of the one row."""
+    d, q = np.asarray(d, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    return float(np.multiply(d, q).sum())
+
+
 def _loop_late_interaction(Q, D, similarity="dot"):
-    """Nested-loop late interaction: exact dot products, first row wins ties."""
+    """Nested-loop late interaction: dense dot products, first row wins
+    ties, and the exactly rounded sum of the maxima."""
     Q = np.asarray(Q, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
     if similarity == "cosine":
         Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
         D = D / np.linalg.norm(D, axis=1, keepdims=True)
-    return math.fsum(
-        max(math.fsum(a * b for a, b in zip(qi, dj)) for dj in D.tolist()) for qi in Q.tolist()
-    )
+    return math.fsum(max(_lane(dj, qi) for dj in D) for qi in Q)
 
 
 def _near_tie_rows(rng, base, count, dtype):
@@ -255,17 +262,19 @@ class TestLateInteraction:
         assert blocks == [3, 3, 3, 1]
 
     def test_cancelling_rows_match_nested_loop_oracle(self):
-        # a plain float sum of the first row loses its ones against 1e16;
-        # how many it loses depends on the summation order of Q @ D.T
+        # a float sum of the first row loses ones against 1e16; how many
+        # depends on the summation order, which the dense score fixes and
+        # a BLAS Q @ D.T does not
         dim = 64
         q = np.ones((1, dim))
         cancel = np.ones(dim)
         cancel[0], cancel[1] = 1e16, -1e16
+        assert late_interaction_score(q, cancel[None]) == dense_score(q[0], cancel)
         for rival in (40.0, 50.0, 55.0, 61.0, 63.0):
             D = np.vstack([cancel, np.eye(dim)[2] * rival])
             for rows in (D, D[::-1]):
                 assert late_interaction_score(q, rows) == _loop_late_interaction(q, rows)
-            assert late_interaction_score(q, D) == max(62.0, rival)
+            assert late_interaction_score(q, D) == max(dense_score(q[0], cancel), rival)
 
     def test_overflowing_dot_products_keep_their_rows(self):
         # inf products make the bound inf and the screen NaN: every row is kept
@@ -560,6 +569,23 @@ class TestHingeTraining:
         np.testing.assert_array_equal(w1, w2)
         assert t1.loss_curve == t2.loss_curve
 
+    @pytest.mark.parametrize(
+        "hyper, message",
+        [
+            ({"epochs": -3}, "epochs must be >= 0, got -3"),
+            ({"lr": 0.0}, "lr must be finite and above 0, got 0.0"),
+            ({"lr": -0.1}, "lr must be finite and above 0, got -0.1"),
+            ({"lr": math.nan}, "lr must be finite and above 0, got nan"),
+            ({"lr": math.inf}, "lr must be finite and above 0, got inf"),
+            ({"margin": math.nan}, "margin must be finite, got nan"),
+            ({"margin": -math.inf}, "margin must be finite, got -inf"),
+        ],
+    )
+    def test_nonsense_hyperparameters_rejected(self, hyper, message):
+        pos, neg = np.ones((2, 3)), np.zeros((2, 3))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_hinge(pos, neg, **hyper)
+
 
 class TestTrainKernelWeights:
     def _stores(self):
@@ -796,11 +822,11 @@ class TestScoreBatch:
         rows = np.array([[1.0, 0.0], [1.0, 2.0**-52]], dtype=np.float32)
         assert late_interaction_score(q, rows) == 1.0 + 2.0**-52
         assert late_interaction_score(q, rows[::-1]) == 1.0 + 2.0**-52
-        # a plain float sum of the first row reads 0.0 (1e16 + 1 rounds to
-        # 1e16) and ranks it below the second; its exact dot product is 1.0
+        # the dense score of the first row reads 0.0 (1e16 + 1 rounds to
+        # 1e16) and ranks it below the second, though its exact sum is 1.0
         q = np.array([[1.0, 1.0, 1.0]])
         rows = np.array([[1e16, 1.0, -1e16], [0.5, 0.0, 0.0]])
-        assert late_interaction_score(q, rows) == 1.0
+        assert late_interaction_score(q, rows) == max(dense_score(q[0], r) for r in rows)
         # the same through a scorer batch, beside other candidates
         q_store = TokenMatrixStore(2, {"q": np.array([[1.0, 1.0], [0.5, -0.25]])})
         p_store = TokenMatrixStore(
@@ -814,10 +840,7 @@ class TestScoreBatch:
         scorer = LateInteractionScorer(q_store, p_store)
         got = scorer.score_batch("q", ["tie", "low", "flip"]).tolist()
         oracle = [
-            math.fsum(
-                max(math.fsum(float(a) * float(b) for a, b in zip(qi, dj)) for dj in p_store.matrix(p))
-                for qi in q_store.matrix("q")
-            )
+            math.fsum(max(_lane(dj, qi) for dj in p_store.matrix(p)) for qi in q_store.matrix("q"))
             for p in ("tie", "low", "flip")
         ]
         assert got == oracle
@@ -836,7 +859,7 @@ class TestScoreBatch:
             p_store = TokenMatrixStore(4, {f"d{i}": D for i, D in enumerate(Ds)})
             got = LateInteractionScorer(q_store, p_store).score_batch("q", p_store.ids)
             oracle = [
-                math.fsum(max(math.fsum(qi * dj) for dj in D) for qi in Q) for D in Ds
+                math.fsum(max(_lane(dj, qi) for dj in D) for qi in Q) for D in Ds
             ]
             assert got.tolist() == oracle
 
