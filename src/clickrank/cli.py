@@ -48,7 +48,7 @@ from .evaluation import (
     write_report_json,
     write_sweep_table,
 )
-from .manifest import atomic_write, manifest_path_for, write_manifest
+from .manifest import TextRecords, atomic_write, manifest_path_for, write_manifest
 from .rankers import (
     DenseScorer,
     ExternalScoreScorer,
@@ -297,10 +297,8 @@ def _cmd_index_build(args, config: dict, inputs: _Inputs) -> _Wrote:
     InvertedIndex.check_parameters(k1, b)
     stopwords: frozenset[str] = frozenset()
     if args.stopwords:
-        stopword_path = inputs.flag("stopwords", "stopword list")
-        stopwords = frozenset(
-            w.strip().lower() for w in stopword_path.read_text(encoding="utf-8").split() if w.strip()
-        )
+        with TextRecords(inputs.flag("stopwords", "stopword list"), None) as records:
+            stopwords = frozenset(word.lower() for words in records for word in words)
     store = load_collection(inputs.flag("collection", "collection"))
     index = build_index(store, k1=k1, b=b, stopwords=stopwords)
     index.save(out)

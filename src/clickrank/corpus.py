@@ -1,7 +1,7 @@
 """Collections, queries, click logs, and click-derived relevance labels.
 
 File formats:
-    collection / queries   TSV ``id<TAB>text``, UTF-8, LF line endings
+    collection / queries   TSV ``id<TAB>text``
     click log              TSV ``query_id<TAB>passage_id<TAB>impressions<TAB>clicks``
     qrels                  TREC ``qid 0 pid grade``, space separated
 
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .manifest import atomic_write
-from .runs import reject_spaced_ids
+from .manifest import TextRecords, atomic_write, reject_spaced_ids
 
 logger = logging.getLogger(__name__)
 
@@ -190,19 +189,13 @@ def _read_tsv_pairs(path: str | Path, what: str) -> Iterator[tuple[str, str]]:
     Text may itself contain tabs; only the first tab separates the columns.
     """
     line_of: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if line == "":
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected id<TAB>text")
-            ident, text = line.split("\t", 1)
+    with TextRecords(path, 2, "expected id<TAB>text", "\t", 1) as records:
+        for ident, text in records:
             if not ident:
-                raise ValueError(f"{path}: line {lineno}: empty id column")
+                raise ValueError("empty id column")
             if ident in line_of:
-                raise ValueError(f"{path}: line {lineno}: duplicate {what} id {ident!r}")
-            line_of[ident] = lineno
+                raise ValueError(f"duplicate {what} id {ident!r}")
+            line_of[ident] = records.lineno
             yield ident, text
     reject_spaced_ids(path, list(line_of), list(line_of.values()), "line")
 
@@ -228,24 +221,14 @@ def load_clicks(path: str | Path) -> list[ClickRecord]:
     """Load a click log; repeated (query, passage) rows are kept as-is."""
     records = []
     lines = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 tab-separated columns")
-            qid, pid, imp_s, clk_s = parts
+    with TextRecords(path, 4, "expected 4 tab-separated columns", "\t") as rows:
+        for qid, pid, imp_s, clk_s in rows:
             try:
                 imp, clk = int(imp_s), int(clk_s)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer counts") from None
-            try:
-                records.append(ClickRecord(qid, pid, imp, clk))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            lines.append(lineno)
+                raise ValueError("non-integer counts") from None
+            records.append(ClickRecord(qid, pid, imp, clk))
+            lines.append(rows.lineno)
     reject_spaced_ids(path, [r.query_id for r in records], lines, "line")
     reject_spaced_ids(path, [r.passage_id for r in records], lines, "line")
     return records
@@ -302,21 +285,16 @@ def write_qrels(qrels: Qrels, path: str | Path) -> None:
 
 
 def load_qrels(path: str | Path) -> Qrels:
+    """Read TREC qrels; a pair given twice must get the same grade both times."""
     qrels = Qrels()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 'qid 0 pid grade'")
-            qid, _, pid, grade_s = parts
+    with TextRecords(path, 4, "expected 'qid 0 pid grade'") as records:
+        for qid, _, pid, grade_s in records:
             try:
                 grade = int(grade_s)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer grade") from None
-            try:
-                qrels.add(qid, pid, grade)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                raise ValueError("non-integer grade") from None
+            old = qrels.grade(qid, pid)
+            if old not in (None, grade):
+                raise ValueError(f"pair {(qid, pid)!r} graded both {old} and {grade}")
+            qrels.add(qid, pid, grade)
     return qrels

@@ -25,8 +25,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .manifest import atomic_write
-from .runs import reject_spaced_ids
+from .manifest import atomic_write, reject_spaced_ids
 
 VECTOR_MAGIC = b"TKV1"
 MATRIX_MAGIC = b"TKM1"

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Qrels
-from .manifest import atomic_write
+from .manifest import TextRecords, atomic_write, reject_spaced_ids
 from .rankers import score_candidates
 from .runs import RankedRun, canonical_order, runs_cover_same_queries
 
@@ -48,21 +48,13 @@ def _dcg(grades: Sequence[int]) -> float:
 def load_splits(path: str | Path) -> dict[str, str]:
     """Read a ``query_id<TAB>split`` file into a query -> split map."""
     split_of: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected query_id<TAB>split")
-            qid, split = parts
-            if qid in split_of and split_of[qid] != split:
-                raise ValueError(
-                    f"{path}: line {lineno}: query {qid!r} assigned to both "
-                    f"{split_of[qid]!r} and {split!r}"
-                )
-            split_of[qid] = split
+    line_of: dict[str, int] = {}
+    with TextRecords(path, 2, "expected query_id<TAB>split", "\t") as records:
+        for qid, split in records:
+            if split_of.setdefault(qid, split) != split:
+                raise ValueError(f"query {qid!r} assigned to both {split_of[qid]!r} and {split!r}")
+            line_of.setdefault(qid, records.lineno)
+    reject_spaced_ids(path, list(line_of), list(line_of.values()), "line")
     return split_of
 
 

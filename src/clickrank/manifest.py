@@ -5,19 +5,25 @@ the resolved configuration, the seed, content digests of every input, and
 digests of the produced outputs. No timestamps, so identical reruns produce
 identical manifests. Every artifact the package writes, manifests
 included, goes through :func:`atomic_write`, so a reader never sees one
-partly written.
+partly written, and every text input is read through :class:`TextRecords`,
+so one set of line rules and one error form hold for all of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import re
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator, Mapping, Sequence
 
 from . import __version__
+
+_WHITESPACE = re.compile(r"\s")
 
 
 @contextmanager
@@ -38,6 +44,74 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class TextRecords:
+    """The fields of each line of a UTF-8 text input, with LF, CRLF or CR
+    line ends, split on ``sep`` (whitespace when ``None``) at most
+    ``maxsplit`` times. Blank lines are skipped: empty ones for a ``sep``
+    format, ones without fields for a whitespace format. A line without
+    exactly ``columns`` fields (any count when ``None``) raises ``expected``.
+    A ``ValueError`` raised in the ``with`` block while line ``lineno`` is
+    processed gets ``"{path}: line {lineno}: "`` in front.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        columns: int | None,
+        expected: str = "",
+        sep: str | None = None,
+        maxsplit: int = -1,
+    ):
+        self.path = path
+        self.lineno = 0
+        self._shape = columns, expected, sep, maxsplit
+
+    def __enter__(self) -> "TextRecords":
+        self._file = open(self.path, "r", encoding="utf-8")
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._file.close()
+        if isinstance(exc, UnicodeDecodeError):
+            # the codec counts its position within a decode chunk, not the file
+            raise ValueError(f"{self.path}: not valid UTF-8 text") from None
+        if isinstance(exc, ValueError):
+            raise ValueError(f"{self.path}: line {self.lineno}: {exc}") from None
+
+    def __iter__(self) -> Iterator[list[str]]:
+        columns, expected, sep, maxsplit = self._shape
+        # the file turns every line end into LF; a whitespace split drops it
+        lines = self._file if sep is None else map(str.rstrip, self._file, repeat("\n"))
+        for self.lineno, line in enumerate(lines, start=1):
+            fields = line.split(sep, maxsplit)
+            if len(fields) != columns:
+                if not fields or fields == [""]:
+                    continue
+                if columns is not None:
+                    raise ValueError(expected)
+            yield fields
+
+
+def finite(text: str, what: str) -> float:
+    """``text`` as a finite float; anything else raises ``bad {what} {text!r}``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"bad {what} {text!r}")
+    return value
+
+
+def reject_spaced_ids(path: str | Path, ids: Sequence[str], at: Sequence[int], unit: str) -> None:
+    """Raise if an id holds whitespace, which no run or qrels line can hold,
+    naming the file and the ``unit`` (line or offset) ``at[i]`` of ``ids[i]``.
+    One scan of the joined ids serves the common case."""
+    if _WHITESPACE.search("".join(ids)):
+        i = next(i for i, ident in enumerate(ids) if _WHITESPACE.search(ident))
+        raise ValueError(f"{path}: {unit} {at[i]}: id {ids[i]!r} contains whitespace")
 
 
 def file_digest(path: str | Path) -> str:

@@ -49,7 +49,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .embeddings import BLOCK_BYTES, TokenMatrixStore, VectorStore
-from .manifest import atomic_write
+from .manifest import TextRecords, atomic_write, finite, reject_spaced_ids
 from .runs import RankedRun, canonical_order
 
 logger = logging.getLogger(__name__)
@@ -127,31 +127,18 @@ def write_weights(bank: KernelBank, weights: KernelWeights, path: str | Path) ->
 def load_weights(path: str | Path) -> tuple[KernelBank, KernelWeights]:
     rows: list[list[float]] = []
     bias: float | None = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            is_bias = parts[0] == "bias"
-            if is_bias and len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: malformed bias line")
-            if is_bias and bias is not None:
-                raise ValueError(f"{path}: line {lineno}: second bias line")
-            if not is_bias and len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 'mu sigma w'")
-            values = []
-            for text in parts[is_bias:]:
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}: line {lineno}: bad number {text!r}")
-                values.append(value)
-            if is_bias:
-                bias = values[0]
+    with TextRecords(path, None) as records:
+        for parts in records:
+            if parts[0] != "bias":
+                if len(parts) != 3:
+                    raise ValueError("expected 'mu sigma w'")
+                rows.append([finite(text, "number") for text in parts])
+            elif len(parts) != 2:
+                raise ValueError("malformed bias line")
+            elif bias is not None:
+                raise ValueError("second bias line")
             else:
-                rows.append(values)
+                bias = finite(parts[1], "number")
     if bias is None:
         raise ValueError(f"{path}: missing bias line")
     mus, sigmas, ws = zip(*rows) if rows else ((), (), ())
@@ -856,24 +843,16 @@ class ExternalScoreScorer:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExternalScoreScorer":
         scores: dict[tuple[str, str], float] = {}
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected query_id<TAB>passage_id<TAB>score"
-                    )
-                qid, pid, score_s = parts
-                try:
-                    score = float(score_s)
-                except ValueError:
-                    score = math.nan
-                if not math.isfinite(score):
-                    raise ValueError(f"{path}: line {lineno}: bad score {score_s!r}")
-                scores[(qid, pid)] = score
+        line_of: dict[tuple[str, str], int] = {}
+        with TextRecords(path, 3, "expected query_id<TAB>passage_id<TAB>score", "\t") as records:
+            for qid, pid, score_s in records:
+                score = finite(score_s, "score")
+                if scores.setdefault((qid, pid), score) != score:
+                    old = scores[(qid, pid)]
+                    raise ValueError(f"pair {(qid, pid)!r} scored both {old!r} and {score!r}")
+                line_of.setdefault((qid, pid), records.lineno)
+        for column in zip(*line_of):
+            reject_spaced_ids(path, column, list(line_of.values()), "line")
         return cls(scores)
 
     def score(self, query_id: str, passage_id: str) -> float:

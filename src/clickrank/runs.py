@@ -7,24 +7,11 @@ format ``qid Q0 pid rank score run_name``.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .manifest import atomic_write
-
-_WHITESPACE = re.compile(r"\s")
-
-
-def reject_spaced_ids(path: str | Path, ids: Sequence[str], at: Sequence[int], unit: str) -> None:
-    """Raise if an id holds whitespace, which no run or qrels line can hold,
-    naming the file and the ``unit`` (line or offset) ``at[i]`` of ``ids[i]``.
-    One scan of the joined ids serves the common case."""
-    if _WHITESPACE.search("".join(ids)):
-        i = next(i for i, ident in enumerate(ids) if _WHITESPACE.search(ident))
-        raise ValueError(f"{path}: {unit} {at[i]}: id {ids[i]!r} contains whitespace")
+from .manifest import TextRecords, atomic_write, finite
 
 
 def canonical_order(entries: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
@@ -90,28 +77,24 @@ def read_run(path: str | Path, name: str | None = None) -> RankedRun:
     """
     per_query: dict[str, list[tuple[str, float]]] = {}
     run_name = name
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'qid Q0 pid rank score run'"
-                )
-            qid, _, pid, _, score_s, file_run_name = parts
-            try:
-                score = float(score_s)
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise ValueError(f"{path}: line {lineno}: bad score {score_s!r}")
+    with TextRecords(path, 6, "expected 'qid Q0 pid rank score run'") as records:
+        for qid, _, pid, _, score_s, file_run_name in records:
             if run_name is None:
                 run_name = file_run_name
-            per_query.setdefault(qid, []).append((pid, score))
+            per_query.setdefault(qid, []).append((pid, finite(score_s, "score")))
     run = RankedRun(name=run_name or "run", stage="loaded")
-    for qid in sorted(per_query):
-        run.add(qid, per_query[qid])
+    try:
+        for qid in sorted(per_query):
+            run.add(qid, per_query[qid])
+    except ValueError:
+        # a passage ranked twice for a query; only now is its line looked for
+        seen: set[tuple[str, str]] = set()
+        with TextRecords(path, 6) as records:
+            for qid, _, pid, *_ in records:
+                if (qid, pid) in seen:
+                    raise ValueError(f"duplicate passage {pid!r} for query {qid!r}")
+                seen.add((qid, pid))
+        raise
     return run
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bm25 import InvertedIndex
 from .corpus import PassageStore, Qrels, QuerySet
-from .manifest import atomic_write
+from .manifest import TextRecords, atomic_write, reject_spaced_ids
 
 logger = logging.getLogger(__name__)
 
@@ -173,19 +173,13 @@ def write_triples(triples: Iterable[TrainingTriple], path: str | Path) -> None:
 
 
 def read_triples(path: str | Path) -> list[TrainingTriple]:
-    triples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated ids")
-            try:
-                triples.append(TrainingTriple(*parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    triples, lines = [], []
+    with TextRecords(path, 3, "expected 3 tab-separated ids", "\t") as records:
+        for ids in records:
+            triples.append(TrainingTriple(*ids))
+            lines.append(records.lineno)
+    for column in ("query_id", "positive_id", "negative_id"):
+        reject_spaced_ids(path, [getattr(t, column) for t in triples], lines, "line")
     return triples
 
 

@@ -814,6 +814,9 @@ _INPUT_FLAGS = {
 _MATRICES = ["--query-matrices", "{fx}/query_matrices.tkm", "--passage-matrices", "{fx}/passage_matrices.tkm"]
 _VECTORS = ["--query-vectors", "{fx}/query_vectors.tkv", "--passage-vectors", "{fx}/passage_vectors.tkv"]
 _KERNEL = ["rerank", "--run", "{work}/bm25.trec", "--scorer", "kernel", "--weights", "{bad}", *_MATRICES]
+_TRIPLES = ["train", "kernel", "--triples", "{bad}", *_MATRICES, "--epochs", "1"]
+_SPLITS = ["eval", "--run", "{work}/bm25.trec", "--qrels", "{fx}/qrels.trec", "--splits", "{bad}"]
+_SCORES = ["rerank", "--run", "{work}/bm25.trec", "--scorer", "scores", "--scores", "{bad}"]
 
 
 def _tkv(ids: list[str], rows, dim: int = 2) -> bytes:
@@ -934,8 +937,9 @@ class TestManifestInputs:
 
 
 class TestMalformedInputs:
-    """A malformed input file gives one ``error:`` line naming the file and
-    the line (or byte offset) at fault, exit 1, and no output."""
+    """A malformed input file gives one ``error:`` line naming the file and,
+    unless the file is not UTF-8, the line (or byte offset) at fault, exit 1,
+    and no output."""
 
     @pytest.mark.parametrize(
         "argv, text, message",
@@ -961,19 +965,51 @@ class TestMalformedInputs:
              "line 2: id 'q 1' contains whitespace"),
             (["qrels", "build", "--clicks", "{bad}"], "q0\tp0\t3\t1\nq1\tp\x0b0\t3\t1\n",
              "line 2: id 'p\\x0b0' contains whitespace"),
+            (_TRIPLES, "q\tp1\tp2 \n", "line 1: id 'p2 ' contains whitespace"),
+            (_SPLITS, "q0\thead\nq 1\ttail\n", "line 2: id 'q 1' contains whitespace"),
+            (_SCORES, "q0\tp0\t1.0\nq0\tp\t1\t2.0\n", "line 2: expected query_id<TAB>passage_id<TAB>score"),
+            (_SCORES, "q0\tp0\t1.0\nq0\tp 1\t2.0\n", "line 2: id 'p 1' contains whitespace"),
+            (_SCORES, "q0\tp0\t1.5\nq0\tp0\t2.0\n", "line 2: pair ('q0', 'p0') scored both 1.5 and 2.0"),
+            (["eval", "--run", "{work}/bm25.trec", "--qrels", "{bad}"], "q1 0 p1 2\nq1 0 p1 0\n",
+             "line 2: pair ('q1', 'p1') graded both 2 and 0"),
+            (["eval", "--run", "{work}/bm25.trec", "--qrels", "{bad}"], "q1 0 p1 x\n",
+             "line 1: non-integer grade"),
+            (_SPLITS, "q0\thead\tx\n", "line 1: expected query_id<TAB>split"),
+            (["eval", "--run", "{bad}", "--qrels", "{fx}/qrels.trec"], "q1 Q0 p1 1 2.0\n",
+             "line 1: expected 'qid Q0 pid rank score run'"),
+            (["eval", "--run", "{bad}", "--qrels", "{fx}/qrels.trec"],
+             "q1 Q0 p1 1 2.0 r\nq1 Q0 p2 2 1.0 r\nq1 Q0 p1 3 0.5 r\n",
+             "line 3: duplicate passage 'p1' for query 'q1'"),
+            (["qrels", "build", "--clicks", "{bad}"], "q0\tp0\t3\n",
+             "line 1: expected 4 tab-separated columns"),
+            (["qrels", "build", "--clicks", "{bad}"], "q0\tp0\t3\tx\n", "line 1: non-integer counts"),
+            (_TRIPLES, "q\tp1\n", "line 1: expected 3 tab-separated ids"),
+            (["index", "build", "--collection", "{bad}"], "p0\ttext\n\tno id\n", "line 2: empty id column"),
+            (["eval", "--run", "{work}/bm25.trec", "--qrels", "{bad}"], b"q1 0 p\xff 1\n",
+             "not valid UTF-8 text"),
+            (["index", "build", "--collection", "{bad}"], b"p0\ttext\np1\tt\xffxt\n", "not valid UTF-8 text"),
+            (["index", "build", "--collection", "{fx}/collection.tsv", "--stopwords", "{bad}"],
+             b"the\n\xff\n", "not valid UTF-8 text"),
         ],
         ids=[
             "qrels-negative-grade", "triples-same-id", "weights-unparsable", "weights-nan-bias",
             "weights-second-bias", "weights-bias-only", "weights-ascending-centers",
             "weights-zero-width", "collection-spaced-id", "queries-spaced-id",
-            "clicks-spaced-query-id", "clicks-spaced-passage-id",
+            "clicks-spaced-query-id", "clicks-spaced-passage-id", "triples-spaced-id",
+            "splits-spaced-id", "scores-columns", "scores-spaced-id", "scores-repeated-pair",
+            "qrels-repeated-pair", "qrels-non-integer-grade", "splits-columns", "run-columns",
+            "run-duplicate-passage", "clicks-columns", "clicks-non-integer-counts", "triples-columns",
+            "collection-empty-id", "qrels-not-utf8", "collection-not-utf8", "stopwords-not-utf8",
         ],
     )
     def test_malformed_input_names_file_and_line(
         self, fixture_dir, work, tmp_path, capsys, argv, text, message
     ):
         bad = tmp_path / "bad.txt"
-        bad.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            bad.write_bytes(text)
+        else:
+            bad.write_text(text, encoding="utf-8")
         capsys.readouterr()
         out = tmp_path / "out"
         code = main([a.format(work=work, fx=fixture_dir, bad=bad) for a in argv] + ["--out", str(out)])
