@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import PassageStore
-from .manifest import atomic_write
+from .manifest import atomic_write, check_kind
 from .runs import RankedRun
 
 DEFAULT_K1 = 0.9
@@ -245,7 +245,8 @@ class InvertedIndex:
         meta_path = directory / "meta.json"
         if not meta_path.exists():
             raise ValueError(f"{directory}: not an index directory (meta.json missing)")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = _read_json(meta_path)
+        check_kind(meta, dict, f"{meta_path}: the header")
         if meta.get("format") != INDEX_FORMAT:
             raise ValueError(f"{directory}: unexpected index format {meta.get('format')!r}")
         if meta.get("version") == 1:
@@ -255,8 +256,12 @@ class InvertedIndex:
             )
         if meta.get("version") != INDEX_VERSION:
             raise ValueError(f"{directory}: unsupported index version {meta.get('version')!r}")
-        ids = _read_strings(directory / "ids.json")
-        terms = _read_strings(directory / "terms.json")
+        kinds = {"k1": float, "b": float, "doc_count": int, "avg_doc_length": float}
+        for key, kind in kinds.items():
+            check_kind(meta.get(key), kind, f"{meta_path}: {key}")
+        stopwords = _strings(meta.get("stopwords", []), f"{meta_path}: stopwords")
+        ids = _strings(_read_json(directory / "ids.json"), directory / "ids.json")
+        terms = _strings(_read_json(directory / "terms.json"), directory / "terms.json")
         arrays = {name: _read_array(directory / f"{name}.npy", dt) for name, dt in _ARRAYS.items()}
         try:
             index = cls(
@@ -265,7 +270,7 @@ class InvertedIndex:
                 **arrays,
                 k1=meta["k1"],
                 b=meta["b"],
-                stopwords=frozenset(meta.get("stopwords", ())),
+                stopwords=frozenset(stopwords),
             )
         except ValueError as exc:
             raise ValueError(f"{meta_path}: {exc}") from None
@@ -273,11 +278,17 @@ class InvertedIndex:
         return index
 
 
-def _read_strings(path: Path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as f:
-        values = json.load(f)
+def _read_json(path: Path):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _strings(values, where: str | Path) -> list[str]:
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise ValueError(f"{path}: expected a JSON list of strings")
+        raise ValueError(f"{where}: expected a JSON list of strings")
     return values
 
 

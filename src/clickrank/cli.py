@@ -11,10 +11,13 @@ over (an index directory as one ``index_<stem>`` input per index file), and
 returns what it wrote. ``main`` then writes the manifest from the recorded
 inputs and the returned outputs, and prints the command's summary.
 
-A JSON config file (``--config``) may preseed any option, including input
-and output paths under a "paths" section; explicit flags always win, and
-``--seed`` is accepted globally as well as per subcommand. Exit codes:
-0 success, 1 runtime failure (one-line ``error: ...`` on stderr), 2 usage.
+Every option a JSON config file (``--config``) can set, input and output
+paths included, is one row of ``_OPTIONS``: its ``section.key`` (the key is
+the flag's dest), kind and default. ``main`` checks the whole config against
+that table, then fills each option of the command that the command line
+left unset (flag, then the global ``--seed`` for a seed, then config, then
+default), so handlers read only ``args``. Exit codes: 0 success, 1 runtime
+failure (one-line ``error: ...`` on stderr), 2 usage.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .evaluation import (
     write_report_json,
     write_sweep_table,
 )
-from .manifest import TextRecords, atomic_write, manifest_path_for, write_manifest
+from .manifest import TextRecords, atomic_write, check_kind, manifest_path_for, write_manifest
 from .rankers import (
     DenseScorer,
     ExternalScoreScorer,
@@ -80,7 +83,74 @@ class CommandError(Exception):
     """Raised for runtime failures; reported as one line on stderr."""
 
 
+def _comma_list(text: str, kind: type) -> list:
+    """The ``kind`` (int or float) numbers of a comma-separated list."""
+    try:
+        return [kind(part) for part in text.split(",") if part]
+    except ValueError:
+        name = "integer" if kind is int else "float"
+        raise CommandError(f"expected a comma-separated {name} list, got {text!r}") from None
+
+
+@dataclass(frozen=True)
+class _Option:
+    """The config's ``section.key``, which the flag ``--key`` overrides.
+
+    ``kind`` is str, list (of numbers), float (any number) or int (an
+    integral number). A comma-list option names the kind of its ``items``:
+    its flag's text is a comma-separated list (an empty one is unset), and
+    so is its config value when the ``kind`` is str.
+    """
+
+    section: str
+    key: str
+    kind: type
+    default: object = None
+    help: str | None = None
+    items: type | None = None
+
+
+_OPTIONS = {
+    (option.section, option.key): option
+    for option in (
+        _Option("bm25", "k1", float, DEFAULT_K1),
+        _Option("bm25", "b", float, DEFAULT_B),
+        _Option("bm25", "k", int, 500),
+        _Option("qrels", "thresholds", list, DEFAULT_CTR_THRESHOLDS,
+                "comma-separated ascending rates, e.g. 0.1,0.3", float),
+        _Option("sampling", "depth", int, SamplingConfig.candidate_depth),
+        _Option("sampling", "max_neg", int, SamplingConfig.max_negatives_per_positive),
+        _Option("sampling", "cap", int, SamplingConfig.triple_cap),
+        _Option("sampling", "seed", int, SamplingConfig.seed),
+        _Option("rerank", "depth", int, 200),
+        _Option("dense", "k", int, 1000),
+        _Option("train", "lr", float, 0.01),
+        _Option("train", "epochs", int, 100),
+        _Option("train", "margin", float, 1.0),
+        _Option("train", "seed", int, 0),
+        _Option("kernel_bank", "mus", list, None, "comma-separated kernel centers", float),
+        _Option("kernel_bank", "sigmas", list, None, "comma-separated kernel widths", float),
+        _Option("eval", "cutoffs", str, "10,100,200,1000",
+                "rank cutoff then recall cutoffs, e.g. 10,100,200,1000", int),
+        _Option("synth", "seed", int, FixtureSpec.seed),
+        *(
+            _Option("paths", key, str)
+            for key in ("collection", "queries", "clicks", "index", "run", "triples",
+                        "query_vectors", "passage_vectors", "query_matrices", "passage_matrices")
+        ),
+        _Option("paths", "qrels", str, help="qrels file (rerank reads it for --scorer oracle)"),
+        _Option("paths", "splits", str, help="query_id<TAB>split file"),
+        _Option("paths", "scores", str, help="external score file (qid<TAB>pid<TAB>score)"),
+        _Option("paths", "weights", str, help="kernel weights file"),
+        _Option("paths", "stopwords", str,
+                help="optional file of words to drop (whitespace separated)"),
+        _Option("paths", "out", str, help="output file, or directory for index build and synth"),
+    )
+}
+
+
 def _load_config(path: str | None) -> dict:
+    """The config file, checked against ``_OPTIONS`` whichever command runs."""
     if path is None:
         return {}
     p = Path(path)
@@ -92,74 +162,31 @@ def _load_config(path: str | None) -> dict:
         raise CommandError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise CommandError(f"config file {p} must hold a JSON object")
+    for section, entries in config.items():
+        keys = [key for known, key in _OPTIONS if known == section]
+        if not keys:
+            raise CommandError(f"unknown config section {section!r}")
+        check_kind(entries, dict, f"config section {section}")
+        for key, value in entries.items():
+            if key not in keys:
+                raise CommandError(f"unknown config key {section}.{key}; {section} takes {keys}")
+            check_kind(value, _OPTIONS[section, key].kind, f"config value {section}.{key}")
     return config
 
 
-_KIND_NAMES = {str: "a string", list: "a list of numbers", float: "a number", int: "an integer"}
-
-
-def _is_kind(value, kind: type) -> bool:
-    if kind is list:
-        return isinstance(value, list) and all(_is_kind(v, float) for v in value)
-    if kind is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is int:
-        return _is_kind(value, float) and (isinstance(value, int) or value.is_integer())
-    return isinstance(value, kind)
-
-
-def _config_value(config: dict, section: str, key: str, default, kind: type):
-    """The config file's ``section.key``, or ``default`` when it is unset.
-
-    Every section must be a JSON object, and a set value a ``kind``: str,
-    list (of numbers), float (any JSON number) or int (an integral number,
-    such as 3 or 3.0).
-    """
-    entries = config.get(section, {})
-    if not isinstance(entries, dict):
-        raise CommandError(f"config section {section} must be a JSON object, got {entries!r}")
-    value = entries.get(key, default)
-    if key in entries and not _is_kind(value, kind):
-        kind_name = _KIND_NAMES[kind]
-        raise CommandError(f"config value {section}.{key} must be {kind_name}, got {value!r}")
-    return value
-
-
-def _cfg(cli_value, config: dict, section: str, key: str, default, kind: type = float):
-    """Resolution order: explicit flag, config file number, built-in default.
-
-    ``kind`` is float, or int for an integer option.
-    """
-    if cli_value is not None:
-        return cli_value
-    return _config_value(config, section, key, default, kind)
-
-
-# flags whose values the config file's "paths" section may preseed
-_PATH_KEYS = (
-    "collection",
-    "queries",
-    "qrels",
-    "clicks",
-    "index",
-    "run",
-    "triples",
-    "splits",
-    "scores",
-    "weights",
-    "stopwords",
-    "query_vectors",
-    "passage_vectors",
-    "query_matrices",
-    "passage_matrices",
-    "out",
-)
-
-
-def _apply_config_paths(args, config: dict) -> None:
-    for key in _PATH_KEYS:
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, _config_value(config, "paths", key, None, str))
+def _resolve(args, config: dict) -> None:
+    """Fill each option of the command from its flag, then the global
+    ``--seed`` (for a seed), then the config, then the table's default."""
+    for option in args.options:
+        value = getattr(args, option.key)
+        if value is None or (value == "" and option.items):
+            value = args.global_seed if option.key == "seed" else None
+        if value is None:
+            value = config.get(option.section, {}).get(option.key)
+            value = option.default if value is None else option.kind(value)
+        if option.items and isinstance(value, str):
+            value = _comma_list(value, option.items)
+        setattr(args, option.key, value)
 
 
 def _arg(args, name: str, what: str) -> str:
@@ -169,14 +196,6 @@ def _arg(args, name: str, what: str) -> str:
             f"missing {what}: pass --{name.replace('_', '-')} or set paths.{name} in the config"
         )
     return value
-
-
-def _seed(args, config: dict, section: str) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if getattr(args, "global_seed", None) is not None:
-        return int(args.global_seed)
-    return int(_config_value(config, section, "seed", 0, int))
 
 
 def _require(path_str: str, what: str) -> Path:
@@ -225,34 +244,6 @@ class _Wrote:
     seed: int | None = None
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise CommandError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part]
-    except ValueError:
-        raise CommandError(f"expected a comma-separated float list, got {text!r}") from None
-
-
-def _kernel_bank(args, config: dict) -> KernelBank:
-    mus = _float_list(args.mus) if getattr(args, "mus", None) else _config_value(
-        config, "kernel_bank", "mus", None, list
-    )
-    sigmas = _float_list(args.sigmas) if getattr(args, "sigmas", None) else _config_value(
-        config, "kernel_bank", "sigmas", None, list
-    )
-    if mus is None and sigmas is None:
-        return KernelBank.default()
-    if mus is None or sigmas is None:
-        raise CommandError("kernel bank needs both centers and widths")
-    return KernelBank(tuple(mus), tuple(sigmas))
-
-
 def _build_scorer(args, inputs: _Inputs):
     """The scorer the flags select; its files are recorded under their flag names."""
     kind = args.scorer
@@ -289,70 +280,62 @@ def _build_scorer(args, inputs: _Inputs):
 # --------------------------------------------------------------------------
 
 
-def _cmd_index_build(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_index_build(args, inputs: _Inputs) -> _Wrote:
     out = Path(_arg(args, "out", "index output directory"))
-    k1 = float(_cfg(args.k1, config, "bm25", "k1", DEFAULT_K1))
-    b = float(_cfg(args.b, config, "bm25", "b", DEFAULT_B))
     # before the collection is read and tokenized, which takes as long as the build
-    InvertedIndex.check_parameters(k1, b)
+    InvertedIndex.check_parameters(args.k1, args.b)
     stopwords: frozenset[str] = frozenset()
     if args.stopwords:
         with TextRecords(inputs.flag("stopwords", "stopword list"), None) as records:
             stopwords = frozenset(word.lower() for words in records for word in words)
     store = load_collection(inputs.flag("collection", "collection"))
-    index = build_index(store, k1=k1, b=b, stopwords=stopwords)
+    index = build_index(store, k1=args.k1, b=args.b, stopwords=stopwords)
     index.save(out)
     return _Wrote(
         out,
         {name: out / name for name in INDEX_FILES},
-        {"k1": k1, "b": b, "stopwords": sorted(stopwords)},
+        {"k1": args.k1, "b": args.b, "stopwords": sorted(stopwords)},
         [f"indexed {index.doc_count} passages -> {out}"],
     )
 
 
-def _cmd_index_search(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_index_search(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "run output path")
     index = InvertedIndex.load(inputs.index())
     queries = load_queries(inputs.flag("queries", "query file"), args.split)
-    k = int(_cfg(args.k, config, "bm25", "k", 500, int))
-    run = batch_search(index, queries, k, run_name=args.run_name)
+    run = batch_search(index, queries, args.k, run_name=args.run_name)
     write_run(run, out)
     return _Wrote(
         out,
         {"run": out},
-        {"k": k, "run_name": args.run_name, "split": args.split},
-        [f"searched {len(run)} queries at k={k} -> {out}"],
+        {"k": args.k, "run_name": args.run_name, "split": args.split},
+        [f"searched {len(run)} queries at k={args.k} -> {out}"],
     )
 
 
-def _cmd_qrels_build(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_qrels_build(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "qrels output path")
     clicks = load_clicks(inputs.flag("clicks", "click log"))
-    thresholds = (
-        _float_list(args.thresholds)
-        if args.thresholds
-        else _config_value(config, "qrels", "thresholds", list(DEFAULT_CTR_THRESHOLDS), list)
-    )
-    qrels = build_qrels_from_clicks(clicks, args.mode, thresholds)
+    qrels = build_qrels_from_clicks(clicks, args.mode, args.thresholds)
     write_qrels(qrels, out)
     return _Wrote(
         out,
         {"qrels": out},
-        {"mode": args.mode, "thresholds": list(thresholds)},
+        {"mode": args.mode, "thresholds": list(args.thresholds)},
         [f"wrote {len(qrels)} judgments for {len(qrels.query_ids)} queries -> {out}"],
     )
 
 
-def _cmd_triples_generate(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_triples_generate(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "triple output path")
     index = InvertedIndex.load(inputs.index())
     queries = load_queries(inputs.flag("queries", "query file"), args.split)
     qrels = load_qrels(inputs.flag("qrels", "qrels"))
     sampling = SamplingConfig(
-        candidate_depth=int(_cfg(args.depth, config, "sampling", "depth", 500, int)),
-        max_negatives_per_positive=int(_cfg(args.max_neg, config, "sampling", "max_neg", 20, int)),
-        triple_cap=int(_cfg(args.cap, config, "sampling", "cap", 10_000_000, int)),
-        seed=_seed(args, config, "sampling"),
+        candidate_depth=args.depth,
+        max_negatives_per_positive=args.max_neg,
+        triple_cap=args.cap,
+        seed=args.seed,
         legacy_mode=bool(args.legacy_mode),
     )
     report = generate_triples(queries, qrels, index, sampling)
@@ -377,7 +360,7 @@ def _cmd_triples_generate(args, config: dict, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_triples_text(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_triples_text(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "text triple output path")
     triples = read_triples(inputs.flag("triples", "triple file"))
     store = load_collection(inputs.flag("collection", "collection"))
@@ -397,64 +380,62 @@ def _dropped(first_stage: RankedRun, depth: int, kept) -> int:
     return offered - sum(len(entries) for entries in kept.values())
 
 
-def _cmd_rerank(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_rerank(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "run output path")
     scorer = _build_scorer(args, inputs)
     first_stage = read_run(inputs.flag("run", "run file"))
-    depth = int(_cfg(args.depth, config, "rerank", "depth", 200, int))
     reranked = rerank(
-        first_stage, depth, scorer, on_missing=args.on_missing, run_name=args.run_name
+        first_stage, args.depth, scorer, on_missing=args.on_missing, run_name=args.run_name
     )
     write_run(reranked, out)
-    dropped = _dropped(first_stage, depth, reranked.results)
+    dropped = _dropped(first_stage, args.depth, reranked.results)
     return _Wrote(
         out,
         {"run": out},
         {
-            "depth": depth,
+            "depth": args.depth,
             "scorer": args.scorer,
             "on_missing": args.on_missing,
             "similarity": getattr(scorer, "similarity", None),
         },
         [
-            f"re-ranked {len(reranked)} queries at depth {depth} "
+            f"re-ranked {len(reranked)} queries at depth {args.depth} "
             f"(dropped {dropped} candidates the scorer could not score) -> {out}"
         ],
     )
 
 
-def _cmd_dense_retrieve(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_dense_retrieve(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "run output path")
     query_vectors = load_vectors(inputs.flag("query_vectors", "query vectors"))
     passage_vectors = load_vectors(inputs.flag("passage_vectors", "passage vectors"))
     check_dims(query_vectors, passage_vectors, "vectors")
-    k = int(_cfg(args.k, config, "dense", "k", 1000, int))
     run = RankedRun(name=args.run_name, stage="dense-retrieval")
     for qid in sorted(query_vectors.ids):
         run.results[qid] = dense_retrieve(
-            passage_vectors, query_vectors.vector(qid), k, similarity=args.similarity
+            passage_vectors, query_vectors.vector(qid), args.k, similarity=args.similarity
         )
     write_run(run, out)
     return _Wrote(
         out,
         {"run": out},
-        {"k": k, "run_name": args.run_name, "similarity": args.similarity},
-        [f"retrieved top-{k} for {len(run)} queries -> {out}"],
+        {"k": args.k, "run_name": args.run_name, "similarity": args.similarity},
+        [f"retrieved top-{args.k} for {len(run)} queries -> {out}"],
     )
 
 
-def _cmd_train_kernel(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_train_kernel(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "weights output path")
     triples = read_triples(inputs.flag("triples", "triple file"))
     query_matrices = load_token_matrices(inputs.flag("query_matrices", "query matrices"))
     passage_matrices = load_token_matrices(inputs.flag("passage_matrices", "passage matrices"))
-    bank = _kernel_bank(args, config)
-    hyper = {
-        "lr": float(_cfg(args.lr, config, "train", "lr", 0.01)),
-        "epochs": int(_cfg(args.epochs, config, "train", "epochs", 100, int)),
-        "margin": float(_cfg(args.margin, config, "train", "margin", 1.0)),
-        "seed": _seed(args, config, "train"),
-    }
+    if args.mus is None and args.sigmas is None:
+        bank = KernelBank.default()
+    elif args.mus is None or args.sigmas is None:
+        raise CommandError("kernel bank needs both centers and widths")
+    else:
+        bank = KernelBank(tuple(args.mus), tuple(args.sigmas))
+    hyper = {"lr": args.lr, "epochs": args.epochs, "margin": args.margin, "seed": args.seed}
     weights, telemetry = train_kernel_weights(
         triples, query_matrices, passage_matrices, bank, **hyper
     )
@@ -478,16 +459,12 @@ def _cmd_train_kernel(args, config: dict, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_eval(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_eval(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "report output path")
     run = read_run(inputs.flag("run", "run file"))
     qrels = load_qrels(inputs.flag("qrels", "qrels"))
     split_map = load_splits(inputs.flag("splits", "splits file")) if args.splits else None
-    cutoffs = _int_list(
-        args.cutoffs
-        if args.cutoffs
-        else _config_value(config, "eval", "cutoffs", "10,100,200,1000", str)
-    )
+    cutoffs = args.cutoffs
     if not cutoffs:
         raise CommandError("need at least one cutoff")
     if len(cutoffs) == 1:
@@ -516,7 +493,7 @@ def _cmd_eval(args, config: dict, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_fuse(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_fuse(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "run output path")
     runs = [read_run(inputs.add(f"run_{i}", p, "run file")) for i, p in enumerate(args.runs)]
     fused = fuse_runs(runs, method=args.method, rrf_k=args.rrf_k, run_name=args.run_name)
@@ -530,9 +507,9 @@ def _cmd_fuse(args, config: dict, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_sweep(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_sweep(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "table output path")
-    depths = check_depths(_int_list(args.depths))
+    depths = check_depths(_comma_list(args.depths, int))
     scorer = _build_scorer(args, inputs)
     first_stage = read_run(inputs.flag("run", "run file"))
     qrels = load_qrels(inputs.flag("qrels", "qrels"))
@@ -560,14 +537,14 @@ def _cmd_sweep(args, config: dict, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_synth(args, config: dict, inputs: _Inputs) -> _Wrote:
+def _cmd_synth(args, inputs: _Inputs) -> _Wrote:
     out = _arg(args, "out", "fixture output directory")
     spec = FixtureSpec(
         n_passages=args.passages,
         n_queries=args.queries,
         dim=args.dim,
         term_dim=args.term_dim,
-        seed=_seed(args, config, "synth"),
+        seed=args.seed,
     )
     fixture = generate_fixture(spec)
     paths = fixture.write(out)
@@ -590,6 +567,19 @@ def _cmd_synth(args, config: dict, inputs: _Inputs) -> _Wrote:
 # --------------------------------------------------------------------------
 
 
+def _add_options(parser: argparse.ArgumentParser, section: str, *keys: str) -> None:
+    """Add ``--KEY`` for each named option of ``section``; ``main`` fills the
+    ones the command line leaves unset."""
+    options = [_OPTIONS[section, key] for key in keys]
+    for option in options:
+        parser.add_argument(
+            "--" + option.key.replace("_", "-"),
+            type=option.kind if option.kind in (int, float) else None,
+            help=option.help,
+        )
+    parser.set_defaults(options=(parser.get_default("options") or []) + options)
+
+
 def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scorer",
@@ -597,12 +587,8 @@ def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
         choices=["dense", "colbert", "kernel", "scores", "oracle"],
         help="scoring head to apply",
     )
-    parser.add_argument("--query-vectors")
-    parser.add_argument("--passage-vectors")
-    parser.add_argument("--query-matrices")
-    parser.add_argument("--passage-matrices")
-    parser.add_argument("--weights", help="kernel weights file")
-    parser.add_argument("--scores", help="external score file (qid<TAB>pid<TAB>score)")
+    _add_options(parser, "paths", "query_vectors", "passage_vectors", "weights", "scores")
+    _add_options(parser, "paths", "query_matrices", "passage_matrices")
     parser.add_argument("--on-missing", choices=["error", "skip"], default="error")
     parser.add_argument(
         "--similarity",
@@ -626,17 +612,12 @@ def build_parser() -> argparse.ArgumentParser:
     index = sub.add_parser("index", help="build or query the BM25 index")
     index_sub = index.add_subparsers(dest="subcommand", required=True)
     p = index_sub.add_parser("build", help="tokenize a collection and build the index")
-    p.add_argument("--collection")
-    p.add_argument("--out", help="index output directory")
-    p.add_argument("--k1", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--stopwords", help="optional file of words to drop (whitespace separated)")
+    _add_options(p, "paths", "collection", "out", "stopwords")
+    _add_options(p, "bm25", "k1", "b")
     p.set_defaults(handler=_cmd_index_build)
     p = index_sub.add_parser("search", help="retrieve top-k candidates for each query")
-    p.add_argument("--index")
-    p.add_argument("--queries")
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
+    _add_options(p, "paths", "index", "queries", "out")
+    _add_options(p, "bm25", "k")
     p.add_argument("--run-name", default="bm25")
     p.add_argument("--split", default="train", help="split tag for the query file")
     p.set_defaults(handler=_cmd_index_search)
@@ -644,23 +625,16 @@ def build_parser() -> argparse.ArgumentParser:
     qrels = sub.add_parser("qrels", help="derive qrels from click logs")
     qrels_sub = qrels.add_subparsers(dest="subcommand", required=True)
     p = qrels_sub.add_parser("build", help="grade (query, passage) pairs from clicks")
-    p.add_argument("--clicks")
+    _add_options(p, "paths", "clicks", "out")
     p.add_argument("--mode", choices=["raw", "dctr"], default="dctr")
-    p.add_argument("--thresholds", help="comma-separated ascending rates, e.g. 0.1,0.3")
-    p.add_argument("--out")
+    _add_options(p, "qrels", "thresholds")
     p.set_defaults(handler=_cmd_qrels_build)
 
     triples = sub.add_parser("triples", help="training-triple generation")
     triples_sub = triples.add_subparsers(dest="subcommand", required=True)
     p = triples_sub.add_parser("generate", help="sample negatives and emit id triples")
-    p.add_argument("--index")
-    p.add_argument("--queries")
-    p.add_argument("--qrels")
-    p.add_argument("--out")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--max-neg", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--seed", type=int)
+    _add_options(p, "paths", "index", "queries", "qrels", "out")
+    _add_options(p, "sampling", "depth", "max_neg", "cap", "seed")
     p.add_argument("--split", default="train")
     p.add_argument(
         "--legacy-mode",
@@ -669,29 +643,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_triples_generate)
     p = triples_sub.add_parser("text", help="materialize id triples as text triples")
-    p.add_argument("--triples")
-    p.add_argument("--collection")
-    p.add_argument("--queries")
-    p.add_argument("--out")
+    _add_options(p, "paths", "triples", "collection", "queries", "out")
     p.add_argument("--split", default="train")
     p.set_defaults(handler=_cmd_triples_text)
 
     p = sub.add_parser("rerank", help="rescore the top candidates of a run")
-    p.add_argument("--run")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--out")
+    _add_options(p, "paths", "run", "out", "qrels")
+    _add_options(p, "rerank", "depth")
     p.add_argument("--run-name")
-    p.add_argument("--qrels", help="for --scorer oracle")
     _add_scorer_flags(p)
     p.set_defaults(handler=_cmd_rerank)
 
     dense = sub.add_parser("dense", help="dense retrieval over the full collection")
     dense_sub = dense.add_subparsers(dest="subcommand", required=True)
     p = dense_sub.add_parser("retrieve", help="exact top-k scan of the vector store")
-    p.add_argument("--query-vectors")
-    p.add_argument("--passage-vectors")
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
+    _add_options(p, "paths", "query_vectors", "passage_vectors", "out")
+    _add_options(p, "dense", "k")
     p.add_argument("--run-name", default="dense")
     p.add_argument("--similarity", choices=["dot", "cosine"], default="dot")
     p.set_defaults(handler=_cmd_dense_retrieve)
@@ -699,26 +666,16 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train scoring heads")
     train_sub = train.add_subparsers(dest="subcommand", required=True)
     p = train_sub.add_parser("kernel", help="fit the kernel-feature linear layer")
-    p.add_argument("--triples")
-    p.add_argument("--query-matrices")
-    p.add_argument("--passage-matrices")
-    p.add_argument("--out")
+    _add_options(p, "paths", "triples", "query_matrices", "passage_matrices", "out")
     p.add_argument("--telemetry", help="optional JSON telemetry output")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mus", help="comma-separated kernel centers")
-    p.add_argument("--sigmas", help="comma-separated kernel widths")
+    _add_options(p, "train", "lr", "epochs", "margin", "seed")
+    _add_options(p, "kernel_bank", "mus", "sigmas")
     p.set_defaults(handler=_cmd_train_kernel)
 
     p = sub.add_parser("eval", help="score a run against qrels")
-    p.add_argument("--run")
-    p.add_argument("--qrels")
-    p.add_argument("--splits", help="query_id<TAB>split file")
-    p.add_argument("--cutoffs", help="rank cutoff then recall cutoffs, e.g. 10,100,200,1000")
+    _add_options(p, "paths", "run", "qrels", "splits", "out")
+    _add_options(p, "eval", "cutoffs")
     p.add_argument("--zero-positive", choices=["exclude", "zero"], default="exclude")
-    p.add_argument("--out")
     p.add_argument("--json", help="optional JSON report path")
     p.set_defaults(handler=_cmd_eval)
 
@@ -727,24 +684,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["minmax", "rrf"], default="minmax")
     p.add_argument("--rrf-k", type=int, default=60)
     p.add_argument("--run-name", default="fused")
-    p.add_argument("--out")
+    _add_options(p, "paths", "out")
     p.set_defaults(handler=_cmd_fuse)
 
     p = sub.add_parser("sweep", help="re-ranking depth robustness table")
-    p.add_argument("--run")
-    p.add_argument("--qrels")
+    _add_options(p, "paths", "run", "qrels", "out")
     p.add_argument("--depths", default="50,100,200,500")
-    p.add_argument("--out")
     _add_scorer_flags(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic fixture")
-    p.add_argument("--out")
-    p.add_argument("--passages", type=int, default=1000)
-    p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--term-dim", type=int, default=32)
-    p.add_argument("--seed", type=int)
+    _add_options(p, "paths", "out")
+    p.add_argument("--passages", type=int, default=FixtureSpec.n_passages)
+    p.add_argument("--queries", type=int, default=FixtureSpec.n_queries)
+    p.add_argument("--dim", type=int, default=FixtureSpec.dim)
+    p.add_argument("--term-dim", type=int, default=FixtureSpec.term_dim)
+    _add_options(p, "synth", "seed")
     p.set_defaults(handler=_cmd_synth)
 
     return parser
@@ -756,9 +711,8 @@ def main(argv: list[str] | None = None) -> int:
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     inputs = _Inputs(args)
     try:
-        config = _load_config(args.config)
-        _apply_config_paths(args, config)
-        wrote = args.handler(args, config, inputs)
+        _resolve(args, _load_config(args.config))
+        wrote = args.handler(args, inputs)
         write_manifest(
             manifest_path_for(wrote.out),
             command,
@@ -768,7 +722,9 @@ def main(argv: list[str] | None = None) -> int:
             wrote.outputs,
         )
     except (CommandError, MissingEmbeddingError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     for line in wrote.summary:
         print(line)

@@ -6,7 +6,8 @@ digests of the produced outputs. No timestamps, so identical reruns produce
 identical manifests. Every artifact the package writes, manifests
 included, goes through :func:`atomic_write`, so a reader never sees one
 partly written, and every text input is read through :class:`TextRecords`,
-so one set of line rules and one error form hold for all of them.
+so one set of line rules and one error form hold for all of them. JSON
+settings (config values, an index header) are checked by :func:`check_kind`.
 """
 
 from __future__ import annotations
@@ -92,6 +93,30 @@ class TextRecords:
                 if columns is not None:
                     raise ValueError(expected)
             yield fields
+
+
+_KIND_NAMES = {
+    dict: "a JSON object", str: "a string", list: "a list of numbers", float: "a number",
+    int: "an integer",
+}
+
+
+def _is_kind(value, kind: type) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(_is_kind(v, float) for v in value)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return _is_kind(value, float) and (isinstance(value, int) or value.is_integer())
+    return isinstance(value, kind)
+
+
+def check_kind(value, kind: type, what: str) -> None:
+    """Raise ``{what} must be {kind}, got {value!r}`` unless the JSON value is
+    a ``kind``: dict (an object), str, list (of numbers), float (any number)
+    or int (an integral number, such as 3 or 3.0)."""
+    if not _is_kind(value, kind):
+        raise ValueError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def finite(text: str, what: str) -> float:

@@ -68,19 +68,21 @@ def write_run(run: RankedRun, path: str | Path) -> None:
                 f.write(f"{qid} Q0 {pid} {rank} {float(score)!r} {run.name}\n")
 
 
-def read_run(path: str | Path, name: str | None = None) -> RankedRun:
-    """Read a TREC run file.
+def read_run(path: str | Path) -> RankedRun:
+    """Read a TREC run file, which holds one run: every line names the same run.
 
     Entries are re-canonicalized (score desc, passage id asc), so the result
     is independent of the file's line order. A score that is not a finite
     number (``nan``, ``inf``) is rejected: NaN has no place in that order.
     """
     per_query: dict[str, list[tuple[str, float]]] = {}
-    run_name = name
+    run_name = None
     with TextRecords(path, 6, "expected 'qid Q0 pid rank score run'") as records:
-        for qid, _, pid, _, score_s, file_run_name in records:
-            if run_name is None:
-                run_name = file_run_name
+        for qid, _, pid, _, score_s, tag in records:
+            if tag != run_name:
+                if run_name is not None:
+                    raise ValueError(f"run {tag!r} after run {run_name!r}; a file holds one run")
+                run_name = tag
             per_query.setdefault(qid, []).append((pid, finite(score_s, "score")))
     run = RankedRun(name=run_name or "run", stage="loaded")
     try:

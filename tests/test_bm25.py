@@ -337,6 +337,16 @@ def _corrupt_json(name, edit):
     return corrupt
 
 
+def _overwrite(name, text):
+    def corrupt(directory):
+        (directory / name).write_text(text)
+    return corrupt
+
+
+def _without(key):
+    return _corrupt_json("meta.json", lambda meta: {k: v for k, v in meta.items() if k != key})
+
+
 def _set(values, i, v):
     values[i] = v
     return values
@@ -372,13 +382,24 @@ class TestLoadValidation:
             (_corrupt_json("terms.json", lambda terms: {"terms": terms}), "terms.json"),
             (_corrupt_json("meta.json", lambda meta: {**meta, "doc_count": 4}), "meta.json"),
             (_corrupt_json("meta.json", lambda meta: {**meta, "avg_doc_length": 2.0}), "meta.json"),
+            (_corrupt_json("meta.json", lambda meta: [meta]), "meta.json"),
+            (_corrupt_json("meta.json", lambda meta: {**meta, "b": None}), "meta.json"),
+            (_corrupt_json("meta.json", lambda meta: {**meta, "k1": "0.9"}), "meta.json"),
+            (_corrupt_json("meta.json", lambda meta: {**meta, "stopwords": 5}), "meta.json"),
+            (_corrupt_json("meta.json", lambda meta: {**meta, "stopwords": "the"}), "meta.json"),
+            (_without("k1"), "meta.json"),
+            (_without("doc_count"), "meta.json"),
+            (_overwrite("meta.json", '{"format": \n'), "meta.json"),
+            (_overwrite("ids.json", '["d1",\n'), "ids.json"),
         ],
         ids=[
             "offsets-not-monotone", "offsets-not-from-0", "offsets-not-to-end", "offsets-short",
             "offsets-dtype", "doc-out-of-range", "doc-negative", "doc-not-increasing",
             "tf-zero", "tf-short", "lengths-short", "ids-short", "ids-descending",
             "ids-duplicate", "terms-short", "terms-duplicate", "terms-not-a-list",
-            "meta-doc-count", "meta-avg-doc-length",
+            "meta-doc-count", "meta-avg-doc-length", "meta-a-list", "meta-b-null",
+            "meta-k1-string", "meta-stopwords-number", "meta-stopwords-string", "meta-k1-missing",
+            "meta-doc-count-missing", "meta-not-json", "ids-not-json",
         ],
     )
     def test_corruption_named(self, tmp_path, corrupt, named):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from clickrank.bm25 import INDEX_FILES
-from clickrank.cli import main
+from clickrank.cli import _OPTIONS, main
 from clickrank.embeddings import load_vectors
 from clickrank.manifest import manifest_path_for
 
@@ -341,24 +343,47 @@ class TestErrorHandling:
         assert not out.exists() and not (tmp_path / "telemetry.json").exists()
 
     def test_corrupt_index_is_one_error_line(self, fixture_dir, tmp_path, capsys):
-        index_dir = tmp_path / "index"
-        assert main(
-            ["index", "build", "--collection", str(fixture_dir / "collection.tsv"),
-             "--out", str(index_dir)]
-        ) == 0
-        blob = bytearray((index_dir / "postings_tf.npy").read_bytes())
-        blob[-4:] = bytes(4)  # the last term frequency becomes 0
-        (index_dir / "postings_tf.npy").write_bytes(bytes(blob))
-        capsys.readouterr()
+        for name in ("postings_tf.npy", "meta.json"):
+            index_dir = tmp_path / name / "index"
+            assert main(
+                ["index", "build", "--collection", str(fixture_dir / "collection.tsv"),
+                 "--out", str(index_dir)]
+            ) == 0
+            # the last term frequency becomes 0; the header loses its closing brace
+            blob = (index_dir / name).read_bytes()
+            blob = blob[:-4] + bytes(4) if name.endswith(".npy") else blob[:-2]
+            (index_dir / name).write_bytes(blob)
+            capsys.readouterr()
+            run = tmp_path / name / "run.trec"
+            code = main(
+                ["index", "search", "--index", str(index_dir),
+                 "--queries", str(fixture_dir / "queries.tsv"), "--out", str(run)]
+            )
+            assert code == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {index_dir / name}:")
+            assert not run.exists()
+
+    @pytest.mark.parametrize(
+        "triple, message",
+        [
+            ("q00000\tp000000\tpXXX\n", "unknown passage id 'pXXX'"),
+            ("qXXX\tp000000\tp000001\n", "unknown query id 'qXXX'"),
+        ],
+        ids=["passage", "query"],
+    )
+    def test_unknown_id_is_named_without_quotes(
+        self, fixture_dir, tmp_path, capsys, triple, message
+    ):
+        triples = tmp_path / "triples.tsv"
+        triples.write_text(triple)
         code = main(
-            ["index", "search", "--index", str(index_dir),
-             "--queries", str(fixture_dir / "queries.tsv"), "--out", str(tmp_path / "run.trec")]
+            ["triples", "text", "--triples", str(triples),
+             "--collection", str(fixture_dir / "collection.tsv"),
+             "--queries", str(fixture_dir / "queries.tsv"), "--out", str(tmp_path / "text.tsv")]
         )
         assert code == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "postings_tf.npy" in lines[0]
-        assert not (tmp_path / "run.trec").exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "command, named",
@@ -980,6 +1005,9 @@ class TestMalformedInputs:
             (["eval", "--run", "{bad}", "--qrels", "{fx}/qrels.trec"],
              "q1 Q0 p1 1 2.0 r\nq1 Q0 p2 2 1.0 r\nq1 Q0 p1 3 0.5 r\n",
              "line 3: duplicate passage 'p1' for query 'q1'"),
+            (["eval", "--run", "{bad}", "--qrels", "{fx}/qrels.trec"],
+             "q1 Q0 p1 1 2.0 bm25\nq2 Q0 p2 1 1.0 dense\n",
+             "line 2: run 'dense' after run 'bm25'; a file holds one run"),
             (["qrels", "build", "--clicks", "{bad}"], "q0\tp0\t3\n",
              "line 1: expected 4 tab-separated columns"),
             (["qrels", "build", "--clicks", "{bad}"], "q0\tp0\t3\tx\n", "line 1: non-integer counts"),
@@ -998,7 +1026,8 @@ class TestMalformedInputs:
             "clicks-spaced-query-id", "clicks-spaced-passage-id", "triples-spaced-id",
             "splits-spaced-id", "scores-columns", "scores-spaced-id", "scores-repeated-pair",
             "qrels-repeated-pair", "qrels-non-integer-grade", "splits-columns", "run-columns",
-            "run-duplicate-passage", "clicks-columns", "clicks-non-integer-counts", "triples-columns",
+            "run-duplicate-passage", "run-two-names", "clicks-columns", "clicks-non-integer-counts",
+            "triples-columns",
             "collection-empty-id", "qrels-not-utf8", "collection-not-utf8", "stopwords-not-utf8",
         ],
     )
@@ -1125,3 +1154,184 @@ class TestMalformedInputs:
         assert code == 1
         assert capsys.readouterr().err == "error: run 'run' has no queries to sweep\n"
         assert not out.exists()
+
+
+# For each setting in the option table: the command that reads it (its other
+# inputs given as flags), a config value, a flag value, and what the manifest
+# records from each.
+_SETTINGS = {
+    ("bm25", "k1"): (["index", "build", "--collection", "{fx}/collection.tsv"], 1.1, "0.7", 1.1, 0.7),
+    ("bm25", "b"): (["index", "build", "--collection", "{fx}/collection.tsv"], 0.5, "0.3", 0.5, 0.3),
+    ("bm25", "k"): (["index", "search", "--index", "{work}/index", "--queries", "{fx}/queries.tsv"],
+                    7, "9", 7, 9),
+    ("qrels", "thresholds"): (["qrels", "build", "--clicks", "{fx}/clicks.tsv"],
+                              [0.2, 1], "0.15,0.5", [0.2, 1], [0.15, 0.5]),
+    **{
+        ("sampling", key): (
+            ["triples", "generate", "--index", "{work}/index", "--queries", "{fx}/queries.tsv",
+             "--qrels", "{fx}/qrels.trec"],
+            config, flag, int(config), int(flag),
+        )
+        for key, config, flag in (
+            ("depth", 20.0, "25"), ("max_neg", 2, "4"), ("cap", 40, "60"), ("seed", 3.0, "4")
+        )
+    },
+    ("rerank", "depth"): (["rerank", "--run", "{work}/bm25.trec", "--scorer", "oracle",
+                           "--qrels", "{fx}/qrels.trec"], 5, "7", 5, 7),
+    ("dense", "k"): (["dense", "retrieve", *_VECTORS], 5, "7", 5, 7),
+    **{
+        ("train", key): (
+            ["train", "kernel", "--triples", "{work}/triples.tsv", *_MATRICES,
+             *(["--epochs", "1"] if key != "epochs" else [])],
+            config, flag, config, type(config)(flag),
+        )
+        for key, config, flag in (
+            ("lr", 0.02, "0.05"), ("epochs", 2, "3"), ("margin", 0.5, "1.5"), ("seed", 3, "4")
+        )
+    },
+    ("kernel_bank", "mus"): (
+        ["train", "kernel", "--triples", "{work}/triples.tsv", *_MATRICES, "--epochs", "1",
+         "--sigmas", "0.001,0.1"],
+        [1, 0.5], "1.0,0.2", [1, 0.5], [1.0, 0.2],
+    ),
+    ("kernel_bank", "sigmas"): (
+        ["train", "kernel", "--triples", "{work}/triples.tsv", *_MATRICES, "--epochs", "1",
+         "--mus", "1.0,0.5"],
+        [0.001, 0.2], "0.001,0.3", [0.001, 0.2], [0.001, 0.3],
+    ),
+    ("eval", "cutoffs"): (["eval", "--run", "{work}/bm25.trec", "--qrels", "{fx}/qrels.trec"],
+                          "5,50,100", "10,20", [5, 50, 100], [10, 20]),
+    ("synth", "seed"): (["synth", "--passages", "20", "--queries", "3"], 3, "4", 3, 4),
+}
+# For each path: the command that reads it (its other inputs given as flags)
+# and the file it names, copied once for the config and once for the flag.
+_PATHS = {
+    "collection": (["index", "build"], "{fx}/collection.tsv"),
+    "stopwords": (["index", "build", "--collection", "{fx}/collection.tsv"], "{work}/stop.txt"),
+    "index": (["index", "search", "--queries", "{fx}/queries.tsv", "--k", "5"], "{work}/index"),
+    "queries": (["index", "search", "--index", "{work}/index", "--k", "5"], "{fx}/queries.tsv"),
+    "clicks": (["qrels", "build"], "{fx}/clicks.tsv"),
+    "qrels": (["eval", "--run", "{work}/bm25.trec"], "{fx}/qrels.trec"),
+    "run": (["eval", "--qrels", "{fx}/qrels.trec"], "{work}/bm25.trec"),
+    "splits": (["eval", "--run", "{work}/bm25.trec", "--qrels", "{fx}/qrels.trec"], "{fx}/splits.tsv"),
+    "triples": (["train", "kernel", *_MATRICES, "--epochs", "1"], "{work}/triples.tsv"),
+    "weights": (["rerank", "--run", "{work}/bm25.trec", "--scorer", "kernel", "--depth", "5",
+                 *_MATRICES], "{work}/weights.txt"),
+    "scores": (["rerank", "--run", "{work}/bm25.trec", "--scorer", "scores"], "{work}/scores.tsv"),
+    "query_vectors": (["dense", "retrieve", *_VECTORS[2:], "--k", "5"], "{fx}/query_vectors.tkv"),
+    "passage_vectors": (["dense", "retrieve", *_VECTORS[:2], "--k", "5"], "{fx}/passage_vectors.tkv"),
+    "query_matrices": (["rerank", "--run", "{work}/bm25.trec", "--scorer", "colbert", "--depth", "5",
+                        *_MATRICES[2:]], "{fx}/query_matrices.tkm"),
+    "passage_matrices": (["rerank", "--run", "{work}/bm25.trec", "--scorer", "colbert",
+                          "--depth", "5", *_MATRICES[:2]], "{fx}/passage_matrices.tkm"),
+    "out": (["synth", "--passages", "20", "--queries", "3"], None),
+}
+
+
+class TestOptionTable:
+    """Every option of ``cli._OPTIONS`` reads its config key and loses to its
+    flag; the whole config is checked whichever command runs."""
+
+    @pytest.mark.parametrize(
+        "section, key", sorted(_OPTIONS), ids=[".".join(option) for option in sorted(_OPTIONS)]
+    )
+    def test_config_value_reaches_the_manifest_and_the_flag_overrides_it(
+        self, fixture_dir, work, tmp_path, section, key
+    ):
+        if section == "paths":
+            argv, source = _PATHS[key]
+            source = source and Path(source.format(fx=fixture_dir, work=work))
+            expected = []
+            for tag in ("config", "flag"):
+                path = tmp_path / tag / (source.name if source else "out")
+                path.parent.mkdir()
+                if source:
+                    (shutil.copytree if source.is_dir() else shutil.copy)(source, path)
+                expected.append(path.resolve())
+            config, flag = map(str, expected)
+        else:
+            argv, config, flag, *expected = _SETTINGS[section, key]
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({section: {key: config}}))
+        argv = ["--config", str(conf), *(a.format(fx=fixture_dir, work=work) for a in argv)]
+        recorded = []
+        for i, extra in enumerate(([], [f"--{key.replace('_', '-')}", flag])):
+            if key == "out":
+                out = Path(extra[1] if extra else config)
+                assert main(argv + extra) == 0
+            else:
+                out = tmp_path / f"out{i}"
+                assert main(argv + ["--out", str(out)] + extra) == 0
+            manifest_path = manifest_path_for(out)
+            manifest = json.loads(manifest_path.read_text())  # where the command wrote it
+            if key == "out":
+                recorded.append(manifest_path.parent.resolve())
+            elif section == "paths":
+                entry = manifest["inputs"]["index_meta" if key == "index" else key]
+                path = (manifest_path.parent / entry["path"]).resolve()
+                recorded.append(path.parent if key == "index" else path)
+            else:
+                recorded.append(manifest["seed"] if key == "seed" else manifest["config"][key])
+        assert recorded == expected
+
+    @pytest.mark.parametrize("section", ["sampling", "train", "synth"])
+    def test_global_seed_sits_between_the_flag_and_the_config(
+        self, fixture_dir, work, tmp_path, section
+    ):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({section: {"seed": 3}}))
+        argv = [a.format(fx=fixture_dir, work=work) for a in _SETTINGS[section, "seed"][0]]
+        seeds = []
+        for i, (before, after) in enumerate(
+            (([], []), (["--seed", "5"], []), (["--seed", "5"], ["--seed", "7"]))
+        ):
+            out = tmp_path / f"out{i}"
+            assert main(["--config", str(conf), *before, *argv, *after, "--out", str(out)]) == 0
+            seeds.append(json.loads(manifest_path_for(out).read_text())["seed"])
+        assert seeds == [3, 5, 7]
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"bm52": {"k1": 1.0}}, "unknown config section 'bm52'"),
+            ({"bm25": {"k_1": 3.0}}, "unknown config key bm25.k_1; bm25 takes ['k1', 'b', 'k']"),
+            ({"paths": {"telemetry": "t.json"}}, "unknown config key paths.telemetry; paths takes"),
+        ],
+        ids=["section", "bm25-k_1", "paths-telemetry"],
+    )
+    def test_unknown_section_or_key_is_one_error_line(
+        self, fixture_dir, tmp_path, capsys, config, named
+    ):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        out = tmp_path / "index"
+        code = main(
+            ["--config", str(conf), "index", "build",
+             "--collection", str(fixture_dir / "collection.tsv"), "--out", str(out)]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {named}")
+        assert not out.exists()
+
+    def test_wrong_kind_in_a_section_the_command_does_not_read_is_rejected(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        # index build reads only bm25 and paths; the whole file is checked all the same
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"bm25": {"k1": 1.2}, "train": {"epochs": "many"}}))
+        out = tmp_path / "index"
+        code = main(
+            ["--config", str(conf), "index", "build",
+             "--collection", str(fixture_dir / "collection.tsv"), "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: config value train.epochs must be an integer, got 'many'\n"
+        )
+        assert not out.exists()
+
+    def test_readme_lists_exactly_the_table(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        listed = re.findall(r"^\| `(\w+)\.(\w+)` \|", readme.read_text(), re.MULTILINE)
+        assert sorted(listed) == sorted(_OPTIONS)
