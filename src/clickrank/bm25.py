@@ -49,13 +49,35 @@ INDEX_FILES = ("ids.json", "terms.json", *(f"{name}.npy" for name in _ARRAYS), "
 # tokens after which ``build_index`` ends a block of passages (1 MiB of int64 keys)
 _BLOCK_TOKENS = 1 << 17
 
+# passages ``build_index`` tokenizes with one pass of str methods
+_CHUNK_PASSAGES = 1024
+
 # Maximal runs of alphanumeric characters; underscore is a separator too.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# every ASCII character but a letter, a digit or LF, to a space
+_SEPARATORS = {c: " " for c in range(128) if not chr(c).isalnum() and c != ord("\n")}
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric character. No stemming."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def _token_lists(texts: list[str]) -> Iterator[list[str]]:
+    """``tokenize`` of each text, ``_CHUNK_PASSAGES`` texts at a time.
+
+    A chunk joined by LF that is ASCII and holds no other LF is lowercased,
+    translated and split once: on ASCII, ``lower`` maps only A-Z and the
+    regex's alphanumerics are [a-z0-9]. Any other chunk goes text by text.
+    """
+    for start in range(0, len(texts), _CHUNK_PASSAGES):
+        chunk = texts[start : start + _CHUNK_PASSAGES]
+        joined = "\n".join(chunk)
+        if joined.isascii() and joined.count("\n") == len(chunk) - 1:
+            yield from map(str.split, joined.lower().translate(_SEPARATORS).split("\n"))
+        else:
+            yield from map(tokenize, chunk)
 
 
 class _Postings(Mapping):
@@ -127,10 +149,11 @@ class InvertedIndex:
 
     @staticmethod
     def check_parameters(k1: float, b: float) -> None:
-        """Reject a ``k1`` below 0 or a ``b`` outside [0, 1], NaN included."""
+        """Reject a ``k1`` that is not a finite number >= 0 or a ``b``
+        outside [0, 1], NaN included."""
         # written so that NaN fails both checks
-        if not k1 >= 0:
-            raise ValueError(f"BM25 k1 must be >= 0, got {k1!r}")
+        if not 0 <= k1 < math.inf:
+            raise ValueError(f"BM25 k1 must be >= 0 and finite, got {k1!r}")
         if not 0 <= b <= 1:
             raise ValueError(f"BM25 b must be in [0, 1], got {b!r}")
 
@@ -351,7 +374,7 @@ def build_index(
     b: float = DEFAULT_B,
     stopwords: frozenset[str] = frozenset(),
 ) -> InvertedIndex:
-    """Tokenize every passage and build the inverted index.
+    """Tokenize every passage (``_token_lists``) and build the inverted index.
 
     Stopwords (if any) are dropped from passages here and from queries at
     search time; they do not contribute to document lengths. A block of
@@ -367,8 +390,7 @@ def build_index(
     block = array("q")  # term numbers of the block's tokens
     blocks: list[tuple[np.ndarray, ...]] = []  # (document, term, frequency) postings
     first = 0  # document number of the block's first passage
-    for end, pid in enumerate(ids, 1):
-        tokens = tokenize(store.text(pid))
+    for end, tokens in enumerate(_token_lists([store.text(pid) for pid in ids]), 1):
         if stopwords:
             tokens = [t for t in tokens if t not in stopwords]
         block.extend(map(vocabulary.__getitem__, tokens))

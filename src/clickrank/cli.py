@@ -151,7 +151,7 @@ _OPTIONS = {
 
 def _load_config(path: str | None) -> dict:
     """The config file, checked against ``_OPTIONS`` whichever command runs."""
-    if path is None:
+    if not path:
         return {}
     p = Path(path)
     if not p.exists():
@@ -175,11 +175,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args, config: dict) -> None:
-    """Fill each option of the command from its flag, then the global
+    """Fill each option of the command from its flag (empty is unset), then the global
     ``--seed`` (for a seed), then the config, then the table's default."""
     for option in args.options:
         value = getattr(args, option.key)
-        if value is None or (value == "" and option.items):
+        if value is None or value == "":
             value = args.global_seed if option.key == "seed" else None
         if value is None:
             value = config.get(option.section, {}).get(option.key)
@@ -191,7 +191,7 @@ def _resolve(args, config: dict) -> None:
 
 def _arg(args, name: str, what: str) -> str:
     value = getattr(args, name, None)
-    if value is None:
+    if not value:  # an empty path from the config would name the working directory
         raise CommandError(
             f"missing {what}: pass --{name.replace('_', '-')} or set paths.{name} in the config"
         )
@@ -282,7 +282,7 @@ def _build_scorer(args, inputs: _Inputs):
 
 def _cmd_index_build(args, inputs: _Inputs) -> _Wrote:
     out = Path(_arg(args, "out", "index output directory"))
-    # before the collection is read and tokenized, which takes as long as the build
+    # before the collection is read and indexed, so a bad parameter costs no build
     InvertedIndex.check_parameters(args.k1, args.b)
     stopwords: frozenset[str] = frozenset()
     if args.stopwords:

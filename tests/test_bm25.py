@@ -1,9 +1,12 @@
 import json
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from clickrank import bm25
 from clickrank.bm25 import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -93,18 +96,20 @@ class TestBuildIndex:
         [
             (-1.0, DEFAULT_B, False),
             (math.nan, DEFAULT_B, False),
+            (math.inf, DEFAULT_B, False),
             (DEFAULT_K1, 1.5, False),
             (DEFAULT_K1, -0.1, False),
             (DEFAULT_K1, math.nan, False),
             (0.0, 0.0, True),
             (DEFAULT_K1, 1.0, True),
         ],
-        ids=["k1-negative", "k1-nan", "b-above-1", "b-negative", "b-nan", "zeros", "b-1"],
+        ids=["k1-negative", "k1-nan", "k1-inf", "b-above-1", "b-negative", "b-nan", "zeros", "b-1"],
     )
     def test_parameters_out_of_range_rejected(self, tmp_path, k1, b, accepted):
         store = _store({"d1": "a b", "d2": "b c"})
         build_index(store).save(tmp_path / "idx")
         meta_path = tmp_path / "idx" / "meta.json"
+        # json writes an infinite k1 as Infinity, which it reads back
         meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "k1": k1, "b": b}))
         if accepted:
             built = build_index(store, k1=k1, b=b)
@@ -143,6 +148,59 @@ class TestBuildIndex:
         assert {t: sum(tf for _, tf in pl) for t, pl in decoded.items()} == expected_tf_total
         for pl in decoded.values():
             assert [pid for pid, _ in pl] == sorted({pid for pid, _ in pl})
+
+
+def _bags(index: InvertedIndex) -> dict[str, dict[str, int]]:
+    """Passage id -> {term: tf}, read back from the postings."""
+    bags = {pid: {} for pid in index.ids}
+    for term, postings in _decoded(index).items():
+        for pid, tf in postings:
+            bags[pid][term] = tf
+    return bags
+
+
+def _assert_tokenized_per_passage(index: InvertedIndex, texts: dict[str, str]) -> None:
+    """The index holds what ``tokenize`` gives for each passage on its own."""
+    assert _bags(index) == {pid: dict(Counter(tokenize(text))) for pid, text in texts.items()}
+    assert index.doc_lengths == {pid: len(tokenize(text)) for pid, text in texts.items()}
+
+
+class TestChunkedTokenizing:
+    """``build_index`` tokenizes a chunk of ASCII passages with str methods;
+    the postings are those of ``tokenize`` run on each passage."""
+
+    def test_every_ascii_character(self):
+        for c in map(chr, range(128)):
+            texts = {"p0": c, "p1": f"a{c}B", "p2": f"{c}x{c}"}
+            _assert_tokenized_per_passage(build_index(_store(texts)), texts)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "text, per_passage",
+        [
+            ("one\ntwo", True),
+            ("", False),
+            ("one\r\ntwo", True),
+            ("one\x1ctwo", False),
+            ("one_two", False),
+            ("Straße", True),
+            ("ΣΑΣ σας", True),
+            ("İx", True),
+        ],
+        ids=["lf", "empty", "crlf", "x1c", "underscore", "strasse", "sigma", "dotted-i"],
+    )
+    def test_a_chunk_that_cannot_be_split_whole_goes_passage_by_passage(
+        self, chunk, text, per_passage
+    ):
+        texts = {"p0": "Alpha beta", "p1": text, "p2": "Gamma-delta 7", "p3": "eps,eps"}
+        with (
+            mock.patch.object(bm25, "_CHUNK_PASSAGES", chunk),
+            mock.patch.object(bm25, "tokenize", wraps=tokenize) as per_text,
+        ):
+            index = build_index(_store(texts))
+        _assert_tokenized_per_passage(index, texts)
+        # only the chunk holding p1 falls back: the first, or p1 alone, ``chunk`` passages
+        assert per_text.call_count == (chunk if per_passage else 0)
 
 
 class TestScore:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clickrank.bm25 import INDEX_FILES
+from clickrank.bm25 import DEFAULT_K1, INDEX_FILES
 from clickrank.cli import _OPTIONS, main
 from clickrank.embeddings import load_vectors
 from clickrank.manifest import manifest_path_for
@@ -343,18 +343,27 @@ class TestErrorHandling:
         assert not out.exists() and not (tmp_path / "telemetry.json").exists()
 
     def test_corrupt_index_is_one_error_line(self, fixture_dir, tmp_path, capsys):
-        for name in ("postings_tf.npy", "meta.json"):
-            index_dir = tmp_path / name / "index"
+        corruptions = {
+            # the last term frequency becomes 0
+            "tf-zero": ("postings_tf.npy", lambda blob: blob[:-4] + bytes(4)),
+            # the header loses its closing brace
+            "meta-truncated": ("meta.json", lambda blob: blob[:-2]),
+            # a k1 that JSON's reader takes as inf
+            "meta-k1-infinity": (
+                "meta.json", lambda blob: re.sub(rb'"k1": [^,\n]+', b'"k1": Infinity', blob)
+            ),
+        }
+        for case, (name, corrupt) in corruptions.items():
+            index_dir = tmp_path / case / "index"
             assert main(
                 ["index", "build", "--collection", str(fixture_dir / "collection.tsv"),
                  "--out", str(index_dir)]
             ) == 0
-            # the last term frequency becomes 0; the header loses its closing brace
             blob = (index_dir / name).read_bytes()
-            blob = blob[:-4] + bytes(4) if name.endswith(".npy") else blob[:-2]
-            (index_dir / name).write_bytes(blob)
+            assert corrupt(blob) != blob
+            (index_dir / name).write_bytes(corrupt(blob))
             capsys.readouterr()
-            run = tmp_path / name / "run.trec"
+            run = tmp_path / case / "run.trec"
             code = main(
                 ["index", "search", "--index", str(index_dir),
                  "--queries", str(fixture_dir / "queries.tsv"), "--out", str(run)]
@@ -391,13 +400,14 @@ class TestErrorHandling:
             (["fuse", "--method", "rrf", "--rrf-k", "-1"], "rrf_k must be >= 0"),
             (["fuse", "--method", "rrf", "--rrf-k", "-100"], "rrf_k must be >= 0"),
             (["index", "build", "--k1", "-1"], "BM25 k1 must be >= 0"),
+            (["index", "build", "--k1", "inf"], "BM25 k1 must be >= 0 and finite, got inf"),
             (["index", "build", "--b", "1.5"], "BM25 b must be in [0, 1]"),
             (["train", "kernel", "--mus", "1.0,0.5", "--sigmas", "nan,0.1"],
              "kernel widths must be finite and positive, got (nan, 0.1)"),
             (["train", "kernel", "--mus", "1.0,0.5", "--sigmas", "0.1,inf"],
              "kernel widths must be finite and positive, got (0.1, inf)"),
         ],
-        ids=["rrf-k-minus-1", "rrf-k-minus-100", "k1-negative", "b-above-1", "sigma-nan", "sigma-inf"],
+        ids=["rrf-k-minus-1", "rrf-k-minus-100", "k1-negative", "k1-inf", "b-above-1", "sigma-nan", "sigma-inf"],
     )
     def test_out_of_range_parameter_is_one_error_line(
         self, fixture_dir, work, tmp_path, capsys, command, named
@@ -1047,6 +1057,48 @@ class TestMalformedInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["index", "build", "--collection", "{fx}/collection.tsv", "--out", ""], {},
+             "missing index output directory: pass --out or set paths.out in the config"),
+            (["index", "build", "--collection", "", "--out", "{tmp}/index"], {},
+             "missing collection: pass --collection or set paths.collection in the config"),
+            (["index", "search", "--index", "", "--queries", "{fx}/queries.tsv",
+              "--out", "{tmp}/run.trec"], {},
+             "missing index directory: pass --index or set paths.index in the config"),
+            (["index", "build", "--collection", "{fx}/collection.tsv"], {"paths": {"out": ""}},
+             "missing index output directory: pass --out or set paths.out in the config"),
+        ],
+        ids=["out-flag", "collection-flag", "index-flag", "out-config"],
+    )
+    def test_empty_path_counts_as_missing(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, argv, config, message
+    ):
+        # an empty path read as a path names the working directory
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = main(["--config", str(conf), *(a.format(fx=fixture_dir, tmp=tmp_path) for a in argv)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "cwd"]
+        assert list(cwd.iterdir()) == []
+
+    def test_empty_path_flag_leaves_the_config_path(self, fixture_dir, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"paths": {"out": str(tmp_path / "index")}}))
+        argv = ["index", "build", "--collection", str(fixture_dir / "collection.tsv"), "--out", ""]
+        assert main(["--config", str(conf), *argv]) == 0
+        assert (tmp_path / "index" / "meta.json").exists()
+        # an empty --config is no config file
+        argv[-1] = str(tmp_path / "default")
+        assert main(["--config", "", *argv]) == 0
+        assert json.loads((tmp_path / "default" / "meta.json").read_text())["k1"] == DEFAULT_K1
+
+    @pytest.mark.parametrize(
         "argv, kind",
         [
             (["dense", "retrieve", "--query-vectors", "{fx}/query_vectors.tkv",
@@ -1329,6 +1381,18 @@ class TestOptionTable:
         assert capsys.readouterr().err == (
             "error: config value train.epochs must be an integer, got 'many'\n"
         )
+        assert not out.exists()
+
+    def test_infinite_k1_is_one_error_line(self, fixture_dir, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text('{"bm25": {"k1": 1e999}}')  # JSON's reader takes 1e999 as inf
+        out = tmp_path / "index"
+        code = main(
+            ["--config", str(conf), "index", "build",
+             "--collection", str(fixture_dir / "collection.tsv"), "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: BM25 k1 must be >= 0 and finite, got inf\n"
         assert not out.exists()
 
     def test_readme_lists_exactly_the_table(self):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import string
 import sys
 import tempfile
 from collections import Counter
@@ -115,33 +116,40 @@ def _counter_build(store: PassageStore, stopwords: frozenset[str]) -> InvertedIn
     return InvertedIndex(ids, terms, term_offsets, doc_of[order], tf, lengths, stopwords=stopwords)
 
 
-# mixed case, non-ASCII letters (some lowercase to two characters), digits
-# and underscores, joined by separators; "" leaves a separator alone
-_pieces = st.tuples(
-    st.sampled_from(
-        ["", "a", "A", "ab", "aB", "Ä", "ä", "straße", "ΣΑΣ", "σας", "İ", "x1", "42", "the"]
-    ),
-    st.sampled_from([" ", "_", "-", ". ", ""]),
-)
-_texts = st.lists(_pieces, max_size=10).map(lambda parts: "".join(w + sep for w, sep in parts))
+# mixed case, digits and underscores, and non-ASCII letters (some lowercase to
+# two characters), joined by separators: ASCII punctuation, LF, CR, tab and
+# \x1c among them; "" leaves a separator alone
+_ASCII_WORDS = ["", "a", "A", "ab", "aB", "x1", "42", "the"]
+_WORDS = [*_ASCII_WORDS, "Ä", "ä", "straße", "ΣΑΣ", "σας", "İ"]
+_SEPARATORS = [" ", ". ", "", "\n", "\r", "\t", "\x1c", *string.punctuation]
+
+
+def _corpora(words: list[str]):
+    pieces = st.tuples(st.sampled_from(words), st.sampled_from(_SEPARATORS))
+    texts = st.lists(pieces, max_size=10).map(lambda parts: "".join(w + sep for w, sep in parts))
+    ids = st.text(alphabet="pq01", min_size=1, max_size=4)
+    return st.dictionaries(ids, texts, min_size=1, max_size=12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    corpus=st.dictionaries(
-        st.text(alphabet="pq01", min_size=1, max_size=4), _texts, min_size=1, max_size=12
-    ),
+    # an all-ASCII corpus takes the chunk path wherever a chunk holds no LF of its own
+    corpus=st.one_of(_corpora(_ASCII_WORDS), _corpora(_WORDS)),
     stopwords=st.frozensets(st.sampled_from(["a", "ab", "ä", "the", "42", "σας"]), max_size=3),
     stop_everything=st.booleans(),
     block_tokens=st.sampled_from([1, 5, 20, bm25._BLOCK_TOKENS]),
+    chunk_passages=st.sampled_from([1, 2, 3, bm25._CHUNK_PASSAGES]),
 )
 def test_build_index_equals_the_per_passage_counter_build(
-    corpus, stopwords, stop_everything, block_tokens
+    corpus, stopwords, stop_everything, block_tokens, chunk_passages
 ):
     store = PassageStore(Passage(pid, text) for pid, text in corpus.items())
     if stop_everything:
         stopwords |= {t for text in corpus.values() for t in tokenize(text)}
-    with mock.patch.object(bm25, "_BLOCK_TOKENS", block_tokens):
+    with (
+        mock.patch.object(bm25, "_BLOCK_TOKENS", block_tokens),
+        mock.patch.object(bm25, "_CHUNK_PASSAGES", chunk_passages),
+    ):
         index = build_index(store, stopwords=stopwords)
     want = _counter_build(store, stopwords)
     assert index.ids == want.ids and index.terms == want.terms
