@@ -236,11 +236,13 @@ class InvertedIndex:
     def save(self, directory: str | Path) -> None:
         """Persist to a directory; the layout round-trips exactly.
 
-        Each file is replaced whole, and ``meta.json`` last, so an
-        interrupted save over an older index leaves that index's header.
+        Each file is replaced whole. ``meta.json`` is removed first and
+        written last, so ``load`` refuses a directory whose save over an
+        older index was interrupted, rather than reading a mix of the two.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        (directory / "meta.json").unlink(missing_ok=True)
         for name, values in (("ids.json", self.ids), ("terms.json", self.terms)):
             with atomic_write(directory / name) as f:
                 json.dump(values, f)

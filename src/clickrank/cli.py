@@ -1,23 +1,23 @@
 """Command-line pipeline driver.
 
-Subcommands: index build|search, qrels build, triples generate|text, rerank,
-dense retrieve, train kernel, eval, fuse, sweep, synth. Every command writes
-a reproducibility manifest next to its output (``DIR/manifest.json`` for a
-directory, ``FILE.manifest.json`` for a file).
+Every subcommand (index build|search, qrels build, triples generate|text,
+rerank, dense retrieve, train kernel, eval, fuse, sweep, synth) is one row
+of ``_COMMANDS``: name, handler, ``--help`` line, the noun of its ``--out``
+path and its flags; ``build_parser`` builds every parser from the rows.
+Every option a JSON config file (``--config``) can set, paths included, is
+one row of ``_OPTIONS``: its ``section.key`` (the key is the flag's dest),
+kind, default and, for an input path, its noun. ``main`` checks the whole
+config against that table, fills each option of the command's row that the
+command line left unset (flag, then the global ``--seed`` for a seed, then
+config, then default) and resolves ``--out``, so handlers read only ``args``.
 
 Each handler resolves every file it reads through one ``_Inputs`` recorder,
-which records the file under its manifest input name as it hands the path
-over (an index directory as one ``index_<stem>`` input per index file), and
-returns what it wrote. ``main`` then writes the manifest from the recorded
-inputs and the returned outputs, and prints the command's summary.
-
-Every option a JSON config file (``--config``) can set, input and output
-paths included, is one row of ``_OPTIONS``: its ``section.key`` (the key is
-the flag's dest), kind and default. ``main`` checks the whole config against
-that table, then fills each option of the command that the command line
-left unset (flag, then the global ``--seed`` for a seed, then config, then
-default), so handlers read only ``args``. Exit codes: 0 success, 1 runtime
-failure (one-line ``error: ...`` on stderr), 2 usage.
+which records it under its manifest input name (an index directory as one
+``index_<stem>`` input per index file), writes ``out`` and returns what it
+wrote. ``main`` then writes the reproducibility manifest beside ``out``
+(``DIR/manifest.json`` for a directory, ``FILE.manifest.json`` for a file)
+and prints the summary. Exit codes: 0 success, 1 runtime failure (one-line
+``error: ...`` on stderr), 2 usage.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .bm25 import DEFAULT_B, DEFAULT_K1, INDEX_FILES, InvertedIndex, batch_search, build_index
@@ -99,7 +100,8 @@ class _Option:
     ``kind`` is str, list (of numbers), float (any number) or int (an
     integral number). A comma-list option names the kind of its ``items``:
     its flag's text is a comma-separated list (an empty one is unset), and
-    so is its config value when the ``kind`` is str.
+    so is its config value when the ``kind`` is str. An input path names
+    its ``noun`` for the missing and not-found errors.
     """
 
     section: str
@@ -108,6 +110,7 @@ class _Option:
     default: object = None
     help: str | None = None
     items: type | None = None
+    noun: str | None = None
 
 
 _OPTIONS = {
@@ -134,16 +137,23 @@ _OPTIONS = {
                 "rank cutoff then recall cutoffs, e.g. 10,100,200,1000", int),
         _Option("synth", "seed", int, FixtureSpec.seed),
         *(
-            _Option("paths", key, str)
-            for key in ("collection", "queries", "clicks", "index", "run", "triples",
-                        "query_vectors", "passage_vectors", "query_matrices", "passage_matrices")
+            _Option("paths", key, str, noun=noun)
+            for key, noun in (
+                ("collection", "collection"), ("queries", "query file"), ("clicks", "click log"),
+                ("index", "index directory"), ("run", "run file"), ("triples", "triple file"),
+                ("query_vectors", "query vectors"), ("passage_vectors", "passage vectors"),
+                ("query_matrices", "query matrices"), ("passage_matrices", "passage matrices"),
+            )
         ),
-        _Option("paths", "qrels", str, help="qrels file (rerank reads it for --scorer oracle)"),
-        _Option("paths", "splits", str, help="query_id<TAB>split file"),
-        _Option("paths", "scores", str, help="external score file (qid<TAB>pid<TAB>score)"),
-        _Option("paths", "weights", str, help="kernel weights file"),
+        _Option("paths", "qrels", str, help="qrels file (rerank reads it for --scorer oracle)",
+                noun="qrels"),
+        _Option("paths", "splits", str, help="query_id<TAB>split file", noun="splits file"),
+        _Option("paths", "scores", str, help="external score file (qid<TAB>pid<TAB>score)",
+                noun="score file"),
+        _Option("paths", "weights", str, help="kernel weights file", noun="weights file"),
         _Option("paths", "stopwords", str,
-                help="optional file of words to drop (whitespace separated)"),
+                help="optional file of words to drop (whitespace separated)",
+                noun="stopword list"),
         _Option("paths", "out", str, help="output file, or directory for index build and synth"),
     )
 }
@@ -174,10 +184,10 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _resolve(args, config: dict) -> None:
-    """Fill each option of the command from its flag (empty is unset), then the global
-    ``--seed`` (for a seed), then the config, then the table's default."""
-    for option in args.options:
+def _resolve(args, config: dict, options: list[_Option]) -> None:
+    """Fill each of the command's ``options`` from its flag (empty is unset), then the
+    global ``--seed`` (for a seed), then the config, then the table's default."""
+    for option in options:
         value = getattr(args, option.key)
         if value is None or value == "":
             value = args.global_seed if option.key == "seed" else None
@@ -221,13 +231,15 @@ class _Inputs:
         self.files[name] = path
         return path
 
-    def flag(self, name: str, what: str) -> Path:
+    def flag(self, name: str) -> Path:
         """The path ``--NAME`` or the config's ``paths.NAME`` gives, recorded as ``name``."""
+        what = _OPTIONS["paths", name].noun
         return self.add(name, _arg(self.args, name, what), what)
 
     def index(self) -> Path:
         """The ``--index`` directory; each of its files is recorded as ``index_<stem>``."""
-        directory = _require(_arg(self.args, "index", "index directory"), "index directory")
+        what = _OPTIONS["paths", "index"].noun
+        directory = _require(_arg(self.args, "index", what), what)
         for name in INDEX_FILES:
             self.files[f"index_{Path(name).stem}"] = directory / name
         return directory
@@ -235,9 +247,8 @@ class _Inputs:
 
 @dataclass
 class _Wrote:
-    """What a handler wrote; ``main`` puts the manifest beside ``out``."""
+    """What a handler wrote; ``main`` puts the manifest beside ``--out``."""
 
-    out: str | Path
     outputs: dict[str, str | Path]
     config: dict
     summary: list[str]
@@ -249,88 +260,82 @@ def _build_scorer(args, inputs: _Inputs):
     kind = args.scorer
     if kind == "dense":
         return DenseScorer(
-            load_vectors(inputs.flag("query_vectors", "query vectors")),
-            load_vectors(inputs.flag("passage_vectors", "passage vectors")),
+            load_vectors(inputs.flag("query_vectors")),
+            load_vectors(inputs.flag("passage_vectors")),
             similarity=args.similarity or "dot",
         )
     if kind == "colbert":
         return LateInteractionScorer(
-            load_token_matrices(inputs.flag("query_matrices", "query matrices")),
-            load_token_matrices(inputs.flag("passage_matrices", "passage matrices")),
+            load_token_matrices(inputs.flag("query_matrices")),
+            load_token_matrices(inputs.flag("passage_matrices")),
             similarity=args.similarity or "dot",
         )
     if kind == "kernel":
-        bank, weights = load_weights(inputs.flag("weights", "weights file"))
+        bank, weights = load_weights(inputs.flag("weights"))
         return KernelScorer(
-            load_token_matrices(inputs.flag("query_matrices", "query matrices")),
-            load_token_matrices(inputs.flag("passage_matrices", "passage matrices")),
+            load_token_matrices(inputs.flag("query_matrices")),
+            load_token_matrices(inputs.flag("passage_matrices")),
             bank,
             weights,
             similarity=args.similarity or "cosine",
         )
     if kind == "scores":
-        return ExternalScoreScorer.from_file(inputs.flag("scores", "score file"))
+        return ExternalScoreScorer.from_file(inputs.flag("scores"))
     if kind == "oracle":
-        return GradeOracleScorer(load_qrels(inputs.flag("qrels", "qrels")))
+        return GradeOracleScorer(load_qrels(inputs.flag("qrels")))
     raise CommandError(f"unknown scorer {kind!r}")
 
 
 # --------------------------------------------------------------------------
-# command handlers: each reads through ``inputs`` and returns what it wrote
+# command handlers: each reads through ``inputs``, writes ``out``, returns what it wrote
 # --------------------------------------------------------------------------
 
 
-def _cmd_index_build(args, inputs: _Inputs) -> _Wrote:
-    out = Path(_arg(args, "out", "index output directory"))
+def _cmd_index_build(args, inputs: _Inputs, out: str) -> _Wrote:
+    out = Path(out)
     # before the collection is read and indexed, so a bad parameter costs no build
     InvertedIndex.check_parameters(args.k1, args.b)
     stopwords: frozenset[str] = frozenset()
     if args.stopwords:
-        with TextRecords(inputs.flag("stopwords", "stopword list"), None) as records:
+        with TextRecords(inputs.flag("stopwords"), None) as records:
             stopwords = frozenset(word.lower() for words in records for word in words)
-    store = load_collection(inputs.flag("collection", "collection"))
+    store = load_collection(inputs.flag("collection"))
     index = build_index(store, k1=args.k1, b=args.b, stopwords=stopwords)
     index.save(out)
     return _Wrote(
-        out,
         {name: out / name for name in INDEX_FILES},
         {"k1": args.k1, "b": args.b, "stopwords": sorted(stopwords)},
         [f"indexed {index.doc_count} passages -> {out}"],
     )
 
 
-def _cmd_index_search(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "run output path")
+def _cmd_index_search(args, inputs: _Inputs, out: str) -> _Wrote:
     index = InvertedIndex.load(inputs.index())
-    queries = load_queries(inputs.flag("queries", "query file"), args.split)
+    queries = load_queries(inputs.flag("queries"), args.split)
     run = batch_search(index, queries, args.k, run_name=args.run_name)
     write_run(run, out)
     return _Wrote(
-        out,
         {"run": out},
         {"k": args.k, "run_name": args.run_name, "split": args.split},
         [f"searched {len(run)} queries at k={args.k} -> {out}"],
     )
 
 
-def _cmd_qrels_build(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "qrels output path")
-    clicks = load_clicks(inputs.flag("clicks", "click log"))
+def _cmd_qrels_build(args, inputs: _Inputs, out: str) -> _Wrote:
+    clicks = load_clicks(inputs.flag("clicks"))
     qrels = build_qrels_from_clicks(clicks, args.mode, args.thresholds)
     write_qrels(qrels, out)
     return _Wrote(
-        out,
         {"qrels": out},
         {"mode": args.mode, "thresholds": list(args.thresholds)},
         [f"wrote {len(qrels)} judgments for {len(qrels.query_ids)} queries -> {out}"],
     )
 
 
-def _cmd_triples_generate(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "triple output path")
+def _cmd_triples_generate(args, inputs: _Inputs, out: str) -> _Wrote:
     index = InvertedIndex.load(inputs.index())
-    queries = load_queries(inputs.flag("queries", "query file"), args.split)
-    qrels = load_qrels(inputs.flag("qrels", "qrels"))
+    queries = load_queries(inputs.flag("queries"), args.split)
+    qrels = load_qrels(inputs.flag("qrels"))
     sampling = SamplingConfig(
         candidate_depth=args.depth,
         max_negatives_per_positive=args.max_neg,
@@ -342,7 +347,6 @@ def _cmd_triples_generate(args, inputs: _Inputs) -> _Wrote:
     write_triples(report.triples, out)
     truncated = f"; truncated to cap {sampling.triple_cap}" if report.truncated else ""
     return _Wrote(
-        out,
         {"triples": out},
         {
             "depth": sampling.candidate_depth,
@@ -360,14 +364,12 @@ def _cmd_triples_generate(args, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_triples_text(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "text triple output path")
-    triples = read_triples(inputs.flag("triples", "triple file"))
-    store = load_collection(inputs.flag("collection", "collection"))
-    queries = load_queries(inputs.flag("queries", "query file"), args.split)
+def _cmd_triples_text(args, inputs: _Inputs, out: str) -> _Wrote:
+    triples = read_triples(inputs.flag("triples"))
+    store = load_collection(inputs.flag("collection"))
+    queries = load_queries(inputs.flag("queries"), args.split)
     write_text_triples(triples, store, queries, out)
     return _Wrote(
-        out,
         {"text_triples": out},
         {"split": args.split},
         [f"materialized {len(triples)} text triples -> {out}"],
@@ -380,17 +382,15 @@ def _dropped(first_stage: RankedRun, depth: int, kept) -> int:
     return offered - sum(len(entries) for entries in kept.values())
 
 
-def _cmd_rerank(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "run output path")
+def _cmd_rerank(args, inputs: _Inputs, out: str) -> _Wrote:
     scorer = _build_scorer(args, inputs)
-    first_stage = read_run(inputs.flag("run", "run file"))
+    first_stage = read_run(inputs.flag("run"))
     reranked = rerank(
         first_stage, args.depth, scorer, on_missing=args.on_missing, run_name=args.run_name
     )
     write_run(reranked, out)
     dropped = _dropped(first_stage, args.depth, reranked.results)
     return _Wrote(
-        out,
         {"run": out},
         {
             "depth": args.depth,
@@ -405,10 +405,9 @@ def _cmd_rerank(args, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_dense_retrieve(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "run output path")
-    query_vectors = load_vectors(inputs.flag("query_vectors", "query vectors"))
-    passage_vectors = load_vectors(inputs.flag("passage_vectors", "passage vectors"))
+def _cmd_dense_retrieve(args, inputs: _Inputs, out: str) -> _Wrote:
+    query_vectors = load_vectors(inputs.flag("query_vectors"))
+    passage_vectors = load_vectors(inputs.flag("passage_vectors"))
     check_dims(query_vectors, passage_vectors, "vectors")
     run = RankedRun(name=args.run_name, stage="dense-retrieval")
     for qid in sorted(query_vectors.ids):
@@ -417,18 +416,16 @@ def _cmd_dense_retrieve(args, inputs: _Inputs) -> _Wrote:
         )
     write_run(run, out)
     return _Wrote(
-        out,
         {"run": out},
         {"k": args.k, "run_name": args.run_name, "similarity": args.similarity},
         [f"retrieved top-{args.k} for {len(run)} queries -> {out}"],
     )
 
 
-def _cmd_train_kernel(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "weights output path")
-    triples = read_triples(inputs.flag("triples", "triple file"))
-    query_matrices = load_token_matrices(inputs.flag("query_matrices", "query matrices"))
-    passage_matrices = load_token_matrices(inputs.flag("passage_matrices", "passage matrices"))
+def _cmd_train_kernel(args, inputs: _Inputs, out: str) -> _Wrote:
+    triples = read_triples(inputs.flag("triples"))
+    query_matrices = load_token_matrices(inputs.flag("query_matrices"))
+    passage_matrices = load_token_matrices(inputs.flag("passage_matrices"))
     if args.mus is None and args.sigmas is None:
         bank = KernelBank.default()
     elif args.mus is None or args.sigmas is None:
@@ -447,7 +444,6 @@ def _cmd_train_kernel(args, inputs: _Inputs) -> _Wrote:
             f.write("\n")
         outputs["telemetry"] = args.telemetry
     return _Wrote(
-        out,
         outputs,
         {**hyper, "mus": list(bank.mus), "sigmas": list(bank.sigmas)},
         [
@@ -459,11 +455,10 @@ def _cmd_train_kernel(args, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_eval(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "report output path")
-    run = read_run(inputs.flag("run", "run file"))
-    qrels = load_qrels(inputs.flag("qrels", "qrels"))
-    split_map = load_splits(inputs.flag("splits", "splits file")) if args.splits else None
+def _cmd_eval(args, inputs: _Inputs, out: str) -> _Wrote:
+    run = read_run(inputs.flag("run"))
+    qrels = load_qrels(inputs.flag("qrels"))
+    split_map = load_splits(inputs.flag("splits")) if args.splits else None
     cutoffs = args.cutoffs
     if not cutoffs:
         raise CommandError("need at least one cutoff")
@@ -488,18 +483,14 @@ def _cmd_eval(args, inputs: _Inputs) -> _Wrote:
         sr = report.splits[split]
         metrics = " ".join(f"{m}={sr.metrics[m]:.4f}" for m in report.metric_names)
         summary.append(f"{split} ({sr.query_count} queries): {metrics}")
-    return _Wrote(
-        out, outputs, {"cutoffs": cutoffs, "zero_positive": args.zero_positive}, summary
-    )
+    return _Wrote(outputs, {"cutoffs": cutoffs, "zero_positive": args.zero_positive}, summary)
 
 
-def _cmd_fuse(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "run output path")
+def _cmd_fuse(args, inputs: _Inputs, out: str) -> _Wrote:
     runs = [read_run(inputs.add(f"run_{i}", p, "run file")) for i, p in enumerate(args.runs)]
     fused = fuse_runs(runs, method=args.method, rrf_k=args.rrf_k, run_name=args.run_name)
     write_run(fused, out)
     return _Wrote(
-        out,
         {"run": out},
         # min-max fusion has no rrf_k to record
         {"method": args.method, **({"rrf_k": args.rrf_k} if args.method == "rrf" else {})},
@@ -507,12 +498,11 @@ def _cmd_fuse(args, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_sweep(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "table output path")
+def _cmd_sweep(args, inputs: _Inputs, out: str) -> _Wrote:
     depths = check_depths(_comma_list(args.depths, int))
     scorer = _build_scorer(args, inputs)
-    first_stage = read_run(inputs.flag("run", "run file"))
-    qrels = load_qrels(inputs.flag("qrels", "qrels"))
+    first_stage = read_run(inputs.flag("run"))
+    qrels = load_qrels(inputs.flag("qrels"))
     scored = score_candidates(first_stage, max(depths), scorer, on_missing=args.on_missing)
     table = sweep_table(first_stage, scored, depths, qrels)
     write_sweep_table(table, out)
@@ -525,7 +515,6 @@ def _cmd_sweep(args, inputs: _Inputs) -> _Wrote:
         f"dropped {dropped} of the top-{max(depths)} candidates the scorer could not score"
     )
     return _Wrote(
-        out,
         {"table": out},
         {
             "depths": depths,
@@ -537,8 +526,7 @@ def _cmd_sweep(args, inputs: _Inputs) -> _Wrote:
     )
 
 
-def _cmd_synth(args, inputs: _Inputs) -> _Wrote:
-    out = _arg(args, "out", "fixture output directory")
+def _cmd_synth(args, inputs: _Inputs, out: str) -> _Wrote:
     spec = FixtureSpec(
         n_passages=args.passages,
         n_queries=args.queries,
@@ -549,7 +537,6 @@ def _cmd_synth(args, inputs: _Inputs) -> _Wrote:
     fixture = generate_fixture(spec)
     paths = fixture.write(out)
     return _Wrote(
-        out,
         paths,
         {
             "passages": spec.n_passages,
@@ -563,38 +550,107 @@ def _cmd_synth(args, inputs: _Inputs) -> _Wrote:
 
 
 # --------------------------------------------------------------------------
-# parser
+# command table and parser
 # --------------------------------------------------------------------------
 
 
-def _add_options(parser: argparse.ArgumentParser, section: str, *keys: str) -> None:
-    """Add ``--KEY`` for each named option of ``section``; ``main`` fills the
-    ones the command line leaves unset."""
-    options = [_OPTIONS[section, key] for key in keys]
-    for option in options:
-        parser.add_argument(
-            "--" + option.key.replace("_", "-"),
-            type=option.kind if option.kind in (int, float) else None,
-            help=option.help,
-        )
-    parser.set_defaults(options=(parser.get_default("options") or []) + options)
+def _flag(*names: str, **kwargs) -> tuple:
+    """A flag that no config sets: the arguments of its ``add_argument`` call."""
+    return names, kwargs
 
 
-def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scorer",
-        required=True,
-        choices=["dense", "colbert", "kernel", "scores", "oracle"],
-        help="scoring head to apply",
-    )
-    _add_options(parser, "paths", "query_vectors", "passage_vectors", "weights", "scores")
-    _add_options(parser, "paths", "query_matrices", "passage_matrices")
-    parser.add_argument("--on-missing", choices=["error", "skip"], default="error")
-    parser.add_argument(
-        "--similarity",
-        choices=["dot", "cosine"],
-        help="override the scorer's similarity (dense/colbert default dot, kernel cosine)",
-    )
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its name (``"group leaf"`` or ``"leaf"``), its handler, its
+    ``--help`` line, the noun of its ``--out`` path, and its flags in ``--help``
+    order. A flag is an ``_OPTIONS`` ``"section.key"`` or a ``_flag(...)``."""
+
+    name: str
+    handler: Callable[..., _Wrote]
+    help: str
+    out: str
+    flags: tuple
+
+    @property
+    def options(self) -> list[_Option]:
+        return [_OPTIONS[tuple(flag.split("."))] for flag in self.flags if isinstance(flag, str)]
+
+
+_SCORER_FLAGS = (
+    _flag("--scorer", required=True, choices=["dense", "colbert", "kernel", "scores", "oracle"],
+          help="scoring head to apply"),
+    "paths.query_vectors", "paths.passage_vectors", "paths.weights", "paths.scores",
+    "paths.query_matrices", "paths.passage_matrices",
+    _flag("--on-missing", choices=["error", "skip"], default="error"),
+    _flag("--similarity", choices=["dot", "cosine"],
+          help="override the scorer's similarity (dense/colbert default dot, kernel cosine)"),
+)
+
+_GROUPS = {
+    "index": "build or query the BM25 index",
+    "qrels": "derive qrels from click logs",
+    "triples": "training-triple generation",
+    "dense": "dense retrieval over the full collection",
+    "train": "train scoring heads",
+}
+
+_COMMANDS = (
+    _Command("index build", _cmd_index_build, "tokenize a collection and build the index",
+             "index output directory",
+             ("paths.collection", "paths.out", "paths.stopwords", "bm25.k1", "bm25.b")),
+    _Command("index search", _cmd_index_search, "retrieve top-k candidates for each query",
+             "run output path",
+             ("paths.index", "paths.queries", "paths.out", "bm25.k",
+              _flag("--run-name", default="bm25"),
+              _flag("--split", default="train", help="split tag for the query file"))),
+    _Command("qrels build", _cmd_qrels_build, "grade (query, passage) pairs from clicks",
+             "qrels output path",
+             ("paths.clicks", "paths.out",
+              _flag("--mode", choices=["raw", "dctr"], default="dctr"), "qrels.thresholds")),
+    _Command("triples generate", _cmd_triples_generate, "sample negatives and emit id triples",
+             "triple output path",
+             ("paths.index", "paths.queries", "paths.qrels", "paths.out", "sampling.depth",
+              "sampling.max_neg", "sampling.cap", "sampling.seed",
+              _flag("--split", default="train"),
+              _flag("--legacy-mode", action="store_true", help="known-bad sampling (candidates "
+                    "ranked above the positive) for A/B diagnosis"))),
+    _Command("triples text", _cmd_triples_text, "materialize id triples as text triples",
+             "text triple output path",
+             ("paths.triples", "paths.collection", "paths.queries", "paths.out",
+              _flag("--split", default="train"))),
+    _Command("rerank", _cmd_rerank, "rescore the top candidates of a run", "run output path",
+             ("paths.run", "paths.out", "paths.qrels", "rerank.depth", _flag("--run-name"),
+              *_SCORER_FLAGS)),
+    _Command("dense retrieve", _cmd_dense_retrieve, "exact top-k scan of the vector store",
+             "run output path",
+             ("paths.query_vectors", "paths.passage_vectors", "paths.out", "dense.k",
+              _flag("--run-name", default="dense"),
+              _flag("--similarity", choices=["dot", "cosine"], default="dot"))),
+    _Command("train kernel", _cmd_train_kernel, "fit the kernel-feature linear layer",
+             "weights output path",
+             ("paths.triples", "paths.query_matrices", "paths.passage_matrices", "paths.out",
+              _flag("--telemetry", help="optional JSON telemetry output"), "train.lr",
+              "train.epochs", "train.margin", "train.seed", "kernel_bank.mus",
+              "kernel_bank.sigmas")),
+    _Command("eval", _cmd_eval, "score a run against qrels", "report output path",
+             ("paths.run", "paths.qrels", "paths.splits", "paths.out", "eval.cutoffs",
+              _flag("--zero-positive", choices=["exclude", "zero"], default="exclude"),
+              _flag("--json", help="optional JSON report path"))),
+    _Command("fuse", _cmd_fuse, "ensemble two or more runs", "run output path",
+             (_flag("--runs", nargs="+", required=True),
+              _flag("--method", choices=["minmax", "rrf"], default="minmax"),
+              _flag("--rrf-k", type=int, default=60), _flag("--run-name", default="fused"),
+              "paths.out")),
+    _Command("sweep", _cmd_sweep, "re-ranking depth robustness table", "table output path",
+             ("paths.run", "paths.qrels", "paths.out",
+              _flag("--depths", default="50,100,200,500"), *_SCORER_FLAGS)),
+    _Command("synth", _cmd_synth, "generate a seeded synthetic fixture",
+             "fixture output directory",
+             ("paths.out", _flag("--passages", type=int, default=FixtureSpec.n_passages),
+              _flag("--queries", type=int, default=FixtureSpec.n_queries),
+              _flag("--dim", type=int, default=FixtureSpec.dim),
+              _flag("--term-dim", type=int, default=FixtureSpec.term_dim), "synth.seed")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,118 +664,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, dest="global_seed", help="global seed (subcommand --seed wins)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    index = sub.add_parser("index", help="build or query the BM25 index")
-    index_sub = index.add_subparsers(dest="subcommand", required=True)
-    p = index_sub.add_parser("build", help="tokenize a collection and build the index")
-    _add_options(p, "paths", "collection", "out", "stopwords")
-    _add_options(p, "bm25", "k1", "b")
-    p.set_defaults(handler=_cmd_index_build)
-    p = index_sub.add_parser("search", help="retrieve top-k candidates for each query")
-    _add_options(p, "paths", "index", "queries", "out")
-    _add_options(p, "bm25", "k")
-    p.add_argument("--run-name", default="bm25")
-    p.add_argument("--split", default="train", help="split tag for the query file")
-    p.set_defaults(handler=_cmd_index_search)
-
-    qrels = sub.add_parser("qrels", help="derive qrels from click logs")
-    qrels_sub = qrels.add_subparsers(dest="subcommand", required=True)
-    p = qrels_sub.add_parser("build", help="grade (query, passage) pairs from clicks")
-    _add_options(p, "paths", "clicks", "out")
-    p.add_argument("--mode", choices=["raw", "dctr"], default="dctr")
-    _add_options(p, "qrels", "thresholds")
-    p.set_defaults(handler=_cmd_qrels_build)
-
-    triples = sub.add_parser("triples", help="training-triple generation")
-    triples_sub = triples.add_subparsers(dest="subcommand", required=True)
-    p = triples_sub.add_parser("generate", help="sample negatives and emit id triples")
-    _add_options(p, "paths", "index", "queries", "qrels", "out")
-    _add_options(p, "sampling", "depth", "max_neg", "cap", "seed")
-    p.add_argument("--split", default="train")
-    p.add_argument(
-        "--legacy-mode",
-        action="store_true",
-        help="known-bad sampling (candidates ranked above the positive) for A/B diagnosis",
-    )
-    p.set_defaults(handler=_cmd_triples_generate)
-    p = triples_sub.add_parser("text", help="materialize id triples as text triples")
-    _add_options(p, "paths", "triples", "collection", "queries", "out")
-    p.add_argument("--split", default="train")
-    p.set_defaults(handler=_cmd_triples_text)
-
-    p = sub.add_parser("rerank", help="rescore the top candidates of a run")
-    _add_options(p, "paths", "run", "out", "qrels")
-    _add_options(p, "rerank", "depth")
-    p.add_argument("--run-name")
-    _add_scorer_flags(p)
-    p.set_defaults(handler=_cmd_rerank)
-
-    dense = sub.add_parser("dense", help="dense retrieval over the full collection")
-    dense_sub = dense.add_subparsers(dest="subcommand", required=True)
-    p = dense_sub.add_parser("retrieve", help="exact top-k scan of the vector store")
-    _add_options(p, "paths", "query_vectors", "passage_vectors", "out")
-    _add_options(p, "dense", "k")
-    p.add_argument("--run-name", default="dense")
-    p.add_argument("--similarity", choices=["dot", "cosine"], default="dot")
-    p.set_defaults(handler=_cmd_dense_retrieve)
-
-    train = sub.add_parser("train", help="train scoring heads")
-    train_sub = train.add_subparsers(dest="subcommand", required=True)
-    p = train_sub.add_parser("kernel", help="fit the kernel-feature linear layer")
-    _add_options(p, "paths", "triples", "query_matrices", "passage_matrices", "out")
-    p.add_argument("--telemetry", help="optional JSON telemetry output")
-    _add_options(p, "train", "lr", "epochs", "margin", "seed")
-    _add_options(p, "kernel_bank", "mus", "sigmas")
-    p.set_defaults(handler=_cmd_train_kernel)
-
-    p = sub.add_parser("eval", help="score a run against qrels")
-    _add_options(p, "paths", "run", "qrels", "splits", "out")
-    _add_options(p, "eval", "cutoffs")
-    p.add_argument("--zero-positive", choices=["exclude", "zero"], default="exclude")
-    p.add_argument("--json", help="optional JSON report path")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("fuse", help="ensemble two or more runs")
-    p.add_argument("--runs", nargs="+", required=True)
-    p.add_argument("--method", choices=["minmax", "rrf"], default="minmax")
-    p.add_argument("--rrf-k", type=int, default=60)
-    p.add_argument("--run-name", default="fused")
-    _add_options(p, "paths", "out")
-    p.set_defaults(handler=_cmd_fuse)
-
-    p = sub.add_parser("sweep", help="re-ranking depth robustness table")
-    _add_options(p, "paths", "run", "qrels", "out")
-    p.add_argument("--depths", default="50,100,200,500")
-    _add_scorer_flags(p)
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("synth", help="generate a seeded synthetic fixture")
-    _add_options(p, "paths", "out")
-    p.add_argument("--passages", type=int, default=FixtureSpec.n_passages)
-    p.add_argument("--queries", type=int, default=FixtureSpec.n_queries)
-    p.add_argument("--dim", type=int, default=FixtureSpec.dim)
-    p.add_argument("--term-dim", type=int, default=FixtureSpec.term_dim)
-    _add_options(p, "synth", "seed")
-    p.set_defaults(handler=_cmd_synth)
-
+    parents = {"": sub}
+    for row in _COMMANDS:
+        group, _, leaf = row.name.rpartition(" ")
+        if group not in parents:
+            parents[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True
+            )
+        p = parents[group].add_parser(leaf, help=row.help)
+        for flag in row.flags:
+            if isinstance(flag, str):
+                option = _OPTIONS[tuple(flag.split("."))]
+                p.add_argument(
+                    "--" + option.key.replace("_", "-"),
+                    type=option.kind if option.kind in (int, float) else None,
+                    help=option.help,
+                )
+            else:
+                names, kwargs = flag
+                p.add_argument(*names, **kwargs)
+        p.set_defaults(row=row)  # not "command": the top-level dest is named in usage errors
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    args = build_parser().parse_args(argv)
+    row = args.row
     inputs = _Inputs(args)
     try:
-        _resolve(args, _load_config(args.config))
-        wrote = args.handler(args, inputs)
+        _resolve(args, _load_config(args.config), row.options)
+        out = _arg(args, "out", row.out)
+        wrote = row.handler(args, inputs, out)
         write_manifest(
-            manifest_path_for(wrote.out),
-            command,
-            wrote.config,
-            wrote.seed,
-            inputs.files,
-            wrote.outputs,
+            manifest_path_for(out), row.name, wrote.config, wrote.seed, inputs.files, wrote.outputs
         )
     except (CommandError, MissingEmbeddingError, ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message

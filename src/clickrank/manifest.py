@@ -32,9 +32,10 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Write to a temporary file beside ``path`` that replaces it on success.
 
     Text mode is UTF-8 with LF line ends. If the block raises, the temporary
-    file is removed and ``path`` keeps its old contents. The replace is
-    atomic against a crashed or killed process; it does not fsync, so it
-    does not make the new contents durable against power loss.
+    file is removed and ``path`` keeps its old contents. An ``OSError`` from
+    opening or replacing the file names ``path``, not the temporary file.
+    The replace is atomic against a crashed or killed process; it does not
+    fsync, so it does not make the new contents durable against power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -42,8 +43,10 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n") as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):  # the open or the replace
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

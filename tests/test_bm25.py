@@ -360,6 +360,27 @@ class TestPersistence:
         with pytest.raises(ValueError, match="meta.json"):
             InvertedIndex.load(tmp_path / "nothing")
 
+    def test_interrupted_save_over_an_index_is_refused(self, tmp_path, monkeypatch):
+        directory = tmp_path / "idx"
+        build_index(_store({"p1": "a a b", "p2": "b c c"})).save(directory)
+        replacement = build_index(_store({"p1": "a b b", "p2": "a c c"}))
+        real = bm25.atomic_write
+
+        def failing(path, binary=False):
+            if path.name == "postings_tf.npy":
+                raise OSError("no space left on device")
+            return real(path, binary)
+
+        monkeypatch.setattr(bm25, "atomic_write", failing)
+        with pytest.raises(OSError):
+            replacement.save(directory)
+        # the files written so far mix the two indexes; read as one, they would rank p1 by neither
+        with pytest.raises(ValueError, match=r"not an index directory \(meta.json missing\)"):
+            InvertedIndex.load(directory)
+        monkeypatch.undo()
+        replacement.save(directory)
+        assert InvertedIndex.load(directory).search("a", 2) == replacement.search("a", 2)
+
     def test_version_header_checked(self, tmp_path):
         index = build_index(_store({"d1": "a"}))
         index.save(tmp_path / "idx")

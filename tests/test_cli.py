@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from clickrank.bm25 import DEFAULT_K1, INDEX_FILES
-from clickrank.cli import _OPTIONS, main
+from clickrank.cli import _COMMANDS, _OPTIONS, main
 from clickrank.embeddings import load_vectors
 from clickrank.manifest import manifest_path_for
 
@@ -1280,6 +1280,31 @@ _PATHS = {
 }
 
 
+class TestUnwritableOutputs:
+    """A write that fails names the path the user gave, not the temporary
+    file beside it, and leaves no temporary file behind."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--json"])
+    def test_output_under_a_missing_directory(self, fixture_dir, work, tmp_path, capsys, flag):
+        missing = tmp_path / "missing" / "report"
+        paths = {"--out": tmp_path / "report.tsv", "--json": tmp_path / "report.json", flag: missing}
+        argv = ["eval", "--run", f"{work}/bm25.trec", "--qrels", f"{fixture_dir}/qrels.trec"]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
+    def test_output_naming_a_directory(self, fixture_dir, work, tmp_path, capsys, monkeypatch):
+        (tmp_path / "adir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        argv = ["eval", "--run", f"{work}/bm25.trec", "--qrels", f"{fixture_dir}/qrels.trec"]
+        assert main([*argv, "--out", "adir"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'adir'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
 class TestOptionTable:
     """Every option of ``cli._OPTIONS`` reads its config key and loses to its
     flag; the whole config is checked whichever command runs."""
@@ -1397,5 +1422,12 @@ class TestOptionTable:
 
     def test_readme_lists_exactly_the_table(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        listed = re.findall(r"^\| `(\w+)\.(\w+)` \|", readme.read_text(), re.MULTILINE)
-        assert sorted(listed) == sorted(_OPTIONS)
+        rows = re.findall(
+            r"^\| `(\w+)\.(\w+)` \| `[^|]*` \| ([^|]*) \|", readme.read_text(), re.MULTILINE
+        )
+        assert sorted((section, key) for section, key, _ in rows) == sorted(_OPTIONS)
+        every = ", ".join(f"`{row.name}`" for row in _COMMANDS)
+        for section, key, listed in rows:
+            option = _OPTIONS[section, key]
+            taking = ", ".join(f"`{row.name}`" for row in _COMMANDS if option in row.options)
+            assert listed == ("every command" if taking == every else taking), f"{section}.{key}"

@@ -4,6 +4,9 @@ name must resolve the way ``install`` resolves it."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +29,18 @@ def test_target_resolves(layer, qualname):
         assert method in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, qualname))
+
+
+def test_importing_the_cli_loads_every_traced_layer():
+    # perfbench/clidriver.py imports only clickrank.cli before ``install`` looks
+    # up sys.modules["clickrank.<layer>"] for every target
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys, clickrank.cli; print(*sorted(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    layers = {f"clickrank.{target[0]}" for target in _targets()}
+    assert layers - set(result.stdout.split()) == set()
