@@ -64,6 +64,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def check_stopword(word: str) -> str:
+    """``word`` if ``tokenize`` keeps it as exactly one token; otherwise raise,
+    since no token could ever equal it."""
+    tokens = tokenize(word)
+    if tokens != [word]:
+        raise ValueError(f"stopword {word!r} is not one token (it tokenizes to {tokens})")
+    return word
+
+
 def _token_lists(texts: list[str]) -> Iterator[list[str]]:
     """``tokenize`` of each text, ``_CHUNK_PASSAGES`` texts at a time.
 
@@ -165,6 +174,10 @@ class InvertedIndex:
     def __contains__(self, passage_id: str) -> bool:
         return passage_id in self._doc_numbers
 
+    def doc_number(self, passage_id: str) -> int:
+        """The document number of a passage id, or -1 if the index lacks it."""
+        return self._doc_numbers.get(passage_id, -1)
+
     def _span(self, term: str) -> tuple[int, int] | None:
         t = self._term_numbers.get(term)
         if t is None:
@@ -199,8 +212,9 @@ class InvertedIndex:
             total += self.idf(token) * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
         return total
 
-    def search(self, query_text: str, k: int) -> list[tuple[str, float]]:
-        """Top-k passages with at least one matching term.
+    def top_k(self, query_text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The document numbers and scores of the top-k passages with at
+        least one matching term, ranked.
 
         Accumulates term contributions in query-token order, so every
         returned score is bit-identical to :meth:`score` for that passage.
@@ -230,8 +244,13 @@ class InvertedIndex:
             keep = scores >= kth
             hits, scores = hits[keep], scores[keep]
         order = np.lexsort((hits, -scores))[:k]
+        return hits[order], scores[order]
+
+    def search(self, query_text: str, k: int) -> list[tuple[str, float]]:
+        """:meth:`top_k` as (passage id, score) pairs."""
+        docs, scores = self.top_k(query_text, k)
         ids = self.ids
-        return [(ids[d], s) for d, s in zip(hits[order].tolist(), scores[order].tolist())]
+        return [(ids[d], s) for d, s in zip(docs.tolist(), scores.tolist())]
 
     def save(self, directory: str | Path) -> None:
         """Persist to a directory; the layout round-trips exactly.
@@ -378,14 +397,15 @@ def build_index(
 ) -> InvertedIndex:
     """Tokenize every passage (``_token_lists``) and build the inverted index.
 
-    Stopwords (if any) are dropped from passages here and from queries at
-    search time; they do not contribute to document lengths. A block of
-    passages ends at the first passage end past ``_BLOCK_TOKENS`` tokens;
-    beyond the int32 postings, the build holds one block's tokens at a time.
+    Stopwords (if any) must each be one token (:func:`check_stopword`); they
+    are dropped from passages here and from queries at search time, and do
+    not contribute to document lengths. A block of passages ends at the
+    first passage end past ``_BLOCK_TOKENS`` tokens; beyond the int32
+    postings, the build holds one block's tokens at a time.
     """
     if len(store) == 0:
         raise ValueError("cannot index an empty passage store")
-    stopwords = frozenset(stopwords)
+    stopwords = frozenset(map(check_stopword, sorted(stopwords)))
     ids = sorted(store)
     vocabulary = defaultdict(count().__next__)  # term -> number in first-seen order
     lengths = array("i")

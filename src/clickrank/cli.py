@@ -30,7 +30,15 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .bm25 import DEFAULT_B, DEFAULT_K1, INDEX_FILES, InvertedIndex, batch_search, build_index
+from .bm25 import (
+    DEFAULT_B,
+    DEFAULT_K1,
+    INDEX_FILES,
+    InvertedIndex,
+    batch_search,
+    build_index,
+    check_stopword,
+)
 from .corpus import (
     DEFAULT_CTR_THRESHOLDS,
     build_qrels_from_clicks,
@@ -298,7 +306,9 @@ def _cmd_index_build(args, inputs: _Inputs, out: str) -> _Wrote:
     stopwords: frozenset[str] = frozenset()
     if args.stopwords:
         with TextRecords(inputs.flag("stopwords"), None) as records:
-            stopwords = frozenset(word.lower() for words in records for word in words)
+            stopwords = frozenset(
+                check_stopword(word.lower()) for words in records for word in words
+            )
     store = load_collection(inputs.flag("collection"))
     index = build_index(store, k1=args.k1, b=args.b, stopwords=stopwords)
     index.save(out)
@@ -333,9 +343,7 @@ def _cmd_qrels_build(args, inputs: _Inputs, out: str) -> _Wrote:
 
 
 def _cmd_triples_generate(args, inputs: _Inputs, out: str) -> _Wrote:
-    index = InvertedIndex.load(inputs.index())
-    queries = load_queries(inputs.flag("queries"), args.split)
-    qrels = load_qrels(inputs.flag("qrels"))
+    # before the inputs are read, so a bad setting costs no load
     sampling = SamplingConfig(
         candidate_depth=args.depth,
         max_negatives_per_positive=args.max_neg,
@@ -343,6 +351,9 @@ def _cmd_triples_generate(args, inputs: _Inputs, out: str) -> _Wrote:
         seed=args.seed,
         legacy_mode=bool(args.legacy_mode),
     )
+    index = InvertedIndex.load(inputs.index())
+    queries = load_queries(inputs.flag("queries"), args.split)
+    qrels = load_qrels(inputs.flag("qrels"))
     report = generate_triples(queries, qrels, index, sampling)
     write_triples(report.triples, out)
     truncated = f"; truncated to cap {sampling.triple_cap}" if report.truncated else ""

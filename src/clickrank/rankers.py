@@ -626,7 +626,7 @@ def fit_hinge(
     neg_features[i]) per training triple. ``init_w`` overrides the seeded
     random initialization, N(0, 0.01^2) per weight.
     """
-    _check_hyperparameters(lr, epochs, margin)
+    _check_hyperparameters(lr, epochs, margin, seed)
     pos = np.asarray(pos_features, dtype=np.float64)
     neg = np.asarray(neg_features, dtype=np.float64)
     if pos.shape != neg.shape or pos.ndim != 2 or pos.shape[0] == 0:
@@ -655,13 +655,15 @@ def fit_hinge(
     return w, bias, telemetry
 
 
-def _check_hyperparameters(lr: float, epochs: int, margin: float) -> None:
+def _check_hyperparameters(lr: float, epochs: int, margin: float, seed: int) -> None:
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if not 0.0 < lr < math.inf:
         raise ValueError(f"lr must be finite and above 0, got {lr}")
     if not math.isfinite(margin):
         raise ValueError(f"margin must be finite, got {margin}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def train_kernel_weights(
@@ -679,7 +681,7 @@ def train_kernel_weights(
     Triples whose query or passages have no stored token matrix are skipped
     and counted; it is an error if none remain.
     """
-    _check_hyperparameters(lr, epochs, margin)
+    _check_hyperparameters(lr, epochs, margin, seed)
     check_dims(query_matrices, passage_matrices, "token matrices")
     resolved = []
     skipped = 0

@@ -72,6 +72,8 @@ class FixtureSpec:
             raise ValueError("max_relevant_per_query must be >= 1")
         if not 0.0 <= self.distractor_rate < 1.0:
             raise ValueError("distractor_rate must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

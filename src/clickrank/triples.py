@@ -1,11 +1,12 @@
 """Training-triple generation with relevant-pool-safe negative sampling.
 
-For every training query the first stage retrieves a deep candidate pool;
-for every (query, clicked-positive) pair up to ``max_negatives_per_positive``
-negatives are drawn uniformly without replacement from that pool after
-removing every passage with any positive grade for the query. Candidate
-rank positions are discarded. The pooled triples are shuffled under the
-configured seed and truncated to ``triple_cap``.
+For every training query BM25 ranks a deep candidate pool, kept as
+document numbers; for every (query, clicked-positive) pair up to
+``max_negatives_per_positive`` negatives are drawn uniformly without
+replacement from that pool after removing every passage with any positive
+grade for the query. Candidate rank positions are discarded, and only the
+drawn negatives are turned into passage ids. The pooled triples are
+shuffled under the configured seed and truncated to ``triple_cap``.
 
 A legacy mode reproduces the known-bad alternative for A/B diagnosis:
 negatives drawn only from candidates ranked above the positive, without the
@@ -63,6 +64,8 @@ class SamplingConfig:
             )
         if self.triple_cap < 1:
             raise ValueError("triple_cap must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -86,24 +89,29 @@ def stable_query_seed(seed: int, query_id: str) -> int:
 
 
 def sample_negatives(
-    candidates: Sequence[str],
-    relevant_pool: set[str],
+    candidates: Sequence | np.ndarray,
+    relevant_pool: Iterable,
     max_n: int,
     rng: np.random.Generator,
-) -> list[str]:
+) -> list:
     """Uniform without-replacement draw from candidates outside the relevant pool.
 
-    Returns min(max_n, #eligible) ids in draw order; rank positions of the
-    candidates are not carried along.
+    Candidates are ids or document numbers, compared with ``!=`` against each
+    relevant one. Returns min(max_n, #eligible) of them in draw order; rank
+    positions of the candidates are not carried along.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    eligible = [c for c in candidates if c not in relevant_pool]
-    if not eligible:
+    candidates = np.asarray(candidates)
+    keep = np.ones(len(candidates), dtype=bool)
+    for relevant in relevant_pool:
+        keep &= candidates != relevant
+    eligible = candidates[keep]
+    if not len(eligible):
         return []
     n = min(max_n, len(eligible))
     picks = rng.choice(len(eligible), size=n, replace=False)
-    return [eligible[i] for i in picks]
+    return eligible[picks].tolist()
 
 
 def generate_triples(
@@ -114,31 +122,37 @@ def generate_triples(
 ) -> GenerationReport:
     """Generate training triples for every query with at least one positive.
 
-    Queries are processed in sorted id order with a per-query RNG stream, so
-    the output is a pure function of (inputs, seed) regardless of execution
-    order. Queries absent from the qrels, or with positives but no eligible
-    negatives, are skipped and counted.
+    A query's pool is its BM25 top-``candidate_depth`` ranking as document
+    numbers (:meth:`InvertedIndex.top_k`). The positives' numbers (-1 for a
+    passage the index lacks) make the relevant pool, and legacy mode takes
+    the numbers ranked above the positive; only the drawn negatives become
+    passage ids. Queries are processed in sorted id order with a per-query
+    RNG stream, so the output is a pure function of (inputs, seed)
+    regardless of execution order. Queries absent from the qrels, or with
+    positives but no eligible negatives, are skipped and counted.
     """
     triples: list[TrainingTriple] = []
     report = GenerationReport(triples)
+    ids = index.ids
     for qid in sorted(q.id for q in queries):
         positives = sorted(qrels.relevant_pool(qid))
         if not positives:
             report.skipped_missing_qrels += 1
             continue
-        pool = [pid for pid, _ in index.search(queries.text(qid), config.candidate_depth)]
+        pool, _ = index.top_k(queries.text(qid), config.candidate_depth)
+        numbers = [index.doc_number(positive) for positive in positives]
         rng = np.random.default_rng(stable_query_seed(config.seed, qid))
         produced = 0
-        for positive in positives:
+        for positive, number in zip(positives, numbers):
             candidates = pool
             if config.legacy_mode:
-                candidates = pool[: pool.index(positive)] if positive in pool else []
+                at = np.flatnonzero(pool == number)
+                candidates = pool[: at[0] if len(at) else 0]
             negatives = sample_negatives(
-                candidates, set(positives), config.max_negatives_per_positive, rng
+                candidates, numbers, config.max_negatives_per_positive, rng
             )
-            for negative in negatives:
-                triples.append(TrainingTriple(qid, positive, negative))
-                produced += 1
+            triples.extend(TrainingTriple(qid, positive, ids[d]) for d in negatives)
+            produced += len(negatives)
         if produced == 0:
             report.skipped_no_eligible += 1
         else:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from unittest import mock
 
@@ -333,6 +334,11 @@ class TestStopwords:
         assert [pid for pid, _ in results] == ["d1"]
         # score() applies the same filter
         assert index.score(["the", "heart"], "d1") == results[0][1]
+
+    @pytest.mark.parametrize("word", ["e-mail", "covid_19", "don't", "The", ""])
+    def test_stopword_that_is_not_one_token_rejected(self, word):
+        with pytest.raises(ValueError, match=f"^stopword {re.escape(repr(word))} is not one token"):
+            build_index(_store({"d1": "the e mail covid 19"}), stopwords=frozenset({"the", word}))
 
     def test_stopwords_survive_persistence(self, tmp_path):
         index = build_index(_store({"d1": "the heart"}), stopwords=frozenset({"the"}))

@@ -342,6 +342,28 @@ class TestErrorHandling:
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not out.exists() and not (tmp_path / "telemetry.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [
+            # the index and query file do not exist: the seed is checked first
+            (["triples", "generate", "--index", "{tmp}/no-index", "--queries", "{tmp}/none.tsv",
+              "--qrels", "{fx}/qrels.trec"], "-1"),
+            (["train", "kernel", "--triples", "{tmp}/triples.tsv",
+              "--query-matrices", "{fx}/query_matrices.tkm",
+              "--passage-matrices", "{fx}/passage_matrices.tkm"], "-3"),
+            (["synth", "--passages", "20", "--queries", "3"], "-2"),
+        ],
+        ids=["triples-generate", "train-kernel", "synth"],
+    )
+    def test_negative_seed_is_one_error_line(self, fixture_dir, tmp_path, capsys, argv, seed):
+        (tmp_path / "triples.tsv").write_text("q00000\tp000000\tp000001\n")
+        out = tmp_path / "out"
+        argv = [a.format(tmp=tmp_path, fx=fixture_dir) for a in argv]
+        code = main([*argv, "--seed", seed, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: seed must be >= 0, got {seed}\n")
+        assert not out.exists() and not manifest_path_for(out).exists()
+
     def test_corrupt_index_is_one_error_line(self, fixture_dir, tmp_path, capsys):
         corruptions = {
             # the last term frequency becomes 0
@@ -1028,6 +1050,15 @@ class TestMalformedInputs:
             (["index", "build", "--collection", "{bad}"], b"p0\ttext\np1\tt\xffxt\n", "not valid UTF-8 text"),
             (["index", "build", "--collection", "{fx}/collection.tsv", "--stopwords", "{bad}"],
              b"the\n\xff\n", "not valid UTF-8 text"),
+            (["index", "build", "--collection", "{fx}/collection.tsv", "--stopwords", "{bad}"],
+             "the\nof E-mail\n",
+             "line 2: stopword 'e-mail' is not one token (it tokenizes to ['e', 'mail'])"),
+            (["index", "build", "--collection", "{fx}/collection.tsv", "--stopwords", "{bad}"],
+             "covid_19\n", "line 1: stopword 'covid_19' is not one token (it tokenizes to "
+             "['covid', '19'])"),
+            (["index", "build", "--collection", "{fx}/collection.tsv", "--stopwords", "{bad}"],
+             "a\n\nthe don't\n",
+             "line 3: stopword \"don't\" is not one token (it tokenizes to ['don', 't'])"),
         ],
         ids=[
             "qrels-negative-grade", "triples-same-id", "weights-unparsable", "weights-nan-bias",
@@ -1039,6 +1070,7 @@ class TestMalformedInputs:
             "run-duplicate-passage", "run-two-names", "clicks-columns", "clicks-non-integer-counts",
             "triples-columns",
             "collection-empty-id", "qrels-not-utf8", "collection-not-utf8", "stopwords-not-utf8",
+            "stopword-hyphen", "stopword-underscore", "stopword-apostrophe",
         ],
     )
     def test_malformed_input_names_file_and_line(

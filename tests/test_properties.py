@@ -18,7 +18,15 @@ from hypothesis import given, settings, strategies as st
 
 from clickrank import bm25
 from clickrank.bm25 import INDEX_FILES, InvertedIndex, build_index, tokenize
-from clickrank.corpus import Passage, PassageStore, Qrels, load_qrels, write_qrels
+from clickrank.corpus import (
+    Passage,
+    PassageStore,
+    Qrels,
+    Query,
+    QuerySet,
+    load_qrels,
+    write_qrels,
+)
 from clickrank.embeddings import (
     TokenMatrixStore,
     VectorStore,
@@ -47,7 +55,14 @@ from clickrank.rankers import (
     write_weights,
 )
 from clickrank.runs import RankedRun, canonical_order, read_run, write_run
-from clickrank.triples import TrainingTriple, read_triples, write_triples
+from clickrank.triples import (
+    SamplingConfig,
+    TrainingTriple,
+    generate_triples,
+    read_triples,
+    stable_query_seed,
+    write_triples,
+)
 
 # a small vocabulary, so documents share terms and scores tie often
 _WORDS = ["a", "b", "c", "dd", "e1", "the"]
@@ -88,6 +103,79 @@ def test_index_round_trip_and_search_equals_score(corpus, query, k, stopwords, b
     # bit for bit: == on the floats, ties broken by ascending passage id
     assert index.search(" ".join(query), k) == expected
     assert loaded.search(" ".join(query), k) == expected
+
+
+def _id_miner(queries: QuerySet, qrels: Qrels, index: InvertedIndex, config: SamplingConfig):
+    """Triple mining on passage ids, one ``search`` per query: the reference
+    ``generate_triples`` must match in every triple and every counter."""
+    triples = []
+    counts = {"queries_processed": 0, "skipped_missing_qrels": 0, "skipped_no_eligible": 0}
+    for qid in sorted(q.id for q in queries):
+        positives = sorted(qrels.relevant_pool(qid))
+        if not positives:
+            counts["skipped_missing_qrels"] += 1
+            continue
+        pool = [pid for pid, _ in index.search(queries.text(qid), config.candidate_depth)]
+        rng = np.random.default_rng(stable_query_seed(config.seed, qid))
+        produced = 0
+        for positive in positives:
+            candidates = pool
+            if config.legacy_mode:
+                candidates = pool[: pool.index(positive)] if positive in pool else []
+            eligible = [c for c in candidates if c not in positives]
+            if eligible:
+                n = min(config.max_negatives_per_positive, len(eligible))
+                picks = rng.choice(len(eligible), size=n, replace=False)
+                triples += [TrainingTriple(qid, positive, eligible[i]) for i in picks]
+                produced += n
+        counts["queries_processed" if produced else "skipped_no_eligible"] += 1
+    if not triples:
+        return "no training triples produced"
+    order = np.random.default_rng(config.seed).permutation(len(triples))
+    shuffled = [triples[i] for i in order]
+    counts["truncated"] = len(shuffled) > config.triple_cap
+    return shuffled[: config.triple_cap], counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    corpus=_corpora,
+    max_neg=st.integers(1, 4),
+    extra_depth=st.integers(0, 12),
+    cap=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+    legacy_mode=st.booleans(),
+)
+def test_generate_triples_equals_the_id_based_miner(
+    data, corpus, max_neg, extra_depth, cap, seed, legacy_mode
+):
+    index = build_index(PassageStore(Passage(pid, text) for pid, text in corpus.items()))
+    # 1-4 positives per judged query, drawn with ids the index lacks
+    ids = st.sampled_from([*sorted(corpus), "absent", "zz9"])
+    queries, grades = [], {}
+    for n in range(data.draw(st.integers(1, 4), label="queries")):
+        words = data.draw(st.lists(st.sampled_from([*_WORDS, "zz"]), min_size=1, max_size=4))
+        queries.append(Query(f"q{n}", " ".join(words), "train"))
+        if data.draw(st.booleans(), label="judged"):
+            positives = data.draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+            grades[f"q{n}"] = {pid: data.draw(st.integers(1, 2)) for pid in positives}
+    queries = QuerySet(queries)
+    config = SamplingConfig(max_neg + extra_depth, max_neg, cap, seed, legacy_mode)
+
+    for query in queries:
+        docs, scores = index.top_k(query.text, config.candidate_depth)
+        pairs = [(index.ids[d], s.hex()) for d, s in zip(docs.tolist(), scores.tolist())]
+        assert [(pid, s.hex()) for pid, s in index.search(query.text, config.candidate_depth)] == pairs
+
+    expected = _id_miner(queries, Qrels(grades), index, config)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            generate_triples(queries, Qrels(grades), index, config)
+        return
+    report = generate_triples(queries, Qrels(grades), index, config)
+    counts = {key: getattr(report, key) for key in expected[1]}
+    assert (report.triples, counts) == expected
 
 
 def _counter_build(store: PassageStore, stopwords: frozenset[str]) -> InvertedIndex:

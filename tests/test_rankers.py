@@ -579,6 +579,7 @@ class TestHingeTraining:
             ({"lr": math.inf}, "lr must be finite and above 0, got inf"),
             ({"margin": math.nan}, "margin must be finite, got nan"),
             ({"margin": -math.inf}, "margin must be finite, got -inf"),
+            ({"seed": -3}, "seed must be >= 0, got -3"),
         ],
     )
     def test_nonsense_hyperparameters_rejected(self, hyper, message):
@@ -621,6 +622,17 @@ class TestTrainKernelWeights:
         )
         assert telemetry.resolved_triples == 1
         assert telemetry.skipped_triples == 1
+
+    def test_negative_seed_rejected_before_any_feature(self, monkeypatch):
+        q_store, p_store = self._stores()
+
+        def no_features(*args):
+            raise AssertionError("features computed for a rejected seed")
+
+        monkeypatch.setattr(rankers, "_kernel_feature_rows", no_features)
+        triples = [TrainingTriple("q0", "pos0", "neg0")]
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+            train_kernel_weights(triples, q_store, p_store, KernelBank.default(), seed=-3)
 
     def test_nothing_resolvable_is_an_error(self):
         q_store, p_store = self._stores()

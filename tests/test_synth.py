@@ -90,10 +90,11 @@ class TestSpecValidation:
             ({"term_dim": 0}, "term_dim"),
             ({"max_relevant_per_query": 0}, "max_relevant_per_query"),
             ({"max_relevant_per_query": -2}, "max_relevant_per_query"),
+            ({"seed": -2}, r"^seed must be >= 0, got -2$"),
         ],
         ids=[
             "vocab-0", "vocab-above-two-syllable-words", "dim-0", "dim-negative", "term-dim-0",
-            "max-relevant-0", "max-relevant-negative",
+            "max-relevant-0", "max-relevant-negative", "seed-negative",
         ],
     )
     def test_rejected(self, bad, named):

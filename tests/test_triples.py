@@ -38,6 +38,8 @@ class TestSamplingConfig:
             SamplingConfig(triple_cap=0)
         with pytest.raises(ValueError, match="max_negatives"):
             SamplingConfig(max_negatives_per_positive=0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SamplingConfig(seed=-1)
 
     def test_triple_self_contradiction_rejected(self):
         with pytest.raises(ValueError, match="positive and negative"):
