@@ -314,7 +314,7 @@ class InvertedIndex:
                 **arrays,
                 k1=meta["k1"],
                 b=meta["b"],
-                stopwords=frozenset(stopwords),
+                stopwords=frozenset(map(check_stopword, stopwords)),
             )
         except ValueError as exc:
             raise ValueError(f"{meta_path}: {exc}") from None

@@ -454,11 +454,13 @@ def _cmd_train_kernel(args, inputs: _Inputs, out: str) -> _Wrote:
             json.dump(asdict(telemetry), f, indent=2)
             f.write("\n")
         outputs["telemetry"] = args.telemetry
+    n = telemetry.skipped_triples
+    skipped = f" (skipped {n} without token matrices)" if n else ""
     return _Wrote(
         outputs,
         {**hyper, "mus": list(bank.mus), "sigmas": list(bank.sigmas)},
         [
-            f"trained on {telemetry.resolved_triples} triples: "
+            f"trained on {telemetry.resolved_triples} triples{skipped}: "
             f"pairwise_accuracy={telemetry.pairwise_accuracy:.3f} "
             f"mean_margin={telemetry.mean_margin:.3f} -> {out}"
         ],
@@ -493,7 +495,8 @@ def _cmd_eval(args, inputs: _Inputs, out: str) -> _Wrote:
     for split in sorted(report.splits):
         sr = report.splits[split]
         metrics = " ".join(f"{m}={sr.metrics[m]:.4f}" for m in report.metric_names)
-        summary.append(f"{split} ({sr.query_count} queries): {metrics}")
+        unjudged = f", {sr.unjudged} without qrels" if sr.unjudged else ""
+        summary.append(f"{split} ({sr.query_count} queries{unjudged}): {metrics}")
     return _Wrote(outputs, {"cutoffs": cutoffs, "zero_positive": args.zero_positive}, summary)
 
 
@@ -522,8 +525,11 @@ def _cmd_sweep(args, inputs: _Inputs, out: str) -> _Wrote:
         metrics = " ".join(f"{m}={v:.4f}" for m, v in table[depth].items())
         summary.append(f"depth {depth}: {metrics}")
     dropped = _dropped(first_stage, max(depths), scored)
+    n = sum(qid not in qrels for qid in first_stage.results)
+    unjudged = f"; {n} queries without qrels" if n else ""
     summary.append(
         f"dropped {dropped} of the top-{max(depths)} candidates the scorer could not score"
+        f"{unjudged}"
     )
     return _Wrote(
         {"table": out},

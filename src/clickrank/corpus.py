@@ -10,14 +10,11 @@ No id may hold whitespace: a run or qrels line could not hold it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .manifest import TextRecords, atomic_write, reject_spaced_ids
-
-logger = logging.getLogger(__name__)
 
 VALID_SPLITS = ("head", "torso", "tail", "train", "validation")
 
@@ -202,19 +199,14 @@ def _read_tsv_pairs(path: str | Path, what: str) -> Iterator[tuple[str, str]]:
 
 def load_collection(path: str | Path) -> PassageStore:
     """Load a passage collection from a TSV file, one passage per line."""
-    store = PassageStore(Passage(pid, text) for pid, text in _read_tsv_pairs(path, "passage"))
-    logger.info("loaded %d passages from %s", len(store), path)
-    return store
+    return PassageStore(Passage(pid, text) for pid, text in _read_tsv_pairs(path, "passage"))
 
 
 def load_queries(path: str | Path, split_tag: str) -> QuerySet:
     """Load queries from a TSV file, tagging every query with ``split_tag``."""
     if split_tag not in VALID_SPLITS:
         raise ValueError(f"split tag {split_tag!r} not in {VALID_SPLITS}")
-    queries = [Query(qid, text, split_tag) for qid, text in _read_tsv_pairs(path, "query")]
-    if not queries:
-        logger.warning("query file %s is empty", path)
-    return QuerySet(queries)
+    return QuerySet(Query(qid, text, split_tag) for qid, text in _read_tsv_pairs(path, "query"))
 
 
 def load_clicks(path: str | Path) -> list[ClickRecord]:

@@ -12,8 +12,7 @@ Conventions (the common trec_eval ones):
 * Unjudged documents count as non-relevant for nDCG/MRR/recall; the judged
   fraction J@k reports how often that assumption is being exercised.
 * A query missing from the qrels scores 0 on every metric and stays in the
-  means; a split counts such queries as ``unjudged``, and a call warns once
-  (a depth sweep once, not once per depth).
+  means; a split counts such queries as ``unjudged``.
 * A query judged without any positive grade has no recall (it is undefined);
   its nDCG and MRR are left out under the "exclude" zero-positive policy and
   0 under "zero". A split's ``excluded`` counts, per metric, the rows that
@@ -23,7 +22,6 @@ Conventions (the common trec_eval ones):
 from __future__ import annotations
 
 import json
-import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -34,8 +32,6 @@ from .corpus import Qrels
 from .manifest import TextRecords, atomic_write, reject_spaced_ids
 from .rankers import score_candidates
 from .runs import RankedRun, canonical_order, runs_cover_same_queries
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_RANK_CUTOFF = 10
 DEFAULT_RECALL_CUTOFFS = (100, 200, 1000)
@@ -88,21 +84,14 @@ def evaluate_run(
     ``split_map`` must assign each run query to exactly one split; a missing
     assignment is an error so silently dropped queries cannot skew a split.
     """
-    report = _evaluate(run, qrels, split_map, rank_cutoff, recall_cutoffs, zero_positive_policy)
-    _warn_unjudged(report, run.name)
-    return report
-
-
-def _warn_unjudged(report: MetricsReport, run_name: str) -> None:
-    unjudged = sum(sr.unjudged for sr in report.splits.values())
-    if unjudged:
-        logger.warning("%d queries in run %r have no qrels entries", unjudged, run_name)
+    return _evaluate(run, qrels, split_map, rank_cutoff, recall_cutoffs, zero_positive_policy)
 
 
 def _evaluate(
     run, qrels, split_map, rank_cutoff, recall_cutoffs, zero_positive_policy
 ) -> MetricsReport:
-    """``evaluate_run`` without its warning."""
+    """``evaluate_run``'s body. ``sweep_table`` calls it once per depth, so a
+    trace of ``evaluate_run`` times whole-run evaluations only."""
     if split_map is None:
         split_map = {qid: "all" for qid in run.query_ids}
     missing = [qid for qid in run.query_ids if qid not in split_map]
@@ -299,8 +288,6 @@ def sweep_table(
             reranked.results[qid] = [e for e in ranked[qid] if e[0] in top]
         report = _evaluate(reranked, qrels, None, rank_cutoff, recall_cutoffs, "exclude")
         table[depth] = dict(report.splits["all"].metrics)
-    # every depth holds the same queries: one warning covers the sweep
-    _warn_unjudged(report, first_stage.name)
     return table
 
 

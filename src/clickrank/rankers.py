@@ -40,7 +40,6 @@ passage, so every feature keeps its bits (``_kernel_feature_rows``).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,8 +50,6 @@ import numpy as np
 from .embeddings import BLOCK_BYTES, TokenMatrixStore, VectorStore
 from .manifest import TextRecords, atomic_write, finite, reject_spaced_ids
 from .runs import RankedRun, canonical_order
-
-logger = logging.getLogger(__name__)
 
 KERNEL_EPSILON = 1e-10
 
@@ -696,8 +693,6 @@ def train_kernel_weights(
         resolved.append(triple)
     if not resolved:
         raise ValueError("no training triples with resolvable token matrices")
-    if skipped:
-        logger.warning("skipped %d triples with missing token matrices", skipped)
 
     # each query's distinct passages go through the batched feature path once
     by_query: dict[str, dict[str, None]] = {}
@@ -900,14 +895,13 @@ def score_candidates(
 
     ``on_missing`` controls what happens when the scorer has no
     representation for an item: "error" raises, "skip" drops the
-    candidates it cannot score and counts them.
+    candidates it cannot score.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if on_missing not in ("error", "skip"):
         raise ValueError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
     scored: dict[str, list[tuple[str, float]]] = {}
-    skipped = 0
     for qid, entries in first_stage.results.items():
         pids = [pid for pid, _ in entries[:depth]]
         try:
@@ -916,13 +910,9 @@ def score_candidates(
             if on_missing == "error":
                 raise
             unscorable = set(exc.passage_ids)
-            kept = [pid for pid in pids if pid not in unscorable]
-            skipped += len(pids) - len(kept)
-            pids = kept
+            pids = [pid for pid in pids if pid not in unscorable]
             scores = scorer.score_batch(qid, pids) if pids else ()
         scored[qid] = list(zip(pids, np.asarray(scores, dtype=np.float64).tolist()))
-    if skipped:
-        logger.warning("rerank dropped %d candidates without embeddings", skipped)
     return scored
 
 

@@ -16,7 +16,6 @@ relevant-pool guarantee that the corrected policy provides.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -26,10 +25,6 @@ import numpy as np
 from .bm25 import InvertedIndex
 from .corpus import PassageStore, Qrels, QuerySet
 from .manifest import TextRecords, atomic_write, reject_spaced_ids
-
-logger = logging.getLogger(__name__)
-
-SKIP_WARN_FRACTION = 0.10
 
 
 @dataclass(frozen=True, order=True)
@@ -158,15 +153,6 @@ def generate_triples(
         else:
             report.queries_processed += 1
 
-    skipped = report.skipped_missing_qrels + report.skipped_no_eligible
-    total = len(queries)
-    if total and skipped / total > SKIP_WARN_FRACTION:
-        logger.warning(
-            "skipped %d of %d queries (%.0f%%); the corpus may be degenerate",
-            skipped,
-            total,
-            100.0 * skipped / total,
-        )
     if not triples:
         raise ValueError("no training triples produced")
 

@@ -472,6 +472,8 @@ class TestLoadValidation:
             (_corrupt_json("meta.json", lambda meta: {**meta, "k1": "0.9"}), "meta.json"),
             (_corrupt_json("meta.json", lambda meta: {**meta, "stopwords": 5}), "meta.json"),
             (_corrupt_json("meta.json", lambda meta: {**meta, "stopwords": "the"}), "meta.json"),
+            (_corrupt_json("meta.json", lambda meta: {**meta, "stopwords": ["E-mail", "the"]}),
+             "meta.json"),
             (_without("k1"), "meta.json"),
             (_without("doc_count"), "meta.json"),
             (_overwrite("meta.json", '{"format": \n'), "meta.json"),
@@ -483,7 +485,8 @@ class TestLoadValidation:
             "tf-zero", "tf-short", "lengths-short", "ids-short", "ids-descending",
             "ids-duplicate", "terms-short", "terms-duplicate", "terms-not-a-list",
             "meta-doc-count", "meta-avg-doc-length", "meta-a-list", "meta-b-null",
-            "meta-k1-string", "meta-stopwords-number", "meta-stopwords-string", "meta-k1-missing",
+            "meta-k1-string", "meta-stopwords-number", "meta-stopwords-string",
+            "meta-stopword-not-one-token", "meta-k1-missing",
             "meta-doc-count-missing", "meta-not-json", "ids-not-json",
         ],
     )

@@ -15,6 +15,10 @@ what the pipeline writes or prints from them.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,35 +143,53 @@ STDOUT = {
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     work = tmp_path_factory.mktemp("contract")
-    stdout = {}
+    stdout, stderr = {}, {}
     for name, template in PIPELINE:
         argv = template.format(fx=work / "fx", w=work).split()
-        stdout[name] = _capture(argv).replace(str(work), "<w>")
+        out, stderr[name] = _capture(argv)
+        stdout[name] = out.replace(str(work), "<w>")
     digests = {
         path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(work.rglob("*"))
         if path.is_file()
     }
-    return digests, stdout
+    return digests, stdout, stderr
 
 
 def _capture(argv):
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(argv) == 0, argv
-    return buffer.getvalue()
+    return out.getvalue(), err.getvalue()
 
 
 def test_left_out_names_are_exactly_the_cpu_dependent_ones(pipeline):
-    digests, stdout = pipeline
+    digests, stdout, _ = pipeline
     assert (set(digests) | set(stdout)) - set(DIGESTS) - set(STDOUT) == CPU_DEPENDENT
 
 
 def test_every_file_is_pinned(pipeline):
-    digests, _ = pipeline
+    digests, _, _ = pipeline
     assert {path: digest for path, digest in digests.items() if path in DIGESTS} == DIGESTS
 
 
 def test_every_summary_is_pinned(pipeline):
-    _, stdout = pipeline
+    _, stdout, _ = pipeline
     assert {name: text for name, text in stdout.items() if name in STDOUT} == STDOUT
+
+
+def test_stderr_is_empty(pipeline):
+    _, _, stderr = pipeline
+    assert stderr == {name: "" for name, _ in PIPELINE}
+
+
+def test_the_cli_does_not_load_logging():
+    # counts go to the summaries, so no command has a log channel to configure
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys, clickrank.cli; print('logging' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")

@@ -676,6 +676,85 @@ class TestSummaries:
                 assert len(out.read_text().splitlines()) == 7
 
 
+def _run_cli(*argv):
+    """``python -m clickrank.cli`` in a fresh interpreter, so that stdout and
+    stderr are the streams a user sees, not pytest's in-process capture."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "clickrank.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestStderrContract:
+    """stderr holds a failing command's one ``error:`` line and nothing else;
+    the skipped and unjudged counts go to the stdout summary."""
+
+    @pytest.mark.parametrize("empty", ["qrels", "queries"])
+    def test_no_triples_is_one_error_line(self, fixture_dir, work, tmp_path, empty):
+        inputs = {"qrels": fixture_dir / "qrels.trec", "queries": fixture_dir / "queries.tsv"}
+        inputs[empty] = tmp_path / f"empty_{empty}"
+        inputs[empty].write_text("")
+        result = _run_cli(
+            "triples", "generate", "--index", work / "index", "--queries", inputs["queries"],
+            "--qrels", inputs["qrels"], "--out", tmp_path / "triples.tsv",
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "error: no training triples produced\n"
+        )
+
+    @pytest.fixture
+    def partial_qrels(self, fixture_dir, work, tmp_path):
+        """The fixture's qrels without the first two queries of the BM25 run,
+        and the number of queries that run holds."""
+        run_queries = list(dict.fromkeys(
+            line.split()[0] for line in (work / "bm25.trec").read_text().splitlines()
+        ))
+        lines = (fixture_dir / "qrels.trec").read_text().splitlines(keepends=True)
+        assert set(run_queries) <= {line.split()[0] for line in lines}
+        path = tmp_path / "partial.trec"
+        path.write_text("".join(line for line in lines if line.split()[0] not in run_queries[:2]))
+        return path, len(run_queries)
+
+    def test_eval_names_unjudged_queries_on_stdout(self, work, tmp_path, partial_qrels):
+        qrels, queries = partial_qrels
+        result = _run_cli(
+            "eval", "--run", work / "bm25.trec", "--qrels", qrels, "--cutoffs", "10,20",
+            "--out", tmp_path / "report.tsv",
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith(f"all ({queries} queries, 2 without qrels): nDCG@10=")
+
+    def test_sweep_names_unjudged_queries_on_stdout(self, work, tmp_path, partial_qrels):
+        qrels, _ = partial_qrels
+        result = _run_cli(
+            "sweep", "--run", work / "bm25.trec", "--qrels", qrels, "--depths", "5,10",
+            "--scorer", "oracle", "--out", tmp_path / "sweep.tsv",
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1] == (
+            "dropped 0 of the top-10 candidates the scorer could not score; "
+            "2 queries without qrels"
+        )
+
+    def test_train_kernel_names_skipped_triples_on_stdout(self, fixture_dir, work, tmp_path):
+        resolvable = (work / "triples.tsv").read_text()
+        triples = tmp_path / "triples.tsv"
+        triples.write_text(resolvable + "q00000\tp000000\tpXXX\n")
+        result = _run_cli(
+            "train", "kernel", "--triples", triples,
+            *[a.format(fx=fixture_dir) for a in _MATRICES], "--epochs", "2",
+            "--out", tmp_path / "weights.txt",
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        count = len(resolvable.splitlines())
+        assert result.stdout.startswith(
+            f"trained on {count} triples (skipped 1 without token matrices): "
+        )
+
+
 class TestConfigFile:
     def test_config_supplies_paths(self, fixture_dir, tmp_path):
         config = tmp_path / "conf.json"

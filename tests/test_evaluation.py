@@ -1,5 +1,4 @@
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -214,16 +213,12 @@ class TestEvaluateRun:
         b = evaluate_run(scaled, qrels)
         assert a.splits["all"].metrics == b.splits["all"].metrics
 
-    def test_unjudged_warning_logged_once_per_call(self, caplog):
+    def test_unjudged_queries_counted_per_split(self):
         run = _run({"q": ["a"], "u1": ["b"], "u2": ["c"]})
         qrels = Qrels({"q": {"a": 1}})
-        with caplog.at_level(logging.WARNING, logger="clickrank.evaluation"):
-            evaluate_run(run, qrels, {"q": "head", "u1": "head", "u2": "tail"})
-        assert caplog.messages == ["2 queries in run 'r' have no qrels entries"]
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="clickrank.evaluation"):
-            evaluate_run(_run({"q": ["a"]}), qrels)
-        assert caplog.messages == []
+        report = evaluate_run(run, qrels, {"q": "head", "u1": "head", "u2": "tail"})
+        assert {split: sr.unjudged for split, sr in report.splits.items()} == {"head": 1, "tail": 1}
+        assert evaluate_run(_run({"q": ["a"]}), qrels).splits["all"].unjudged == 0
 
     def test_missing_split_assignment_is_an_error(self):
         run = _run({"q1": ["a"], "q2": ["b"]})
@@ -403,19 +398,18 @@ class TestDepthSweep:
         with pytest.raises(ValueError, match="no queries"):
             depth_sweep(RankedRun(name="empty"), GradeOracleScorer(qrels), [1, 2], qrels)
 
-    def test_unjudged_warning_logged_once_per_sweep(self, caplog):
+    def test_unjudged_queries_stay_in_every_depth(self):
         run, qrels = self._fixture_run()
+        judged = depth_sweep(run, GradeOracleScorer(qrels), [1, 2, 4, 5], qrels)
         run.add("u1", [("x5", 1.0)])
         run.add("u2", [("x6", 1.0)])
-        message = "2 queries in run 'first' have no qrels entries"
-        with caplog.at_level(logging.WARNING, logger="clickrank.evaluation"):
-            table = depth_sweep(run, GradeOracleScorer(qrels), [1, 2, 4, 5], qrels)
-        assert len(table) == 4
-        assert caplog.messages == [message]
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="clickrank.evaluation"):
-            evaluate_run(run, qrels)
-        assert caplog.messages == [message]
+        assert evaluate_run(run, qrels).splits["all"].unjudged == 2
+        table = depth_sweep(run, GradeOracleScorer(qrels), [1, 2, 4, 5], qrels)
+        # two judged and two unjudged queries: each unjudged one scores 0 in every mean
+        assert table == {
+            depth: {name: pytest.approx(value / 2) for name, value in metrics.items()}
+            for depth, metrics in judged.items()
+        }
 
     def test_table_file(self, tmp_path):
         run, qrels = self._fixture_run()
