@@ -407,6 +407,7 @@ def _cmd_rerank(args, inputs: _Inputs, out: str) -> _Wrote:
             "depth": args.depth,
             "scorer": args.scorer,
             "on_missing": args.on_missing,
+            "run_name": reranked.name,
             "similarity": getattr(scorer, "similarity", None),
         },
         [
@@ -507,7 +508,11 @@ def _cmd_fuse(args, inputs: _Inputs, out: str) -> _Wrote:
     return _Wrote(
         {"run": out},
         # min-max fusion has no rrf_k to record
-        {"method": args.method, **({"rrf_k": args.rrf_k} if args.method == "rrf" else {})},
+        {
+            "method": args.method,
+            **({"rrf_k": args.rrf_k} if args.method == "rrf" else {}),
+            "run_name": args.run_name,
+        },
         [f"fused {len(runs)} runs over {len(fused)} queries -> {out}"],
     )
 

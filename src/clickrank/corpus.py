@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .manifest import TextRecords, atomic_write, reject_spaced_ids
+from .manifest import TextRecords, atomic_write
 
 VALID_SPLITS = ("head", "torso", "tail", "train", "validation")
 
@@ -185,16 +185,15 @@ def _read_tsv_pairs(path: str | Path, what: str) -> Iterator[tuple[str, str]]:
 
     Text may itself contain tabs; only the first tab separates the columns.
     """
-    line_of: dict[str, int] = {}
-    with TextRecords(path, 2, "expected id<TAB>text", "\t", 1) as records:
+    seen: set[str] = set()
+    with TextRecords(path, 2, "expected id<TAB>text", "\t", 1, ids=1) as records:
         for ident, text in records:
             if not ident:
                 raise ValueError("empty id column")
-            if ident in line_of:
+            if ident in seen:
                 raise ValueError(f"duplicate {what} id {ident!r}")
-            line_of[ident] = records.lineno
+            seen.add(ident)
             yield ident, text
-    reject_spaced_ids(path, list(line_of), list(line_of.values()), "line")
 
 
 def load_collection(path: str | Path) -> PassageStore:
@@ -212,17 +211,13 @@ def load_queries(path: str | Path, split_tag: str) -> QuerySet:
 def load_clicks(path: str | Path) -> list[ClickRecord]:
     """Load a click log; repeated (query, passage) rows are kept as-is."""
     records = []
-    lines = []
-    with TextRecords(path, 4, "expected 4 tab-separated columns", "\t") as rows:
+    with TextRecords(path, 4, "expected 4 tab-separated columns", "\t", ids=2) as rows:
         for qid, pid, imp_s, clk_s in rows:
             try:
                 imp, clk = int(imp_s), int(clk_s)
             except ValueError:
                 raise ValueError("non-integer counts") from None
             records.append(ClickRecord(qid, pid, imp, clk))
-            lines.append(rows.lineno)
-    reject_spaced_ids(path, [r.query_id for r in records], lines, "line")
-    reject_spaced_ids(path, [r.passage_id for r in records], lines, "line")
     return records
 
 

@@ -232,7 +232,7 @@ class _Reader:
             raise ValueError(
                 f"{self.path}: {len(self.data) - self.pos} trailing bytes after payload"
             )
-        reject_spaced_ids(self.path, ids, self.id_offsets, "offset")
+        reject_spaced_ids(self.path, ids, self.id_offsets)
 
 
 def write_vectors(store: VectorStore, path: str | Path) -> None:

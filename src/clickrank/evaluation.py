@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Qrels
-from .manifest import TextRecords, atomic_write, reject_spaced_ids
+from .manifest import TextRecords, atomic_write
 from .rankers import score_candidates
 from .runs import RankedRun, canonical_order, runs_cover_same_queries
 
@@ -44,13 +44,10 @@ def _dcg(grades: Sequence[int]) -> float:
 def load_splits(path: str | Path) -> dict[str, str]:
     """Read a ``query_id<TAB>split`` file into a query -> split map."""
     split_of: dict[str, str] = {}
-    line_of: dict[str, int] = {}
-    with TextRecords(path, 2, "expected query_id<TAB>split", "\t") as records:
+    with TextRecords(path, 2, "expected query_id<TAB>split", "\t", ids=1) as records:
         for qid, split in records:
             if split_of.setdefault(qid, split) != split:
                 raise ValueError(f"query {qid!r} assigned to both {split_of[qid]!r} and {split!r}")
-            line_of.setdefault(qid, records.lineno)
-    reject_spaced_ids(path, list(line_of), list(line_of.values()), "line")
     return split_of
 
 
@@ -247,20 +244,19 @@ def depth_sweep(
     scorer,
     depths: Sequence[int],
     qrels: Qrels,
-    rank_cutoff: int = DEFAULT_RANK_CUTOFF,
-    recall_cutoffs: Sequence[int] = DEFAULT_RECALL_CUTOFFS,
-    on_missing: str = "error",
 ) -> dict[int, dict[str, float]]:
-    """Re-rank at each depth and tabulate the aggregate metrics.
+    """Re-rank at each depth and tabulate the aggregate metrics: nDCG@10,
+    MRR@10, J@10 and R@100, R@200 and R@1000.
 
     The re-ranking-depth robustness diagnostic: a well-trained scorer keeps
     improving (or holds steady) as more candidates are exposed to it, while
     a scorer poisoned by false-negative training degrades. Each query's top
-    ``max(depths)`` candidates are scored once (``score_candidates``).
+    ``max(depths)`` candidates are scored once (``score_candidates``), and a
+    candidate the scorer cannot score is an error.
     """
     depths = check_depths(depths)
-    scored = score_candidates(first_stage, depths[-1], scorer, on_missing)
-    return sweep_table(first_stage, scored, depths, qrels, rank_cutoff, recall_cutoffs)
+    scored = score_candidates(first_stage, depths[-1], scorer)
+    return sweep_table(first_stage, scored, depths, qrels)
 
 
 def sweep_table(
@@ -268,8 +264,6 @@ def sweep_table(
     scored: Mapping[str, list[tuple[str, float]]],
     depths: Sequence[int],
     qrels: Qrels,
-    rank_cutoff: int = DEFAULT_RANK_CUTOFF,
-    recall_cutoffs: Sequence[int] = DEFAULT_RECALL_CUTOFFS,
 ) -> dict[int, dict[str, float]]:
     """The ``depth_sweep`` table from candidates that ``score_candidates``
     already scored to at least the deepest depth: each depth re-ranks the
@@ -286,7 +280,9 @@ def sweep_table(
         for qid, entries in first_stage.results.items():
             top = {pid for pid, _ in entries[:depth]}
             reranked.results[qid] = [e for e in ranked[qid] if e[0] in top]
-        report = _evaluate(reranked, qrels, None, rank_cutoff, recall_cutoffs, "exclude")
+        report = _evaluate(
+            reranked, qrels, None, DEFAULT_RANK_CUTOFF, DEFAULT_RECALL_CUTOFFS, "exclude"
+        )
         table[depth] = dict(report.splits["all"].metrics)
     return table
 

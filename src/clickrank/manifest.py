@@ -56,6 +56,8 @@ class TextRecords:
     ``maxsplit`` times. Blank lines are skipped: empty ones for a ``sep``
     format, ones without fields for a whitespace format. A line without
     exactly ``columns`` fields (any count when ``None``) raises ``expected``.
+    The first ``ids`` fields are ids, and one that holds whitespace, which
+    no run or qrels line can hold, raises ``id {id!r} contains whitespace``.
     A ``ValueError`` raised in the ``with`` block while line ``lineno`` is
     processed gets ``"{path}: line {lineno}: "`` in front.
     """
@@ -67,10 +69,11 @@ class TextRecords:
         expected: str = "",
         sep: str | None = None,
         maxsplit: int = -1,
+        ids: int = 0,
     ):
         self.path = path
         self.lineno = 0
-        self._shape = columns, expected, sep, maxsplit
+        self._shape = columns, expected, sep, maxsplit, ids
 
     def __enter__(self) -> "TextRecords":
         self._file = open(self.path, "r", encoding="utf-8")
@@ -85,7 +88,7 @@ class TextRecords:
             raise ValueError(f"{self.path}: line {self.lineno}: {exc}") from None
 
     def __iter__(self) -> Iterator[list[str]]:
-        columns, expected, sep, maxsplit = self._shape
+        columns, expected, sep, maxsplit, ids = self._shape
         # the file turns every line end into LF; a whitespace split drops it
         lines = self._file if sep is None else map(str.rstrip, self._file, repeat("\n"))
         for self.lineno, line in enumerate(lines, start=1):
@@ -95,6 +98,9 @@ class TextRecords:
                     continue
                 if columns is not None:
                     raise ValueError(expected)
+            if ids and _WHITESPACE.search("".join(fields[:ids])):
+                spaced = next(f for f in fields[:ids] if _WHITESPACE.search(f))
+                raise ValueError(f"id {spaced!r} contains whitespace")
             yield fields
 
 
@@ -133,13 +139,13 @@ def finite(text: str, what: str) -> float:
     return value
 
 
-def reject_spaced_ids(path: str | Path, ids: Sequence[str], at: Sequence[int], unit: str) -> None:
-    """Raise if an id holds whitespace, which no run or qrels line can hold,
-    naming the file and the ``unit`` (line or offset) ``at[i]`` of ``ids[i]``.
-    One scan of the joined ids serves the common case."""
+def reject_spaced_ids(path: str | Path, ids: Sequence[str], offsets: Sequence[int]) -> None:
+    """Raise if an id of a binary input holds whitespace, which no run or
+    qrels line can hold, naming the file and the byte offset ``offsets[i]``
+    of ``ids[i]``. One scan of the joined ids serves the common case."""
     if _WHITESPACE.search("".join(ids)):
         i = next(i for i, ident in enumerate(ids) if _WHITESPACE.search(ident))
-        raise ValueError(f"{path}: {unit} {at[i]}: id {ids[i]!r} contains whitespace")
+        raise ValueError(f"{path}: offset {offsets[i]}: id {ids[i]!r} contains whitespace")
 
 
 def file_digest(path: str | Path) -> str:

@@ -48,7 +48,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .embeddings import BLOCK_BYTES, TokenMatrixStore, VectorStore
-from .manifest import TextRecords, atomic_write, finite, reject_spaced_ids
+from .manifest import TextRecords, atomic_write, finite
 from .runs import RankedRun, canonical_order
 
 KERNEL_EPSILON = 1e-10
@@ -615,26 +615,19 @@ def fit_hinge(
     epochs: int = 100,
     margin: float = 1.0,
     seed: int = 0,
-    init_w: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, TrainTelemetry]:
     """Full-batch gradient descent on the pairwise hinge objective.
 
-    Deterministic given the seed; feature rows are paired (pos_features[i],
-    neg_features[i]) per training triple. ``init_w`` overrides the seeded
-    random initialization, N(0, 0.01^2) per weight.
+    Deterministic given the seed, which draws the initial weights from
+    N(0, 0.01^2); feature rows are paired (pos_features[i], neg_features[i])
+    per training triple.
     """
     _check_hyperparameters(lr, epochs, margin, seed)
     pos = np.asarray(pos_features, dtype=np.float64)
     neg = np.asarray(neg_features, dtype=np.float64)
     if pos.shape != neg.shape or pos.ndim != 2 or pos.shape[0] == 0:
         raise ValueError("need matching non-empty (n, k) feature matrices")
-    if init_w is not None:
-        w = np.asarray(init_w, dtype=np.float64).copy()
-        if w.shape != (pos.shape[1],):
-            raise ValueError(f"init_w shape {w.shape} does not match features")
-    else:
-        rng = np.random.default_rng(seed)
-        w = rng.normal(0.0, 0.01, size=pos.shape[1])
+    w = np.random.default_rng(seed).normal(0.0, 0.01, size=pos.shape[1])
     bias = 0.0
     curve: list[float] = []
     for _ in range(epochs):
@@ -840,16 +833,13 @@ class ExternalScoreScorer:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExternalScoreScorer":
         scores: dict[tuple[str, str], float] = {}
-        line_of: dict[tuple[str, str], int] = {}
-        with TextRecords(path, 3, "expected query_id<TAB>passage_id<TAB>score", "\t") as records:
+        expected = "expected query_id<TAB>passage_id<TAB>score"
+        with TextRecords(path, 3, expected, "\t", ids=2) as records:
             for qid, pid, score_s in records:
                 score = finite(score_s, "score")
                 if scores.setdefault((qid, pid), score) != score:
                     old = scores[(qid, pid)]
                     raise ValueError(f"pair {(qid, pid)!r} scored both {old!r} and {score!r}")
-                line_of.setdefault((qid, pid), records.lineno)
-        for column in zip(*line_of):
-            reject_spaced_ids(path, column, list(line_of.values()), "line")
         return cls(scores)
 
     def score(self, query_id: str, passage_id: str) -> float:

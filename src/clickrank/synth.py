@@ -40,8 +40,10 @@ from .manifest import atomic_write
 
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
-# the distinct background words (consonant-vowel syllables, two per word)
-_BACKGROUND_WORDS = (len(_CONSONANTS) * len(_VOWELS)) ** 2
+_SIGNAL_TERMS_PER_QUERY = 2
+_BACKGROUND_VOCAB_SIZE = 600
+# the share of non-relevant passages that carry one stray signal term
+_DISTRACTOR_RATE = 0.15
 
 
 @dataclass(frozen=True)
@@ -51,27 +53,15 @@ class FixtureSpec:
     dim: int = 64
     term_dim: int = 32
     seed: int = 0
-    signal_terms_per_query: int = 2
     max_relevant_per_query: int = 4
-    background_vocab_size: int = 600
-    distractor_rate: float = 0.15
 
     def __post_init__(self) -> None:
         if self.n_passages < 1 or self.n_queries < 1:
             raise ValueError("fixture sizes must be >= 1")
         if self.dim < 1 or self.term_dim < 1:
             raise ValueError("dim and term_dim must be >= 1")
-        if not 1 <= self.background_vocab_size <= _BACKGROUND_WORDS:
-            raise ValueError(
-                f"background_vocab_size must lie in [1, {_BACKGROUND_WORDS}], "
-                f"the number of two-syllable words"
-            )
-        if self.signal_terms_per_query < 1:
-            raise ValueError("need at least one signal term per query")
         if self.max_relevant_per_query < 1:
             raise ValueError("max_relevant_per_query must be >= 1")
-        if not 0.0 <= self.distractor_rate < 1.0:
-            raise ValueError("distractor_rate must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -165,9 +155,9 @@ def _zipf_sampler(rng: np.random.Generator, size: int) -> Callable[[int], list[i
 def generate_fixture(spec: FixtureSpec = FixtureSpec()) -> Fixture:
     rng = np.random.default_rng(spec.seed)
     taken: set[str] = set()
-    background = _make_vocabulary(rng, spec.background_vocab_size, 2, taken)
+    background = _make_vocabulary(rng, _BACKGROUND_VOCAB_SIZE, 2, taken)
     signal_terms = {
-        f"q{i:05d}": _make_vocabulary(rng, spec.signal_terms_per_query, 4, taken)
+        f"q{i:05d}": _make_vocabulary(rng, _SIGNAL_TERMS_PER_QUERY, 4, taken)
         for i in range(spec.n_queries)
     }
     query_ids = sorted(signal_terms)
@@ -221,9 +211,9 @@ def generate_fixture(spec: FixtureSpec = FixtureSpec()) -> Fixture:
             for term in chosen:
                 for _ in range(int(rng.integers(1, 3))):
                     rows.insert(int(rng.integers(len(rows) + 1)), term)
-        elif rng.random() < spec.distractor_rate:
+        elif rng.random() < _DISTRACTOR_RATE:
             stray_q = query_ids[int(rng.integers(len(query_ids)))]
-            term = signal_rows[stray_q][int(rng.integers(spec.signal_terms_per_query))]
+            term = signal_rows[stray_q][int(rng.integers(_SIGNAL_TERMS_PER_QUERY))]
             rows.insert(int(rng.integers(len(rows) + 1)), term)
         passage_rows.append(rows)
     store = PassageStore(

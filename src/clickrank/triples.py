@@ -24,7 +24,7 @@ import numpy as np
 
 from .bm25 import InvertedIndex
 from .corpus import PassageStore, Qrels, QuerySet
-from .manifest import TextRecords, atomic_write, reject_spaced_ids
+from .manifest import TextRecords, atomic_write
 
 
 @dataclass(frozen=True, order=True)
@@ -154,7 +154,10 @@ def generate_triples(
             report.queries_processed += 1
 
     if not triples:
-        raise ValueError("no training triples produced")
+        raise ValueError(
+            f"no training triples produced (skipped: {report.skipped_missing_qrels} without "
+            f"positives, {report.skipped_no_eligible} without eligible negatives)"
+        )
 
     shuffle_rng = np.random.default_rng(config.seed)
     order = shuffle_rng.permutation(len(triples))
@@ -173,14 +176,8 @@ def write_triples(triples: Iterable[TrainingTriple], path: str | Path) -> None:
 
 
 def read_triples(path: str | Path) -> list[TrainingTriple]:
-    triples, lines = [], []
-    with TextRecords(path, 3, "expected 3 tab-separated ids", "\t") as records:
-        for ids in records:
-            triples.append(TrainingTriple(*ids))
-            lines.append(records.lineno)
-    for column in ("query_id", "positive_id", "negative_id"):
-        reject_spaced_ids(path, [getattr(t, column) for t in triples], lines, "line")
-    return triples
+    with TextRecords(path, 3, "expected 3 tab-separated ids", "\t", ids=3) as records:
+        return [TrainingTriple(*ids) for ids in records]
 
 
 def write_text_triples(

@@ -584,9 +584,11 @@ class TestErrorHandling:
             assert main([*fuse, "--method", "minmax", "--rrf-k", rrf_k]) == 0
             manifests.append(manifest_path_for(out).read_bytes())
         assert manifests[0] == manifests[1]
-        assert json.loads(manifests[0])["config"] == {"method": "minmax"}
+        assert json.loads(manifests[0])["config"] == {"method": "minmax", "run_name": "fused"}
         assert main([*fuse, "--method", "rrf", "--rrf-k", "7"]) == 0
-        assert json.loads(manifest_path_for(out).read_text())["config"] == {"method": "rrf", "rrf_k": 7}
+        assert json.loads(manifest_path_for(out).read_text())["config"] == {
+            "method": "rrf", "rrf_k": 7, "run_name": "fused"
+        }
 
     @pytest.mark.parametrize(
         "config, accepted",
@@ -692,8 +694,10 @@ class TestStderrContract:
     """stderr holds a failing command's one ``error:`` line and nothing else;
     the skipped and unjudged counts go to the stdout summary."""
 
-    @pytest.mark.parametrize("empty", ["qrels", "queries"])
-    def test_no_triples_is_one_error_line(self, fixture_dir, work, tmp_path, empty):
+    @pytest.mark.parametrize("empty, without_positives", [("qrels", 40), ("queries", 0)])
+    def test_no_triples_is_one_error_line(
+        self, fixture_dir, work, tmp_path, empty, without_positives
+    ):
         inputs = {"qrels": fixture_dir / "qrels.trec", "queries": fixture_dir / "queries.tsv"}
         inputs[empty] = tmp_path / f"empty_{empty}"
         inputs[empty].write_text("")
@@ -702,7 +706,8 @@ class TestStderrContract:
             "--qrels", inputs["qrels"], "--out", tmp_path / "triples.tsv",
         )
         assert (result.returncode, result.stdout, result.stderr) == (
-            1, "", "error: no training triples produced\n"
+            1, "", "error: no training triples produced (skipped: "
+            f"{without_positives} without positives, 0 without eligible negatives)\n"
         )
 
     @pytest.fixture

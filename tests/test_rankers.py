@@ -517,13 +517,13 @@ class TestKernelScore:
 
 class TestHingeTraining:
     def test_satisfied_margins_leave_weights_unchanged(self):
-        rng = np.random.default_rng(10)
-        w0 = rng.standard_normal(4)
+        # the start that seed 10 draws, since no epoch moves it
+        w0, _, _ = fit_hinge(np.zeros((1, 4)), np.ones((1, 4)), epochs=0, seed=10)
         # score differences all equal margin + 1 along w0
         diffs = np.outer(np.full(10, 2.0 / np.dot(w0, w0)), w0)
-        pos = rng.standard_normal((10, 4))
+        pos = np.random.default_rng(10).standard_normal((10, 4))
         neg = pos - diffs
-        w, bias, telemetry = fit_hinge(pos, neg, lr=0.5, epochs=50, margin=1.0, init_w=w0)
+        w, bias, telemetry = fit_hinge(pos, neg, lr=0.5, epochs=50, margin=1.0, seed=10)
         np.testing.assert_array_equal(w, w0)
         assert bias == 0.0
         assert telemetry.loss_curve == [0.0] * 50

@@ -83,8 +83,6 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "bad, named",
         [
-            ({"background_vocab_size": 0}, "background_vocab_size"),
-            ({"background_vocab_size": 7226}, "background_vocab_size"),
             ({"dim": 0}, "dim"),
             ({"dim": -3}, "dim"),
             ({"term_dim": 0}, "term_dim"),
@@ -93,18 +91,13 @@ class TestSpecValidation:
             ({"seed": -2}, r"^seed must be >= 0, got -2$"),
         ],
         ids=[
-            "vocab-0", "vocab-above-two-syllable-words", "dim-0", "dim-negative", "term-dim-0",
+            "dim-0", "dim-negative", "term-dim-0",
             "max-relevant-0", "max-relevant-negative", "seed-negative",
         ],
     )
     def test_rejected(self, bad, named):
         with pytest.raises(ValueError, match=named):
             FixtureSpec(n_passages=100, n_queries=5, **bad)
-
-    def test_vocabulary_bounds_accepted(self):
-        FixtureSpec(background_vocab_size=7225)
-        fixture = generate_fixture(FixtureSpec(n_passages=40, n_queries=4, background_vocab_size=1))
-        assert len({w for _, text in fixture.store.items() for w in text.split()}) > 1
 
 
 class TestPlantedRelevance:
