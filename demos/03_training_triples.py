@@ -46,9 +46,12 @@ print("relevant-pool violations:", violations)
 again = generate_triples(fixture.queries, qrels, index, config)
 print("same seed reproduces byte-identical output:", report.triples == again.triples)
 
-# The legacy switch reproduces the known-bad alternative (negatives only
-# from candidates the first stage ranked above the positive) for A/B
-# diagnosis. Don't train on it; measure what it does to your model.
+# The legacy switch reproduces the known-bad alternative for A/B diagnosis:
+# it cuts the pool at the positive's rank, so negatives come only from
+# candidates the first stage ranked above the positive. It still masks the
+# relevant pool; its hazard is relevant passages that nobody clicked and
+# that rank above the positive, which carry no grade, so the mask cannot
+# remove them. Don't train on it; measure what it does to your model.
 legacy = generate_triples(
     fixture.queries, qrels, index,
     SamplingConfig(candidate_depth=200, max_negatives_per_positive=10, seed=42, legacy_mode=True),

@@ -23,6 +23,7 @@ from collections import defaultdict
 from collections.abc import Iterator, Mapping
 from itertools import count
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -117,8 +118,12 @@ class InvertedIndex:
     document numbers) with their term frequencies in ``postings_tf``.
     ``postings`` maps each term to that slice. An optional stopword list is
     applied symmetrically to documents (at build time) and to queries, and
-    is persisted with the index so both sides always agree. The index is
-    immutable after construction and safe for concurrent readers.
+    is persisted with the index so both sides always agree. The postings
+    and statistics are immutable after construction. :meth:`top_k` fills a
+    per-term cache of BM25 contributions as queries read the index, 8 bytes
+    per posting of each queried term, which lives as long as the index; the
+    index stays safe for concurrent readers, because an entry's value does
+    not depend on which reader computes it.
     """
 
     def __init__(
@@ -155,6 +160,9 @@ class InvertedIndex:
         self._doc_numbers = dict(zip(ids, range(len(ids))))
         self._term_numbers = dict(zip(terms, range(len(terms))))
         self.postings = _Postings(self._term_numbers, term_offsets, postings_doc)
+        # term -> (its postings' document numbers, their BM25 contributions),
+        # filled by top_k the first time a query uses the term
+        self._contributions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @staticmethod
     def check_parameters(k1: float, b: float) -> None:
@@ -218,6 +226,8 @@ class InvertedIndex:
 
         Accumulates term contributions in query-token order, so every
         returned score is bit-identical to :meth:`score` for that passage.
+        A term's contributions are computed by the first query that uses it
+        and kept for later ones.
         Every passage tied at the k-th score survives the partition, and the
         final order is (score descending, document number ascending).
         """
@@ -225,17 +235,22 @@ class InvertedIndex:
             raise ValueError(f"k must be >= 1, got {k}")
         accumulator = np.zeros(self.doc_count)
         touched = np.zeros(self.doc_count, dtype=bool)
-        k1 = self.k1
+        contributions = self._contributions
         for token in tokenize(query_text):
-            if token in self.stopwords:
-                continue
-            span = self._span(token)
-            if span is None:
-                continue
-            docs = self.postings_doc[span[0] : span[1]]
-            tf = self.postings_tf[span[0] : span[1]]
-            idf = self.idf(token)
-            accumulator[docs] += idf * tf * (k1 + 1.0) / (tf + k1 * self.norm[docs])
+            entry = contributions.get(token)
+            if entry is None:
+                if token in self.stopwords:
+                    continue
+                span = self._span(token)
+                if span is None:
+                    continue
+                docs = self.postings_doc[span[0] : span[1]]
+                tf = self.postings_tf[span[0] : span[1]]
+                k1 = self.k1
+                values = self.idf(token) * tf * (k1 + 1.0) / (tf + k1 * self.norm[docs])
+                entry = contributions[token] = docs, values
+            docs, values = entry
+            accumulator[docs] += values
             touched[docs] = True
         hits = np.flatnonzero(touched)
         scores = accumulator[hits]
@@ -249,8 +264,7 @@ class InvertedIndex:
     def search(self, query_text: str, k: int) -> list[tuple[str, float]]:
         """:meth:`top_k` as (passage id, score) pairs."""
         docs, scores = self.top_k(query_text, k)
-        ids = self.ids
-        return [(ids[d], s) for d, s in zip(docs.tolist(), scores.tolist())]
+        return list(zip(map(self.ids.__getitem__, docs.tolist()), scores.tolist()))
 
     def save(self, directory: str | Path) -> None:
         """Persist to a directory; the layout round-trips exactly.
@@ -337,15 +351,25 @@ def _strings(values, where: str | Path) -> list[str]:
 
 
 def _read_array(path: Path, dtype: np.dtype) -> np.ndarray:
-    try:
-        values = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise ValueError(f"{path}: not a readable .npy array ({exc})") from None
-    if values.dtype != dtype or values.ndim != 1:
-        raise ValueError(
-            f"{path}: expected a 1-D {dtype.str} array, got {values.ndim}-D {values.dtype.str}"
-        )
-    return values
+    """The header is checked against ``dtype`` and the file's size before
+    anything is allocated, so a damaged header is an error naming the file
+    and only a valid array too large for memory raises MemoryError."""
+    fmt = np.lib.format
+    with open(path, "rb") as f:
+        # a damaged header can fail in numpy's parser with any of these;
+        # versions 2 and 3 share the header layout
+        try:
+            version = fmt.read_magic(f)
+            read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+            shape, _, stored = read_header(f)
+        except (ValueError, EOFError, SyntaxError, TypeError, TokenError) as exc:
+            raise ValueError(f"{path}: not a readable .npy array ({exc})") from None
+        if stored != dtype or len(shape) != 1:
+            raise ValueError(f"{path}: expected a 1-D {dtype.str} array, got {len(shape)}-D {stored.str}")
+        size = path.stat().st_size - f.tell()
+        if size != shape[0] * dtype.itemsize:
+            raise ValueError(f"{path}: the header declares {shape[0]} values, but {size} bytes follow it")
+        return np.fromfile(f, dtype=dtype, count=shape[0])
 
 
 def _validate(directory: Path, index: InvertedIndex, meta: dict) -> None:

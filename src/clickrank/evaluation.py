@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Qrels
+from .corpus import VALID_SPLITS, Qrels
 from .manifest import TextRecords, atomic_write
 from .rankers import score_candidates
 from .runs import RankedRun, canonical_order, runs_cover_same_queries
@@ -42,10 +42,13 @@ def _dcg(grades: Sequence[int]) -> float:
 
 
 def load_splits(path: str | Path) -> dict[str, str]:
-    """Read a ``query_id<TAB>split`` file into a query -> split map."""
+    """Read a ``query_id<TAB>split`` file into a query -> split map; each
+    split is one of ``VALID_SPLITS``."""
     split_of: dict[str, str] = {}
     with TextRecords(path, 2, "expected query_id<TAB>split", "\t", ids=1) as records:
         for qid, split in records:
+            if split not in VALID_SPLITS:
+                raise ValueError(f"split {split!r} not in {VALID_SPLITS}")
             if split_of.setdefault(qid, split) != split:
                 raise ValueError(f"query {qid!r} assigned to both {split_of[qid]!r} and {split!r}")
     return split_of

@@ -8,9 +8,11 @@ grade for the query. Candidate rank positions are discarded, and only the
 drawn negatives are turned into passage ids. The pooled triples are
 shuffled under the configured seed and truncated to ``triple_cap``.
 
-A legacy mode reproduces the known-bad alternative for A/B diagnosis:
-negatives drawn only from candidates ranked above the positive, without the
-relevant-pool guarantee that the corrected policy provides.
+A legacy mode reproduces the known-bad alternative for A/B diagnosis: it
+cuts the pool at the positive's rank, so negatives come only from
+candidates ranked above the positive, and still masks the relevant pool.
+Its hazard is relevant passages that nobody clicked and that BM25 ranks
+above the positive: they carry no grade, so the mask cannot remove them.
 """
 
 from __future__ import annotations

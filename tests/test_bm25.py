@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -508,3 +509,35 @@ class TestLoadValidation:
         (directory / "postings_tf.npy").write_bytes(b"not an array")
         with pytest.raises(ValueError, match="postings_tf.npy"):
             InvertedIndex.load(directory)
+
+    @pytest.mark.parametrize(
+        "offset, byte",
+        [(8, b'"'), (21, b","), (26, b"B")],
+        # numpy's header parser fails on each, with whatever exception its
+        # version raises
+        ids=["length-quote", "descr-comma", "dict-bytes-key"],
+    )
+    def test_unreadable_header(self, tmp_path, offset, byte):
+        directory = tmp_path / "idx"
+        build_index(_store({"d1": "a b", "d2": "a c c", "d3": "a b c"})).save(directory)
+        path = directory / "doc_lengths.npy"
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 1] = byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(Exception) as raw:
+            np.load(path, allow_pickle=False)
+        with pytest.raises(ValueError) as exc:
+            InvertedIndex.load(directory)
+        assert str(exc.value) == f"{path}: not a readable .npy array ({raw.value})"
+
+    @pytest.mark.parametrize("count", [10**15, 2, 4], ids=["too-large-to-allocate", "short", "long"])
+    def test_header_shape_must_match_the_file_size(self, tmp_path, count):
+        directory = tmp_path / "idx"
+        build_index(_store({"d1": "a b", "d2": "a c c", "d3": "a b c"})).save(directory)
+        path = directory / "doc_lengths.npy"
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {"descr": "<i4", "fortran_order": False, "shape": (count,)})
+        path.write_bytes(header.getvalue() + bytes(12))
+        with pytest.raises(ValueError) as exc:
+            InvertedIndex.load(directory)
+        assert str(exc.value) == f"{path}: the header declares {count} values, but 12 bytes follow it"

@@ -368,6 +368,9 @@ class TestErrorHandling:
         corruptions = {
             # the last term frequency becomes 0
             "tf-zero": ("postings_tf.npy", lambda blob: blob[:-4] + bytes(4)),
+            # the .npy header length byte becomes a quote, which numpy's
+            # header parser fails on with tokenize.TokenError
+            "npy-header-quote": ("doc_lengths.npy", lambda blob: blob[:8] + b'"' + blob[9:]),
             # the header loses its closing brace
             "meta-truncated": ("meta.json", lambda blob: blob[:-2]),
             # a k1 that JSON's reader takes as inf
@@ -1116,6 +1119,8 @@ class TestMalformedInputs:
             (["eval", "--run", "{work}/bm25.trec", "--qrels", "{bad}"], "q1 0 p1 x\n",
              "line 1: non-integer grade"),
             (_SPLITS, "q0\thead\tx\n", "line 1: expected query_id<TAB>split"),
+            (_SPLITS, "q0\thead\nq1\thead \n",
+             "line 2: split 'head ' not in ('head', 'torso', 'tail', 'train', 'validation')"),
             (["eval", "--run", "{bad}", "--qrels", "{fx}/qrels.trec"], "q1 Q0 p1 1 2.0\n",
              "line 1: expected 'qid Q0 pid rank score run'"),
             (["eval", "--run", "{bad}", "--qrels", "{fx}/qrels.trec"],
@@ -1150,7 +1155,8 @@ class TestMalformedInputs:
             "weights-zero-width", "collection-spaced-id", "queries-spaced-id",
             "clicks-spaced-query-id", "clicks-spaced-passage-id", "triples-spaced-id",
             "splits-spaced-id", "scores-columns", "scores-spaced-id", "scores-repeated-pair",
-            "qrels-repeated-pair", "qrels-non-integer-grade", "splits-columns", "run-columns",
+            "qrels-repeated-pair", "qrels-non-integer-grade", "splits-columns",
+            "splits-unknown-label", "run-columns",
             "run-duplicate-passage", "run-two-names", "clicks-columns", "clicks-non-integer-counts",
             "triples-columns",
             "collection-empty-id", "qrels-not-utf8", "collection-not-utf8", "stopwords-not-utf8",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from clickrank.corpus import Qrels
+from clickrank.corpus import VALID_SPLITS, Qrels
 from clickrank.evaluation import (
     depth_sweep,
     evaluate_run,
@@ -245,6 +245,23 @@ class TestEvaluateRun:
         path.write_text("q1\thead\nq1\ttail\n")
         with pytest.raises(ValueError, match="q1"):
             load_splits(path)
+
+    @pytest.mark.parametrize(
+        "text, line, label",
+        [
+            ("q1\thead\nq2\thead \n", 2, "head "),
+            ("q1\tHead\n", 1, "Head"),
+            ("q1\ttail\nq2\ttorso\nq3\tlong tail\n", 3, "long tail"),
+            ("q1\t\n", 1, ""),
+        ],
+        ids=["trailing-space", "capitalised", "two-words", "empty"],
+    )
+    def test_load_splits_rejects_unknown_labels(self, tmp_path, text, line, label):
+        path = tmp_path / "splits.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_splits(path)
+        assert str(exc.value) == f"{path}: line {line}: split {label!r} not in {VALID_SPLITS}"
 
 
 def _naive_minmax_fusion(runs, qid):

@@ -78,15 +78,16 @@ _corpora = st.dictionaries(
 @settings(max_examples=80, deadline=None)
 @given(
     corpus=_corpora,
-    query=st.lists(st.sampled_from([*_WORDS, "zz"]), min_size=1, max_size=5),
+    queries=st.lists(
+        st.lists(st.sampled_from([*_WORDS, "zz"]), min_size=1, max_size=5), min_size=1, max_size=4
+    ),
     k=st.integers(1, 16),
     stopwords=st.frozensets(st.sampled_from(_WORDS), max_size=2),
     b=st.sampled_from([0.0, 0.4, 1.0]),
 )
-def test_index_round_trip_and_search_equals_score(corpus, query, k, stopwords, b):
-    index = build_index(
-        PassageStore(Passage(pid, text) for pid, text in corpus.items()), b=b, stopwords=stopwords
-    )
+def test_index_round_trip_and_search_equals_score(corpus, queries, k, stopwords, b):
+    store = PassageStore(Passage(pid, text) for pid, text in corpus.items())
+    index = build_index(store, b=b, stopwords=stopwords)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first", Path(tmp) / "second"
         index.save(first)
@@ -95,14 +96,23 @@ def test_index_round_trip_and_search_equals_score(corpus, query, k, stopwords, b
         for name in INDEX_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
-    wanted = set(query) - stopwords
-    expected = sorted(
-        ((pid, index.score(query, pid)) for pid, text in corpus.items() if wanted & set(tokenize(text))),
-        key=lambda e: (-e[1], e[0]),
-    )[:k]
-    # bit for bit: == on the floats, ties broken by ascending passage id
-    assert index.search(" ".join(query), k) == expected
-    assert loaded.search(" ".join(query), k) == expected
+    # the drawn queries share terms; add one that repeats a token, one with
+    # an unknown token and one with a stopword (when the index has one)
+    head, tail = queries[0], queries[-1]
+    queries = [*queries, [head[0], head[0], *tail], ["zz", *head], [min(stopwords, default="the"), *tail]]
+    for query in queries:
+        text = " ".join(query)
+        wanted = set(query) - stopwords
+        expected = sorted(
+            ((pid, index.score(query, pid)) for pid, t in corpus.items() if wanted & set(tokenize(t))),
+            key=lambda e: (-e[1], e[0]),
+        )[:k]
+        # bit for bit: == on the floats, ties broken by ascending passage id
+        assert index.search(text, k) == expected
+        assert loaded.search(text, k) == expected
+        # an index that has answered earlier queries answers as a fresh one
+        fresh = [a.tolist() for a in build_index(store, b=b, stopwords=stopwords).top_k(text, k)]
+        assert [a.tolist() for a in loaded.top_k(text, k)] == fresh
 
 
 def _id_miner(queries: QuerySet, qrels: Qrels, index: InvertedIndex, config: SamplingConfig):

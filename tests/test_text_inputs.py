@@ -101,7 +101,6 @@ SPACED_VALUES = {
     "collection": ("p0\tfirst  passage\twith a tab\n", [("p0", "first  passage\twith a tab")]),
     "queries": ("q0\t two words \n", [("q0", " two words ")]),
     "clicks": ("q0\tp0\t 3\t1 \n", [ClickRecord("q0", "p0", 3, 1)]),
-    "splits": ("q0\tlong tail\n", {"q0": "long tail"}),
     "scores": ("q0\tp0\t 1.5 \n", {("q0", "p0"): 1.5}),
 }
 
