@@ -8,8 +8,8 @@ Every option a JSON config file (``--config``) can set, paths included, is
 one row of ``_OPTIONS``: its ``section.key`` (the key is the flag's dest),
 kind, default and, for an input path, its noun. ``main`` checks the whole
 config against that table, fills each option of the command's row that the
-command line left unset (flag, then the global ``--seed`` for a seed, then
-config, then default) and resolves ``--out``, so handlers read only ``args``.
+command line left unset (flag, then config, then default) and resolves
+``--out``, so handlers read only ``args``.
 
 Each handler resolves every file it reads through one ``_Inputs`` recorder,
 which records it under its manifest input name (an index directory as one
@@ -193,13 +193,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args, config: dict, options: list[_Option]) -> None:
-    """Fill each of the command's ``options`` from its flag (empty is unset), then the
-    global ``--seed`` (for a seed), then the config, then the table's default."""
+    """Fill each of the command's ``options`` from its flag (empty is unset), then
+    the config, then the table's default."""
     for option in options:
         value = getattr(args, option.key)
         if value is None or value == "":
-            value = args.global_seed if option.key == "seed" else None
-        if value is None:
             value = config.get(option.section, {}).get(option.key)
             value = option.default if value is None else option.kind(value)
         if option.items and isinstance(value, str):
@@ -264,19 +262,18 @@ class _Wrote:
 
 
 def _build_scorer(args, inputs: _Inputs):
-    """The scorer the flags select; its files are recorded under their flag names."""
+    """The scorer ``--scorer`` selects (one of its ``choices``); its files are
+    recorded under their flag names."""
     kind = args.scorer
     if kind == "dense":
         return DenseScorer(
             load_vectors(inputs.flag("query_vectors")),
             load_vectors(inputs.flag("passage_vectors")),
-            similarity=args.similarity or "dot",
         )
     if kind == "colbert":
         return LateInteractionScorer(
             load_token_matrices(inputs.flag("query_matrices")),
             load_token_matrices(inputs.flag("passage_matrices")),
-            similarity=args.similarity or "dot",
         )
     if kind == "kernel":
         bank, weights = load_weights(inputs.flag("weights"))
@@ -285,13 +282,10 @@ def _build_scorer(args, inputs: _Inputs):
             load_token_matrices(inputs.flag("passage_matrices")),
             bank,
             weights,
-            similarity=args.similarity or "cosine",
         )
     if kind == "scores":
         return ExternalScoreScorer.from_file(inputs.flag("scores"))
-    if kind == "oracle":
-        return GradeOracleScorer(load_qrels(inputs.flag("qrels")))
-    raise CommandError(f"unknown scorer {kind!r}")
+    return GradeOracleScorer(load_qrels(inputs.flag("qrels")))
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +402,6 @@ def _cmd_rerank(args, inputs: _Inputs, out: str) -> _Wrote:
             "scorer": args.scorer,
             "on_missing": args.on_missing,
             "run_name": reranked.name,
-            "similarity": getattr(scorer, "similarity", None),
         },
         [
             f"re-ranked {len(reranked)} queries at depth {args.depth} "
@@ -423,13 +416,11 @@ def _cmd_dense_retrieve(args, inputs: _Inputs, out: str) -> _Wrote:
     check_dims(query_vectors, passage_vectors, "vectors")
     run = RankedRun(name=args.run_name, stage="dense-retrieval")
     for qid in sorted(query_vectors.ids):
-        run.results[qid] = dense_retrieve(
-            passage_vectors, query_vectors.vector(qid), args.k, similarity=args.similarity
-        )
+        run.results[qid] = dense_retrieve(passage_vectors, query_vectors.vector(qid), args.k)
     write_run(run, out)
     return _Wrote(
         {"run": out},
-        {"k": args.k, "run_name": args.run_name, "similarity": args.similarity},
+        {"k": args.k, "run_name": args.run_name},
         [f"retrieved top-{args.k} for {len(run)} queries -> {out}"],
     )
 
@@ -538,12 +529,7 @@ def _cmd_sweep(args, inputs: _Inputs, out: str) -> _Wrote:
     )
     return _Wrote(
         {"table": out},
-        {
-            "depths": depths,
-            "scorer": args.scorer,
-            "on_missing": args.on_missing,
-            "similarity": getattr(scorer, "similarity", None),
-        },
+        {"depths": depths, "scorer": args.scorer, "on_missing": args.on_missing},
         summary,
     )
 
@@ -604,8 +590,6 @@ _SCORER_FLAGS = (
     "paths.query_vectors", "paths.passage_vectors", "paths.weights", "paths.scores",
     "paths.query_matrices", "paths.passage_matrices",
     _flag("--on-missing", choices=["error", "skip"], default="error"),
-    _flag("--similarity", choices=["dot", "cosine"],
-          help="override the scorer's similarity (dense/colbert default dot, kernel cosine)"),
 )
 
 _GROUPS = {
@@ -646,8 +630,7 @@ _COMMANDS = (
     _Command("dense retrieve", _cmd_dense_retrieve, "exact top-k scan of the vector store",
              "run output path",
              ("paths.query_vectors", "paths.passage_vectors", "paths.out", "dense.k",
-              _flag("--run-name", default="dense"),
-              _flag("--similarity", choices=["dot", "cosine"], default="dot"))),
+              _flag("--run-name", default="dense"))),
     _Command("train kernel", _cmd_train_kernel, "fit the kernel-feature linear layer",
              "weights output path",
              ("paths.triples", "paths.query_matrices", "paths.passage_matrices", "paths.out",
@@ -682,9 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument(
-        "--seed", type=int, dest="global_seed", help="global seed (subcommand --seed wins)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     parents = {"": sub}
     for row in _COMMANDS:

@@ -167,11 +167,9 @@ class VectorStore(TokenMatrixStore):
 
     def vector(self, vid: str) -> np.ndarray:
         try:
-            i = self._entries[vid]
+            return self.tokens[self._entries[vid]]
         except KeyError:
             raise KeyError(f"no vector for id {vid!r}") from None
-        # row i of ``tokens``, without building the whole view per pair scored
-        return np.frombuffer(self._rows, _F32, self.dim, i * self.dim * _F32.itemsize)
 
     @cached_property
     def id_rank(self) -> np.ndarray:

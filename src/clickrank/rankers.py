@@ -146,11 +146,6 @@ def load_weights(path: str | Path) -> tuple[KernelBank, KernelWeights]:
     return bank, KernelWeights(np.array(ws), bias)
 
 
-def _check_similarity(similarity: str) -> None:
-    if similarity not in ("dot", "cosine"):
-        raise ValueError(f"similarity must be 'dot' or 'cosine', got {similarity!r}")
-
-
 def _dense_dots(tokens: np.ndarray, rows: Sequence[int], q: np.ndarray) -> np.ndarray:
     """The dense dot product of the float64 query q with each of ``rows`` of
     tokens: the components widened to float64, each product rounded to
@@ -178,36 +173,17 @@ def _norms(M: np.ndarray) -> np.ndarray:
     return np.sqrt((M * M).sum(axis=-1))
 
 
-def _check_cosine_norms(qn: float, norms: np.ndarray, ids: Sequence[str]) -> None:
-    """The zero-norm checks of cosine scoring; ``ids`` names ``norms``' rows."""
-    if qn == 0.0:
-        raise ValueError("cosine similarity undefined for a zero-norm query")
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm passage vector {ids[zero[0]]!r}")
-
-
-def dense_score(q_vec: np.ndarray, d_vec: np.ndarray, similarity: str = "dot") -> float:
-    """Dot product of a query and a passage vector (cosine selectable), by
-    the one dense score definition (``_dense_dots``); cosine divides it by
-    the product of the two norms."""
-    _check_similarity(similarity)
+def dense_score(q_vec: np.ndarray, d_vec: np.ndarray) -> float:
+    """Dot product of a query and a passage vector, by the one dense score
+    definition (``_dense_dots``)."""
     q = np.asarray(q_vec, dtype=np.float64)
     d = np.asarray(d_vec, dtype=np.float64)
     if q.shape != d.shape or q.ndim != 1:
         raise ValueError(f"dimension mismatch: {q.shape} vs {d.shape}")
-    score = _dense_dots(d[None, :], [0], q)[0]
-    if similarity == "cosine":
-        qn, dn = _norms(q), _norms(d)
-        if qn == 0.0 or dn == 0.0:
-            raise ValueError("cosine similarity undefined for a zero-norm vector")
-        score = score / (dn * qn)
-    return float(score)
+    return float(_dense_dots(d[None, :], [0], q)[0])
 
 
-def dense_retrieve(
-    store: VectorStore, q_vec: np.ndarray, k: int, similarity: str = "dot"
-) -> list[tuple[str, float]]:
+def dense_retrieve(store: VectorStore, q_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Exact top-k over the whole store (no approximation): the k best
     ``dense_score`` values bit for bit, ties by ascending id.
 
@@ -215,7 +191,6 @@ def dense_retrieve(
     first (``_screen``) and only the rows that can still reach the top k
     are scored exactly; no float64 copy of the store is made.
     """
-    _check_similarity(similarity)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(store) == 0:
@@ -223,16 +198,11 @@ def dense_retrieve(
     q = np.asarray(q_vec, dtype=np.float64)
     if q.shape != (store.dim,):
         raise ValueError(f"query dim {q.shape} does not match store dim {store.dim}")
-    ids, tokens, norms, qn = store.ids, store.tokens, store.row_norms, _norms(q)
-    cosine = similarity == "cosine"
-    if cosine:
-        _check_cosine_norms(qn, norms, ids)
+    ids, tokens = store.ids, store.tokens
     rows = np.arange(len(ids))
     if k < len(ids):
-        rows = _screen(tokens, norms, q, qn, k, cosine)
+        rows = _screen(tokens, store.row_norms, q, _norms(q), k)
     scores = _dense_dots(tokens, rows, q)
-    if cosine:
-        scores = scores / (norms[rows] * qn)
     top = np.arange(len(rows))
     if k < len(rows):
         # every row tied with the k-th best score, so the id tie-break decides
@@ -242,9 +212,7 @@ def dense_retrieve(
     return [(ids[i], s) for i, s in zip(rows[top].tolist(), scores[top].tolist())]
 
 
-def _screen(
-    tokens: np.ndarray, norms: np.ndarray, q: np.ndarray, qn: float, k: int, cosine: bool
-) -> np.ndarray:
+def _screen(tokens: np.ndarray, norms: np.ndarray, q: np.ndarray, qn: float, k: int) -> np.ndarray:
     """The rows of tokens that can hold one of the k best dense scores of q.
 
     ``approx = tokens @ float32(q)`` approximates every score, and
@@ -255,13 +223,13 @@ def _screen(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         approx = tokens @ q.astype(np.float32)
-    lower, upper = _bounds(approx, norms, qn, tokens.shape[1], cosine)
+    lower, upper = _bounds(approx, norms, qn, tokens.shape[1])
     kth = np.partition(lower, len(lower) - k)[len(lower) - k]
     return np.flatnonzero(upper >= kth)
 
 
 def _bounds(
-    approx: np.ndarray, norms: np.ndarray, qn: np.ndarray, n: int, cosine: bool
+    approx: np.ndarray, norms: np.ndarray, qn: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float64 lower and upper bounds on exact scores from their float32
     approximations ``approx``, given the norms of the rows d and of the
@@ -291,34 +259,18 @@ def _bounds(
     most √n 2^-537 each) and for a BLAS that flushes subnormals to zero.
     Rows of more than 2^22 - 2 components are not bounded.
 
-    Under cosine the bounds are divided by ``norms * qn`` (rounding each by
-    u') and widened by 2^-50 = 8u'. The dense score divides S by the same
-    product. A late-interaction lane is the dense dot product of the rows
-    over their norms, whose components each round once more, so it is
-    within (3u' + γ'_n) sum|d_i q_i| / (‖d‖‖q‖) of s / (‖d‖‖q‖), a ratio of
-    about 1 at most. ``bound`` over ‖d‖‖q‖ leaves (2/3)(n + 2) u >= 2^-23
-    unused by γ_{n+2}, which covers that, and the underflow term over the
-    norms covers what underflowed squares add to it.
-
     A bound that is not finite (an approximation that overflowed, a NaN or
-    infinite bound, a zero or overflowed divisor) bounds nothing: it is
-    returned as -inf and inf.
+    infinite bound) bounds nothing: it is returned as -inf and inf.
     """
     if n + 2 > 1 << 22:
         return np.full(approx.shape, -np.inf), np.full(approx.shape, np.inf)
-    # overflow, 0 / 0 and inf - inf only loosen bounds, which the mask below catches
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # overflow, inf * 0 and inf - inf only loosen bounds, which the mask below catches
+    with np.errstate(over="ignore", invalid="ignore"):
         tiny = n * 2.0**-124 * (1.0 + qn)
         bound = norms * (2.0 * (n + 2) * 2.0**-24 * qn + tiny)
         bound += tiny
         lower = approx - bound
         upper = np.add(approx, bound, out=bound)
-        if cosine:
-            scale = norms * qn
-            lower /= scale
-            upper /= scale
-            lower -= 2.0**-50
-            upper += 2.0**-50
         # any NaN or infinity makes a sum non-finite: only then is the mask formed
         if not np.isfinite(lower.sum() + upper.sum()):
             loose = ~(np.isfinite(lower) & np.isfinite(upper))
@@ -326,19 +278,18 @@ def _bounds(
     return lower, upper
 
 
-def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot") -> float:
+def late_interaction_score(Q: np.ndarray, D: np.ndarray) -> float:
     """Sum over query tokens of the max dot product against passage tokens.
 
     Each dot product is the dense score's (``_dense_dots``: float64 products
     and numpy's pairwise sum along the row), so a one-row Q and D score as
-    ``dense_score`` does under dot. The sum of the maxima is exactly rounded
+    ``dense_score`` does. The sum of the maxima is exactly rounded
     (``math.fsum``). The score is therefore bit-identical under any
     permutation of the rows of Q or D: a dot product sums along the dim,
     which no row permutation touches, and an exactly rounded sum does not
     depend on its order. BLAS reductions give no such guarantee: their
     summation grouping can change with memory alignment and the CPU.
     """
-    _check_similarity(similarity)
     Q = np.asarray(Q, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
     if Q.ndim != 2 or D.ndim != 2:
@@ -347,7 +298,7 @@ def late_interaction_score(Q: np.ndarray, D: np.ndarray, similarity: str = "dot"
         raise ValueError("token matrices must have at least one row")
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
-    Q = _gather(Q, _norms(Q), *_whole(Q), "query", similarity == "cosine")
+    Q = _gather(Q, _norms(Q), *_whole(Q), "query", cosine=False)
     return _late_interaction_scores(Q, D, _norms(D), *_whole(D))[0]
 
 
@@ -368,7 +319,7 @@ def _whole(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Rows(NamedTuple):
     """Token rows as the token heads score them: the rows (float32 from a
     store, or a caller's float64), their float64 norms, and whether they
-    are scored over those norms (cosine)."""
+    are scored over those norms (the kernel head's cosine)."""
 
     rows: np.ndarray
     norms: np.ndarray
@@ -416,7 +367,7 @@ def _late_interaction_scores(
     scores: list[float] = []
     for first in range(0, len(lengths), per_block):
         block = lengths[first : first + per_block]
-        D = _gather(tokens, norms, starts[first : first + per_block], block, "passage", Q.unit)
+        D = _gather(tokens, norms, starts[first : first + per_block], block, "passage", False)
         scores.extend(_late_interaction_block(Q, D, block))
     return scores
 
@@ -424,21 +375,21 @@ def _late_interaction_scores(
 def _late_interaction_block(Q: _Rows, D: _Rows, lengths: np.ndarray) -> list[float]:
     """Late-interaction scores of the passages stacked in D.
 
-    A token row's dot product is the dense score's, over the rows' norms for
-    cosine: float64 products and numpy's pairwise sum along the row. The
-    float32 product ``D @ Q.T`` approximates every one, and ``_bounds``
-    encloses each float64 value from the rows' norms. Within a passage, a
-    row whose upper bound lies below another row's lower bound cannot hold
-    the maximum, so only the remaining rows (about two per query token) are
-    widened to float64 and summed, all lanes in one row-wise sum. The maxima
-    are then those over all rows, and each passage's score is the exactly
-    rounded sum of its query tokens' maxima.
+    A token row's dot product is the dense score's: float64 products and
+    numpy's pairwise sum along the row. The float32 product ``D @ Q.T``
+    approximates every one, and ``_bounds`` encloses each float64 value from
+    the rows' norms. Within a passage, a row whose upper bound lies below
+    another row's lower bound cannot hold the maximum, so only the remaining
+    rows (about two per query token) are widened to float64 and summed, all
+    lanes in one row-wise sum. The maxima are then those over all rows, and
+    each passage's score is the exactly rounded sum of its query tokens'
+    maxima.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         approx = D.rows.astype(np.float32, copy=False) @ Q.rows.astype(np.float32, copy=False).T
     # one row per query token, so the bound arithmetic runs along passage rows
     approx = np.array(approx.T, dtype=np.float64, order="C")
-    lower, upper = _bounds(approx, D.norms, Q.norms[:, None], Q.rows.shape[1], Q.unit)
+    lower, upper = _bounds(approx, D.norms, Q.norms[:, None], Q.rows.shape[1])
     starts = np.cumsum(lengths) - lengths
     floor = np.maximum.reduceat(lower, starts, axis=1)
     keep = upper >= np.repeat(floor, lengths, axis=1)
@@ -452,26 +403,20 @@ def _late_interaction_block(Q: _Rows, D: _Rows, lengths: np.ndarray) -> list[flo
     return [math.fsum(col) for col in best.T.tolist()]
 
 
-def kernel_features(
-    Q: np.ndarray,
-    D: np.ndarray,
-    bank: KernelBank,
-    similarity: str = "cosine",
-) -> np.ndarray:
+def kernel_features(Q: np.ndarray, D: np.ndarray, bank: KernelBank) -> np.ndarray:
     """Soft match counts: feature_k = sum_i log(eps + sum_j exp(-(M_ij - mu_k)^2 / (2 sigma_k^2))),
     with eps = ``KERNEL_EPSILON``.
 
     The match matrix uses cosine similarity clamped to [-1, 1] (the kernel
-    centers live there); raw dot products are selectable for experiments.
+    centers live there).
     """
-    _check_similarity(similarity)
     Q = np.asarray(Q, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
     if Q.ndim != 2 or D.ndim != 2 or Q.shape[0] == 0 or D.shape[0] == 0:
         raise ValueError("expected non-empty 2-d token matrices")
     if Q.shape[1] != D.shape[1]:
         raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {D.shape[1]}")
-    Q = _gather(Q, _norms(Q), *_whole(Q), "query", similarity == "cosine")
+    Q = _gather(Q, _norms(Q), *_whole(Q), "query", cosine=True)
     return _kernel_feature_rows(Q, D, _norms(D), *_whole(D), bank)[0]
 
 
@@ -513,10 +458,10 @@ def _kernel_feature_rows(
         return features
     order = np.argsort(lengths, kind="stable")
     try:
-        D = _gather(tokens, norms, starts[order], lengths[order], "passage", Q.unit)
+        D = _gather(tokens, norms, starts[order], lengths[order], "passage", True)
     except ValueError:
         # name the zero row the candidates' own order meets first
-        _gather(tokens, norms, starts, lengths, "passage", Q.unit)
+        _gather(tokens, norms, starts, lengths, "passage", True)
         raise
     X, Qw, lengths = D.widened(), Q.widened(), lengths[order]
     ends = np.cumsum(lengths)
@@ -539,9 +484,8 @@ def _kernel_feature_rows(
         for a, b, r0, r1 in groups:
             passages = chunk[r0:r1].reshape(b - a, lengths[a], -1).transpose(0, 2, 1)
             np.matmul(Qw, passages, out=M[width * r0 : width * r1].reshape(b - a, width, -1))
-        if Q.unit:
-            # rounding can push |cos| marginally past 1; the kernels assume [-1, 1]
-            np.clip(M, -1.0, 1.0, out=M)
+        # rounding can push |cos| marginally past 1; the kernels assume [-1, 1]
+        np.clip(M, -1.0, 1.0, out=M)
         # -(M - mu)^2 / w as (mu - M)^2 / -w: one negation over the matches,
         # not one per kernel
         kernel = np.add(np.negative(M, out=M), mus)
@@ -735,17 +679,10 @@ def _spans(query_id: str, passage_ids: Sequence[str], queries, passages, what: s
 class DenseScorer:
     name = "dense"
 
-    def __init__(
-        self,
-        query_vectors: VectorStore,
-        passage_vectors: VectorStore,
-        similarity: str = "dot",
-    ):
-        _check_similarity(similarity)
+    def __init__(self, query_vectors: VectorStore, passage_vectors: VectorStore):
         check_dims(query_vectors, passage_vectors, "vectors")
         self.query_vectors = query_vectors
         self.passage_vectors = passage_vectors
-        self.similarity = similarity
 
     def score(self, query_id: str, passage_id: str) -> float:
         return float(self.score_batch(query_id, [passage_id])[0])
@@ -755,28 +692,16 @@ class DenseScorer:
             query_id, passage_ids, self.query_vectors, self.passage_vectors, "vector"
         )
         q = self.query_vectors.tokens[query].astype(np.float64)
-        scores = _dense_dots(self.passage_vectors.tokens, rows, q)
-        if self.similarity == "cosine":
-            norms, qn = self.passage_vectors.row_norms[rows], _norms(q)
-            _check_cosine_norms(qn, norms, passage_ids)
-            scores = scores / (norms * qn)
-        return scores
+        return _dense_dots(self.passage_vectors.tokens, rows, q)
 
 
 class LateInteractionScorer:
     name = "late_interaction"
 
-    def __init__(
-        self,
-        query_matrices: TokenMatrixStore,
-        passage_matrices: TokenMatrixStore,
-        similarity: str = "dot",
-    ):
-        _check_similarity(similarity)
+    def __init__(self, query_matrices: TokenMatrixStore, passage_matrices: TokenMatrixStore):
         check_dims(query_matrices, passage_matrices, "token matrices")
         self.query_matrices = query_matrices
         self.passage_matrices = passage_matrices
-        self.similarity = similarity
 
     def score(self, query_id: str, passage_id: str) -> float:
         return float(self.score_batch(query_id, [passage_id])[0])
@@ -784,7 +709,7 @@ class LateInteractionScorer:
     def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
         queries, passages = self.query_matrices, self.passage_matrices
         query, (starts, lengths) = _spans(query_id, passage_ids, queries, passages, "token matrix")
-        Q = _gather(queries.tokens, queries.row_norms, *query, "query", self.similarity == "cosine")
+        Q = _gather(queries.tokens, queries.row_norms, *query, "query", cosine=False)
         scores = _late_interaction_scores(Q, passages.tokens, passages.row_norms, starts, lengths)
         return np.array(scores, dtype=np.float64)
 
@@ -798,9 +723,7 @@ class KernelScorer:
         passage_matrices: TokenMatrixStore,
         bank: KernelBank,
         weights: KernelWeights,
-        similarity: str = "cosine",
     ):
-        _check_similarity(similarity)
         if len(weights.w) != len(bank):
             raise ValueError("weight vector size does not match kernel bank")
         check_dims(query_matrices, passage_matrices, "token matrices")
@@ -808,7 +731,6 @@ class KernelScorer:
         self.passage_matrices = passage_matrices
         self.bank = bank
         self.weights = weights
-        self.similarity = similarity
 
     def score(self, query_id: str, passage_id: str) -> float:
         return float(self.score_batch(query_id, [passage_id])[0])
@@ -816,7 +738,7 @@ class KernelScorer:
     def score_batch(self, query_id: str, passage_ids: Sequence[str]) -> np.ndarray:
         queries, passages = self.query_matrices, self.passage_matrices
         query, (starts, lengths) = _spans(query_id, passage_ids, queries, passages, "token matrix")
-        Q = _gather(queries.tokens, queries.row_norms, *query, "query", self.similarity == "cosine")
+        Q = _gather(queries.tokens, queries.row_norms, *query, "query", cosine=True)
         F = _kernel_feature_rows(Q, passages.tokens, passages.row_norms, starts, lengths, self.bank)
         # one ddot per row, the value kernel_score's np.dot gives
         return (F[:, None, :] @ self.weights.w[:, None])[:, 0, 0] + self.weights.bias

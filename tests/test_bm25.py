@@ -479,6 +479,8 @@ class TestLoadValidation:
             (_without("doc_count"), "meta.json"),
             (_overwrite("meta.json", '{"format": \n'), "meta.json"),
             (_overwrite("ids.json", '["d1",\n'), "ids.json"),
+            # another format makes the whole directory unreadable, so the error names it
+            (_corrupt_json("meta.json", lambda meta: {**meta, "format": "other"}), "."),
         ],
         ids=[
             "offsets-not-monotone", "offsets-not-from-0", "offsets-not-to-end", "offsets-short",
@@ -488,7 +490,7 @@ class TestLoadValidation:
             "meta-doc-count", "meta-avg-doc-length", "meta-a-list", "meta-b-null",
             "meta-k1-string", "meta-stopwords-number", "meta-stopwords-string",
             "meta-stopword-not-one-token", "meta-k1-missing",
-            "meta-doc-count-missing", "meta-not-json", "ids-not-json",
+            "meta-doc-count-missing", "meta-not-json", "ids-not-json", "meta-other-format",
         ],
     )
     def test_corruption_named(self, tmp_path, corrupt, named):

@@ -69,7 +69,7 @@ DIGESTS = {
     "bm25.trec": "cfc1593f1badf9d3dc45790d8cd6ac49134d101b613e2f8c5d3e0249b0e86ddb",
     "bm25.trec.manifest.json": "9bf8aae524bf975da2c520b1ffb5cace41da27e759d31a8e9fc1a3f867d72cf8",
     "dense.trec": "cae2d65889d6a2e7e08a25d7ad458c5c3b4f9e6893b2b677301a5f40a3a978bc",
-    "dense.trec.manifest.json": "07ee5c7390cc839d599d8c6f3589fa8cc51bbc8c36c35f1d5d6141b5c2ad40cc",
+    "dense.trec.manifest.json": "964294b3921e25f086ddd72d3cecc2fd057feeccd8b2ae69cb42bb02d9b27088",
     "fx/clicks.tsv": "32b0618a8d4c08d44a3331d434d5ac0b55f619a508319db7b10b3c13abb0b447",
     "fx/collection.tsv": "430bf6b1aaa5f5d290c7d767230ae5d2f589b2bb956023558a2c44ca2b15698e",
     "fx/index/doc_lengths.npy": "73f1963a701f9a17e5b6b30d8c70782ed1810a9c76cad40c1eb3797044cc7e83",
@@ -94,7 +94,7 @@ DIGESTS = {
     "report.tsv": "07d9a525be2ef582ab9bece2d9a0662eb6a2a3283f324410f96b3681f513c14b",
     "report.tsv.manifest.json": "a33f0e6f1e2759cb78f907bcf981dae5862287fe6f33b88fefa38c9451e155c9",
     "sweep.tsv": "8a7cc98f0f017d8d37e15ae38bb86a5a2d7e1e459967046eec61512e82c4aa47",
-    "sweep.tsv.manifest.json": "225332e3fa148adbc389255ce07cc76acada367c9ec88eeef76d9c30b13954ec",
+    "sweep.tsv.manifest.json": "4d9eaac19e46a00b69b9a711b6f3d5690d10ecebb5bff0b973135d4c0ed08c49",
     "triples.tsv": "e6ddbaca8eb518407794414b97766e2a439a76ea20ceff7f10966865fb9a3a06",
     "triples.tsv.manifest.json": "fb7db366f2ffd3b4a523cfc526ba5eda7ae14554c8915d79f2f0d194adc94561",
     "triples_text.tsv": "8539969eecb78503f032d955043d15db33e0ea708c486992148e6be09c5b63fc",

@@ -239,6 +239,46 @@ class TestPipeline:
             for name in pinned - {"index_postings_tf"}:
                 assert orig[name]["digest"] == edit[name]["digest"], name
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["rerank", "--run", "{work}/bm25.trec", "--scorer", "dense", "--query-vectors",
+          "{fx}/query_vectors.tkv", "--passage-vectors", "{fx}/passage_vectors.tkv"],
+         ["rerank", "--run", "{work}/bm25.trec", "--scorer", "colbert", "--query-matrices",
+          "{fx}/query_matrices.tkm", "--passage-matrices", "{fx}/passage_matrices.tkm"],
+         ["dense", "retrieve", "--query-vectors", "{fx}/query_vectors.tkv", "--passage-vectors",
+          "{fx}/passage_vectors.tkv", "--k", "400"]],
+        ids=["rerank-dense", "rerank-colbert", "dense-retrieve"],
+    )
+    def test_zero_passage_scores_zero_under_dot(self, fixture_dir, work, tmp_path, argv):
+        from clickrank.embeddings import (
+            TokenMatrixStore,
+            VectorStore,
+            load_token_matrices,
+            load_vectors,
+            write_token_matrices,
+            write_vectors,
+        )
+
+        # the first candidate of the first query, so re-ranking meets it
+        zero = (work / "bm25.trec").read_text().split()[2]
+        vectors = load_vectors(fixture_dir / "passage_vectors.tkv")
+        matrices = load_token_matrices(fixture_dir / "passage_matrices.tkm")
+        write_vectors(
+            VectorStore(vectors.dim, {p: vectors.vector(p) * (p != zero) for p in vectors.ids}),
+            tmp_path / "passage_vectors.tkv",
+        )
+        write_token_matrices(
+            TokenMatrixStore(matrices.dim, {p: m * (p != zero) for p, m in matrices.items()}),
+            tmp_path / "passage_matrices.tkm",
+        )
+        for name in ("query_vectors.tkv", "query_matrices.tkm"):
+            (tmp_path / name).write_bytes((fixture_dir / name).read_bytes())
+        out = tmp_path / "out.trec"
+        assert main([a.format(work=work, fx=tmp_path) for a in argv] + ["--out", str(out)]) == 0
+        scores = [float(line.split()[4]) for line in out.read_text().splitlines()
+                  if line.split()[2] == zero]
+        assert scores and all(s == 0.0 for s in scores)
+
 
 class TestErrorHandling:
     def test_missing_collection_path(self, tmp_path, capsys):
@@ -251,10 +291,23 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert "absent.tsv" in err
 
-    def test_unknown_flag_exits_two(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "build", "--bogus", "x"],
+            ["--seed", "5", "synth", "--out", "d"],
+            ["rerank", "--run", "r.trec", "--scorer", "dense", "--similarity", "cosine",
+             "--out", "o"],
+            ["dense", "retrieve", "--similarity", "dot", "--out", "o"],
+        ],
+        ids=["bogus", "global-seed", "rerank-similarity", "dense-retrieve-similarity"],
+    )
+    def test_unknown_flag_exits_two(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["index", "build", "--bogus", "x"])
+            main(argv)
         assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_scorer_flag_validation(self, fixture_dir, tmp_path, capsys):
         code = main(
@@ -264,15 +317,28 @@ class TestErrorHandling:
         assert code == 1
         assert "query-vectors" in capsys.readouterr().err
 
-    def test_bad_config_file(self, tmp_path, capsys):
-        bad = tmp_path / "conf.json"
-        bad.write_text("{not json")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "config file {conf} is not valid JSON: "),
+            ('[{"synth": {"seed": 1}}]', "config file {conf} must hold a JSON object"),
+            (None, "config file not found: {conf}"),
+        ],
+        ids=["not-json", "json-list", "missing"],
+    )
+    def test_bad_config_file(self, tmp_path, capsys, text, message):
+        conf = tmp_path / "conf.json"
+        if text is not None:
+            conf.write_text(text)
+        out = tmp_path / "fx"
         code = main(
-            ["--config", str(bad), "synth", "--out", str(tmp_path / "fx"),
+            ["--config", str(conf), "synth", "--out", str(out),
              "--passages", "50", "--queries", "5"]
         )
         assert code == 1
-        assert "JSON" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: " + message.format(conf=conf))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "config, command, named",
@@ -431,8 +497,13 @@ class TestErrorHandling:
              "kernel widths must be finite and positive, got (nan, 0.1)"),
             (["train", "kernel", "--mus", "1.0,0.5", "--sigmas", "0.1,inf"],
              "kernel widths must be finite and positive, got (0.1, inf)"),
+            (["train", "kernel", "--mus", "1.0"], "kernel bank needs both centers and widths"),
+            (["eval", "--cutoffs", ","], "need at least one cutoff"),
+            (["qrels", "build", "--thresholds", "0.1,x"],
+             "expected a comma-separated float list, got '0.1,x'"),
         ],
-        ids=["rrf-k-minus-1", "rrf-k-minus-100", "k1-negative", "k1-inf", "b-above-1", "sigma-nan", "sigma-inf"],
+        ids=["rrf-k-minus-1", "rrf-k-minus-100", "k1-negative", "k1-inf", "b-above-1", "sigma-nan",
+             "sigma-inf", "mus-without-sigmas", "cutoffs-empty", "thresholds-not-numbers"],
     )
     def test_out_of_range_parameter_is_one_error_line(
         self, fixture_dir, work, tmp_path, capsys, command, named
@@ -444,6 +515,8 @@ class TestErrorHandling:
             "index": ["--collection", str(fixture_dir / "collection.tsv")],
             "train": ["--triples", str(work / "triples.tsv"),
                       *[a.format(fx=fixture_dir) for a in _MATRICES], "--epochs", "1"],
+            "eval": ["--run", str(run), "--qrels", str(fixture_dir / "qrels.trec")],
+            "qrels": ["--clicks", str(fixture_dir / "clicks.tsv")],
         }[command[0]]
         out = tmp_path / "out"
         code = main([*command, *inputs, "--out", str(out)])
@@ -532,38 +605,6 @@ class TestErrorHandling:
         assert capsys.readouterr().err == (
             f"error: query vectors have dim {dim}, passage vectors have dim {queries.dim}\n"
         )
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["rerank", "--run", "{work}/bm25.trec", "--scorer", "dense"], ["dense", "retrieve"]],
-        ids=["rerank-dense", "dense-retrieve"],
-    )
-    def test_zero_norm_passage_is_named_in_one_error_line(
-        self, fixture_dir, work, tmp_path, capsys, argv
-    ):
-        from clickrank.embeddings import VectorStore, load_vectors, write_vectors
-
-        passages = load_vectors(fixture_dir / "passage_vectors.tkv")
-        # the first candidate of the first query, so re-ranking meets it
-        zero = (work / "bm25.trec").read_text().split()[2]
-        zeroed = tmp_path / "zeroed.tkv"
-        write_vectors(
-            VectorStore(
-                passages.dim,
-                {p: np.zeros(passages.dim) if p == zero else passages.vector(p) for p in passages.ids},
-            ),
-            zeroed,
-        )
-        capsys.readouterr()
-        out = tmp_path / "out.trec"
-        code = main(
-            [a.format(work=work) for a in argv]
-            + ["--similarity", "cosine", "--query-vectors", str(fixture_dir / "query_vectors.tkv"),
-               "--passage-vectors", str(zeroed), "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: zero-norm passage vector {zero!r}\n"
         assert not out.exists()
 
     def test_bm25_parameters_checked_before_the_collection_is_read(self, tmp_path, capsys):
@@ -777,27 +818,6 @@ class TestConfigFile:
         empty_conf.write_text("{}")
         assert main(["--config", str(empty_conf), "index", "build", "--out", str(idx)]) == 1
 
-    def test_global_seed_flag(self, fixture_dir, tmp_path):
-        index_dir = tmp_path / "idx"
-        assert main(
-            ["index", "build", "--collection", str(fixture_dir / "collection.tsv"),
-             "--out", str(index_dir)]
-        ) == 0
-        outs = []
-        for tag, args in (
-            ("global", ["--seed", "55", "triples", "generate"]),
-            ("local", ["triples", "generate", "--seed", "55"]),
-        ):
-            out = tmp_path / f"{tag}.tsv"
-            assert main(
-                args + ["--index", str(index_dir),
-                        "--queries", str(fixture_dir / "queries.tsv"),
-                        "--qrels", str(fixture_dir / "qrels.trec"),
-                        "--depth", "100", "--max-neg", "5", "--out", str(out)]
-            ) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_config_supplies_defaults_and_flags_override(self, fixture_dir, tmp_path):
         config = tmp_path / "conf.json"
         config.write_text(json.dumps({"bm25": {"k1": 1.5, "b": 0.6}}))
@@ -855,7 +875,7 @@ class TestRerankAndSweepManifests:
                 manifests.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text()))
             orig, edit = manifests
             assert {"run", "query_matrices", "passage_matrices"} <= set(orig["inputs"])
-            assert orig["config"]["similarity"] == "dot"
+            assert "similarity" not in orig["config"]
             assert orig["config"]["on_missing"] == "error"
             assert orig["inputs"]["passage_matrices"]["digest"] != edit["inputs"]["passage_matrices"]["digest"]
             assert orig["inputs"]["run"] == edit["inputs"]["run"]
@@ -885,11 +905,10 @@ class TestRerankAndSweepManifests:
                         "--passage-matrices", f"{fx}/passage_matrices.tkm"]
             vectors = ["--query-vectors", f"{fx}/query_vectors.tkv",
                        "--passage-vectors", f"{fx}/passage_vectors.tkv"]
-            for sim in ("dot", "cosine"):
-                assert main(["rerank", "--run", run, "--scorer", "colbert", *matrices,
-                             "--similarity", sim, "--out", f"{out}/colbert_{sim}.trec"]) == 0
-                assert main(["dense", "retrieve", *vectors, "--k", "50", "--similarity", sim,
-                             "--out", f"{out}/dense_{sim}.trec"]) == 0
+            assert main(["rerank", "--run", run, "--scorer", "colbert", *matrices,
+                         "--out", f"{out}/colbert.trec"]) == 0
+            assert main(["dense", "retrieve", *vectors, "--k", "50",
+                         "--out", f"{out}/dense.trec"]) == 0
             """
         )
         forced = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
@@ -911,7 +930,7 @@ class TestRerankAndSweepManifests:
             )
             assert result.returncode == 0, result.stderr
             written[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert len(written["default"]) == 8  # four runs and their manifests
+        assert len(written["default"]) == 4  # two runs and their manifests
         assert written["prescott"] == written["default"]
         assert written["no_avx512"] == written["default"]
 
@@ -923,7 +942,7 @@ class TestRerankAndSweepManifests:
         ) == 0
         manifest = json.loads((tmp_path / "oracle.trec.manifest.json").read_text())
         assert set(manifest["inputs"]) == {"run", "qrels"}
-        assert manifest["config"]["similarity"] is None
+        assert "similarity" not in manifest["config"]
 
     def test_dropped_candidates_reported(self, fixture_dir, bm25_run, tmp_path, capsys):
         from clickrank.embeddings import TokenMatrixStore, load_token_matrices, write_token_matrices
@@ -1473,22 +1492,6 @@ class TestOptionTable:
                 recorded.append(manifest["seed"] if key == "seed" else manifest["config"][key])
         assert recorded == expected
 
-    @pytest.mark.parametrize("section", ["sampling", "train", "synth"])
-    def test_global_seed_sits_between_the_flag_and_the_config(
-        self, fixture_dir, work, tmp_path, section
-    ):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({section: {"seed": 3}}))
-        argv = [a.format(fx=fixture_dir, work=work) for a in _SETTINGS[section, "seed"][0]]
-        seeds = []
-        for i, (before, after) in enumerate(
-            (([], []), (["--seed", "5"], []), (["--seed", "5"], ["--seed", "7"]))
-        ):
-            out = tmp_path / f"out{i}"
-            assert main(["--config", str(conf), *before, *argv, *after, "--out", str(out)]) == 0
-            seeds.append(json.loads(manifest_path_for(out).read_text())["seed"])
-        assert seeds == [3, 5, 7]
-
     @pytest.mark.parametrize(
         "config, named",
         [
@@ -1553,3 +1556,14 @@ class TestOptionTable:
             option = _OPTIONS[section, key]
             taking = ", ".join(f"`{row.name}`" for row in _COMMANDS if option in row.options)
             assert listed == ("every command" if taking == every else taking), f"{section}.{key}"
+
+    def test_readme_lists_exactly_the_flags_without_a_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(r"The other flags \((.*?)\)\s+have no config key", readme, re.DOTALL)[1]
+        flags = {
+            row.name: {flag[0][0] for flag in row.flags if not isinstance(flag, str)}
+            for row in _COMMANDS
+        }
+        assert flags.pop("synth") == {"--passages", "--queries", "--dim", "--term-dim"}
+        assert listed.endswith("`synth`'s sizes")
+        assert set(re.findall(r"`(--[\w-]+)`", listed)) == set().union(*flags.values())

@@ -211,7 +211,7 @@ class TestTokenMatrixStore:
 
     @pytest.mark.parametrize("dim", [1, 7, 32, 300])
     def test_row_norms_are_numpys_row_norms_bit_for_bit(self, dim, monkeypatch):
-        # the token heads' cosine divides by these cached norms, where it
+        # the kernel head's cosine divides by these cached norms, where it
         # divided by np.linalg.norm of each batch's rows
         import clickrank.embeddings as embeddings
 

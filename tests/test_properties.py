@@ -329,19 +329,16 @@ def test_token_matrix_store_round_trip(data, dim):
 # ---------------------------------------------------------------------------
 
 
-def _dense_scan(vectors, q, k, similarity="dot"):
+def _dense_scan(vectors, q, k):
     """The exhaustive oracle: each row's score by the definition, one row at
     a time (float32 components widened to float64, float64 products, numpy's
-    pairwise sum; cosine over the norms by the same sum), then a full sort by
-    descending score, ties by ascending id."""
+    pairwise sum), then a full sort by descending score, ties by ascending
+    id."""
     q = np.asarray(q, dtype=np.float64)
     scored = []
     for pid, v in vectors.items():
         d = np.asarray(v, dtype=np.float32).astype(np.float64)
-        score = (d * q).sum()
-        if similarity == "cosine":
-            score = score / (np.sqrt((d * d).sum()) * np.sqrt((q * q).sum()))
-        scored.append((pid, float(score)))
+        scored.append((pid, float((d * q).sum())))
     return sorted(scored, key=lambda e: (-e[1], e[0]))[:k]
 
 
@@ -378,39 +375,23 @@ def _dense_case(data, dim, n, component):
     return vectors, q, data.draw(st.integers(1, n + 2))
 
 
-def _undefined_cosine(vectors, q, similarity):
-    """A zero norm as computed: a tiny nonzero query's squares can underflow."""
-    norms = [(q * q).sum()] + [(v.astype(np.float64) ** 2).sum() for v in vectors.values()]
-    return similarity == "cosine" and min(norms) == 0.0
-
-
-_similarities = st.sampled_from(["dot", "cosine"])
-
-
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24), similarity=_similarities)
-def test_dense_retrieve_equals_an_exhaustive_scan(data, dim, n, similarity):
+@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24))
+def test_dense_retrieve_equals_an_exhaustive_scan(data, dim, n):
     vectors, q, k = _dense_case(data, dim, n, _query_component)
-    store = VectorStore(dim, vectors)
-    if _undefined_cosine(vectors, q, similarity):
-        with pytest.raises(ValueError, match="zero-norm"):
-            dense_retrieve(store, q, k, similarity)
-        return
-    got = dense_retrieve(store, q, k, similarity)
-    assert _hex(got) == _hex(_dense_scan(vectors, q, k, similarity))
+    got = dense_retrieve(VectorStore(dim, vectors), q, k)
+    assert _hex(got) == _hex(_dense_scan(vectors, q, k))
     for pid, score in got:
-        assert score == dense_score(q, vectors[pid], similarity)
+        assert score == dense_score(q, vectors[pid])
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24), similarity=_similarities)
-def test_dense_retrieve_scores_equal_the_dense_scorer(data, dim, n, similarity):
+@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24))
+def test_dense_retrieve_scores_equal_the_dense_scorer(data, dim, n):
     vectors, q, k = _dense_case(data, dim, n, _component)
     store = VectorStore(dim, vectors)
-    if _undefined_cosine(vectors, q, similarity):
-        return
-    scorer = DenseScorer(VectorStore(dim, {"query": q}), store, similarity)
-    got = dense_retrieve(store, q, k, similarity)
+    scorer = DenseScorer(VectorStore(dim, {"query": q}), store)
+    got = dense_retrieve(store, q, k)
     for pid, score in got:
         assert score == scorer.score("query", pid)
     batch = scorer.score_batch("query", [pid for pid, _ in got])
@@ -418,24 +399,20 @@ def test_dense_retrieve_scores_equal_the_dense_scorer(data, dim, n, similarity):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24), similarity=_similarities)
-def test_dense_retrieve_is_invariant_under_row_permutation(data, dim, n, similarity):
+@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24))
+def test_dense_retrieve_is_invariant_under_row_permutation(data, dim, n):
     vectors, q, k = _dense_case(data, dim, n, _query_component)
-    if _undefined_cosine(vectors, q, similarity):
-        return
     order = data.draw(st.permutations(list(vectors)))
-    got = dense_retrieve(VectorStore(dim, vectors), q, k, similarity)
+    got = dense_retrieve(VectorStore(dim, vectors), q, k)
     permuted = VectorStore(dim, {pid: vectors[pid] for pid in order})
-    assert _hex(dense_retrieve(permuted, q, k, similarity)) == _hex(got)
+    assert _hex(dense_retrieve(permuted, q, k)) == _hex(got)
 
 
-def _check_against_scan(vectors, q, similarities=("dot", "cosine")):
+def _check_against_scan(vectors, q):
     vectors = {pid: np.asarray(v, dtype=np.float32) for pid, v in vectors.items()}
     store = VectorStore(len(q), vectors)
-    for similarity in similarities:
-        for k in range(1, len(vectors) + 2):
-            want = _dense_scan(vectors, q, k, similarity)
-            assert _hex(dense_retrieve(store, q, k, similarity)) == _hex(want), (similarity, k)
+    for k in range(1, len(vectors) + 2):
+        assert _hex(dense_retrieve(store, q, k)) == _hex(_dense_scan(vectors, q, k)), k
     return store
 
 
@@ -486,8 +463,7 @@ def test_dense_components_below_float32_smallest_normal():
         "e": [-1e-45, 3e-39],
     }
     q = np.array([2.0**-60, 2.0**-60])
-    _check_against_scan(vectors, q, ("dot",))
-    _check_against_scan({p: v for p, v in vectors.items() if p != "d"}, q, ("cosine",))
+    _check_against_scan(vectors, q)
     assert dense_retrieve(VectorStore(2, vectors), q, 1)[0][0] == "a"
 
 
@@ -499,10 +475,8 @@ def test_dense_float32_error_that_grows_with_dim():
     vectors = {f"p{j:04d}": np.full(dim, 1.0 + j * 2.0**-23, dtype=np.float32) for j in range(600)}
     store = VectorStore(dim, vectors)
     q = np.ones(dim)
-    for similarity in ("dot", "cosine"):
-        for k in (1, 2, 10, 300, 599):
-            want = _dense_scan(vectors, q, k, similarity)
-            assert _hex(dense_retrieve(store, q, k, similarity)) == _hex(want), (similarity, k)
+    for k in (1, 2, 10, 300, 599):
+        assert _hex(dense_retrieve(store, q, k)) == _hex(_dense_scan(vectors, q, k)), k
     assert dense_retrieve(store, q, 1)[0][0] == "p0599"
 
 
@@ -511,20 +485,17 @@ def test_dense_float32_error_that_grows_with_dim():
 # ---------------------------------------------------------------------------
 
 
-def _loop_late(Q, D, similarity):
+def _loop_late(Q, D):
     """The exactly rounded sum of each query row's maximum dense dot product
     (float64 products, numpy's pairwise sum) over D's rows, first row on
-    ties; cosine over the rows' norms."""
+    ties."""
     Q, D = np.asarray(Q, dtype=np.float64), np.asarray(D, dtype=np.float64)
-    if similarity == "cosine":
-        Q = Q / np.sqrt((Q * Q).sum(axis=1))[:, None]
-        D = D / np.sqrt((D * D).sum(axis=1))[:, None]
     return math.fsum(max(float(np.multiply(d, q).sum()) for d in D) for q in Q)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 6), similarity=_similarities)
-def test_late_interaction_equals_the_nested_loop(data, dim, similarity):
+@given(data=st.data(), dim=st.integers(1, 6))
+def test_late_interaction_equals_the_nested_loop(data, dim):
     row = lambda component: st.lists(component, min_size=dim, max_size=dim)
     rows = lambda component, count: np.array(
         data.draw(st.lists(row(component), min_size=1, max_size=count))
@@ -535,25 +506,12 @@ def test_late_interaction_equals_the_nested_loop(data, dim, similarity):
     passages = {f"p{i}": pool[data.draw(picks)] for i in range(data.draw(st.integers(1, 4)))}
     Q = rows(_query_component, 3)
     Q32 = rows(_component, 3).astype(np.float32)
-    # a zero norm as computed: tiny components' squares can underflow
-    undefined = lambda M: (
-        similarity == "cosine" and ((M.astype(np.float64) ** 2).sum(axis=1) == 0.0).any()
-    )
     for q in (Q, Q32):
-        want = {}
-        for pid, D in passages.items():
-            if undefined(q) or undefined(D):
-                with pytest.raises(ValueError, match="zero-norm"):
-                    late_interaction_score(q, D, similarity)
-                continue
-            want[pid] = _loop_late(q, D, similarity).hex()
-            assert late_interaction_score(q, D, similarity).hex() == want[pid]
-        if q is Q32 and len(want) == len(passages):
-            scorer = LateInteractionScorer(
-                TokenMatrixStore(dim, {"q": q}), TokenMatrixStore(dim, passages), similarity
-            )
-            got = scorer.score_batch("q", list(passages)).tolist()
-            assert [x.hex() for x in got] == list(want.values())
+        want = [_loop_late(q, D).hex() for D in passages.values()]
+        assert [late_interaction_score(q, D).hex() for D in passages.values()] == want
+    queries, store = TokenMatrixStore(dim, {"q": Q32}), TokenMatrixStore(dim, passages)
+    scorer = LateInteractionScorer(queries, store)
+    assert [x.hex() for x in scorer.score_batch("q", list(passages)).tolist()] == want
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +524,15 @@ _token_counts = st.one_of(
 )
 
 
-def _kernel_one_passage(Q, D, bank, cosine):
+def _kernel_one_passage(Q, D, bank):
     """One passage's kernel features by the expression that scored one
-    token count at a time: ``Q @ D.T``, the clip, the kernels, the sum over
-    the passage tokens, the log and the sum over the query tokens."""
+    token count at a time: the rows over their norms, ``Q @ D.T``, the clip,
+    the kernels, the sum over the passage tokens, the log and the sum over
+    the query tokens."""
     Q, D = np.asarray(Q, dtype=np.float64), np.asarray(D, dtype=np.float64)
-    if cosine:
-        Q = Q / np.sqrt((Q * Q).sum(axis=1))[:, None]
-        D = D / np.sqrt((D * D).sum(axis=1))[:, None]
-    M = Q @ D.T
-    if cosine:
-        M = np.clip(M, -1.0, 1.0)
+    Q = Q / np.sqrt((Q * Q).sum(axis=1))[:, None]
+    D = D / np.sqrt((D * D).sum(axis=1))[:, None]
+    M = np.clip(Q @ D.T, -1.0, 1.0)
     mus = np.array(bank.mus)[:, None, None]
     widths = 2.0 * np.array(bank.sigmas)[:, None, None] ** 2
     kernel = np.exp(-((M - mus) ** 2) / widths)
@@ -588,70 +544,61 @@ def _kernel_one_passage(Q, D, bank, cosine):
     data=st.data(),
     dim=st.integers(1, 5),
     width=st.integers(1, 40),
-    similarity=_similarities,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_kernel_features_equal_one_passage_at_a_time(data, dim, width, similarity, seed):
+def test_kernel_features_equal_one_passage_at_a_time(data, dim, width, seed):
     rng = np.random.default_rng(seed)
-    cosine = similarity == "cosine"
     bank = KernelBank.default()
     # repeated token counts, so one count's group holds several passages
     pool = data.draw(st.lists(_token_counts, min_size=1, max_size=4))
     counts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
     Q = rng.standard_normal((width, dim))
-    # dot components near 1e154 make products near 1e308: matches overflow
-    scale = data.draw(st.sampled_from([1.0, 1e154] if not cosine else [1.0]))
     passages = []
     for n in counts:
-        D = rng.standard_normal((n, dim)) * rng.choice([1.0, scale], size=(n, 1))
+        D = rng.standard_normal((n, dim))
         # rows along a query row's direction: cosines at and past ±1
         along = np.flatnonzero(rng.random(n) < 0.3)
         D[along] = Q[rng.integers(width, size=len(along))] * rng.choice([-3.0, 0.5, 1.0], (len(along), 1))
         passages.append(D)
-    Q[0] *= scale
     tokens = np.concatenate(passages)
     lengths = np.array(counts)
     starts = np.cumsum(lengths) - lengths
     order = rng.permutation(len(counts))
     # a cap in passage rows per chunk small enough to split one count's group
     cap = data.draw(st.integers(1, 300))
-    with np.errstate(over="ignore", invalid="ignore"):
-        qnorms, norms = np.sqrt((Q * Q).sum(axis=1)), np.sqrt((tokens * tokens).sum(axis=1))
-        query = _gather(Q, qnorms, np.array([0]), np.array([width]), "query", cosine)
-        with mock.patch.object(rankers, "BLOCK_BYTES", 8 * len(bank) * width * cap):
-            got = _kernel_feature_rows(query, tokens, norms, starts, lengths, bank)
-            permuted = _kernel_feature_rows(
-                query, tokens, norms, starts[order], lengths[order], bank
-            )
-        want = np.array([_kernel_one_passage(Q, D, bank, cosine) for D in passages])
+    qnorms, norms = np.sqrt((Q * Q).sum(axis=1)), np.sqrt((tokens * tokens).sum(axis=1))
+    query = _gather(Q, qnorms, np.array([0]), np.array([width]), "query", cosine=True)
+    with mock.patch.object(rankers, "BLOCK_BYTES", 8 * len(bank) * width * cap):
+        got = _kernel_feature_rows(query, tokens, norms, starts, lengths, bank)
+        permuted = _kernel_feature_rows(query, tokens, norms, starts[order], lengths[order], bank)
+    want = np.array([_kernel_one_passage(Q, D, bank) for D in passages])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(permuted.view(np.int64), got[order].view(np.int64))
-    if scale != 1.0:
-        return
     # the scorer over float32 stores: permuted candidates, permuted scores
     ids = [f"p{i}" for i in range(len(passages))]
     store = TokenMatrixStore(dim, {pid: D.astype(np.float32) for pid, D in zip(ids, passages)})
     queries = TokenMatrixStore(dim, {"q": Q.astype(np.float32)})
     weights = KernelWeights(rng.standard_normal(len(bank)), float(rng.standard_normal()))
-    scorer = KernelScorer(queries, store, bank, weights, similarity)
+    scorer = KernelScorer(queries, store, bank, weights)
     with mock.patch.object(rankers, "BLOCK_BYTES", 8 * len(bank) * width * cap):
         scores = scorer.score_batch("q", ids)
         permuted = scorer.score_batch("q", [ids[i] for i in order])
-    one = lambda pid: _kernel_one_passage(queries.matrix("q"), store.matrix(pid), bank, cosine)
+    one = lambda pid: _kernel_one_passage(queries.matrix("q"), store.matrix(pid), bank)
     want = [kernel_score(one(pid), weights) for pid in ids]
     assert [s.hex() for s in scores.tolist()] == [s.hex() for s in want]
     assert [s.hex() for s in permuted.tolist()] == [want[i].hex() for i in order]
 
 
-def test_kernel_features_of_nan_dot_matches_keep_every_bit():
-    # inf * 0 makes a NaN match whatever the BLAS; the features keep the sign
-    # the one-passage expression gives it, as well as the overflowed matches
+def test_kernel_features_of_nan_matches_keep_every_bit():
+    # an infinite component over its infinite norm is NaN, and so is every
+    # match of its row whatever the BLAS; the features keep the sign the
+    # one-passage expression gives it, as well as the rows whose norms overflowed
     Q = np.array([[np.inf, 1.0], [1e155, -1e155]])
     D = np.array([[0.0, 1.0], [1e155, 1e155], [0.5, 0.25]])
     bank = KernelBank.default()
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _kernel_one_passage(Q, D, bank, cosine=False)
-        got = kernel_features(Q, D, bank, similarity="dot")
+        want = _kernel_one_passage(Q, D, bank)
+        got = kernel_features(Q, D, bank)
     assert np.isnan(want).all()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -663,7 +610,7 @@ def test_kernel_features_of_cosines_past_one_keep_every_bit():
     U = Q / np.sqrt((Q * Q).sum(axis=1))[:, None]
     assert (U @ U.T).diagonal().tolist() == [1.0 + 2.0**-52] * 2
     bank = KernelBank.default()
-    want = _kernel_one_passage(Q, D, bank, cosine=True)
+    want = _kernel_one_passage(Q, D, bank)
     assert np.array_equal(kernel_features(Q, D, bank).view(np.int64), want.view(np.int64))
 
 

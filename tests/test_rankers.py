@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -65,14 +66,11 @@ def _lane(d, q):
     return float(np.multiply(d, q).sum())
 
 
-def _loop_late_interaction(Q, D, similarity="dot"):
+def _loop_late_interaction(Q, D):
     """Nested-loop late interaction: dense dot products, first row wins
     ties, and the exactly rounded sum of the maxima."""
     Q = np.asarray(Q, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
-    if similarity == "cosine":
-        Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-        D = D / np.linalg.norm(D, axis=1, keepdims=True)
     return math.fsum(max(_lane(dj, qi) for dj in D) for qi in Q)
 
 
@@ -103,14 +101,14 @@ class TestDenseScore:
         with pytest.raises(ValueError, match="mismatch"):
             dense_score(np.zeros(3), np.zeros(4))
 
-    def test_cosine_variant(self):
-        q = np.array([2.0, 0.0])
-        d = np.array([3.0, 3.0])
-        assert dense_score(q, d, similarity="cosine") == pytest.approx(1 / np.sqrt(2))
-        with pytest.raises(ValueError, match="zero-norm"):
-            dense_score(q, np.zeros(2), similarity="cosine")
-        with pytest.raises(ValueError, match="similarity"):
-            dense_score(q, d, similarity="euclid")
+    def test_zero_norm_vectors_score_zero(self):
+        # a dot product needs no norm: a zero vector is legal and scores 0
+        assert dense_score(np.array([2.0, -1.0]), np.zeros(2)) == 0.0
+        assert dense_score(np.zeros(2), np.array([2.0, -1.0])) == 0.0
+        store = VectorStore(2, {"z": [0.0, 0.0], "a": [1.0, 0.0], "b": [-1.0, 0.0]})
+        assert dense_retrieve(store, np.array([1.0, 0.0]), 3) == [("a", 1.0), ("z", 0.0), ("b", -1.0)]
+        scorer = DenseScorer(VectorStore(2, {"q": [1.0, 0.0]}), store)
+        assert scorer.score_batch("q", ["b", "z", "a"]).tolist() == [-1.0, 0.0, 1.0]
 
 
 class TestDenseRetrieve:
@@ -195,20 +193,8 @@ class TestLateInteraction:
         with pytest.raises(ValueError, match="mismatch"):
             late_interaction_score(np.ones((2, 3)), np.ones((2, 4)))
 
-    def test_cosine_variant_is_scale_invariant(self):
-        rng = np.random.default_rng(20)
-        Q = rng.standard_normal((3, 5))
-        D = rng.standard_normal((4, 5))
-        base = late_interaction_score(Q, D, similarity="cosine")
-        assert late_interaction_score(Q * 7.0, D * 0.2, similarity="cosine") == pytest.approx(
-            base, rel=1e-12
-        )
-        assert base <= 3.0 + 1e-12  # each per-token max is a cosine <= 1
-
-
-    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
     @pytest.mark.parametrize("dim", [1, 32, 256])
-    def test_near_ties_match_nested_loop_oracle(self, dim, similarity):
+    def test_near_ties_match_nested_loop_oracle(self, dim):
         rng = np.random.default_rng(dim)
         for dtype in (np.float64, np.float32):
             for _ in range(10):
@@ -217,21 +203,16 @@ class TestLateInteraction:
                 ties = _near_tie_rows(rng, base, 5, dtype)
                 D = np.vstack([ties, rng.standard_normal((3, dim)).astype(dtype)])
                 D = D[rng.permutation(len(D))]
-                want = _loop_late_interaction(Q, D, similarity)
-                assert late_interaction_score(Q, D, similarity) == want
+                assert late_interaction_score(Q, D) == _loop_late_interaction(Q, D)
         # one float64 ulp apart after the dot product: 1 against 1 + 2**-52
         q = np.ones((1, dim))
         rows = np.zeros((2, dim))
         rows[:, 0] = 1.0
         rows[1, -1] += 2.0**-52
         for D in (rows, rows[::-1]):
-            want = _loop_late_interaction(q, D, similarity)
-            assert late_interaction_score(q, D, similarity) == want
-            if similarity == "dot":
-                assert want == 1.0 + 2.0**-52
+            assert late_interaction_score(q, D) == _loop_late_interaction(q, D) == 1.0 + 2.0**-52
 
-    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
-    def test_scorer_batch_matches_oracle_across_block_boundaries(self, similarity, monkeypatch):
+    def test_scorer_batch_matches_oracle_across_block_boundaries(self, monkeypatch):
         import clickrank.rankers as rankers
 
         rng = np.random.default_rng(31)
@@ -246,8 +227,8 @@ class TestLateInteraction:
             mats[f"d{i}"] = D[rng.permutation(len(D))]
         q_store = TokenMatrixStore(dim, {"q": Q})
         p_store = TokenMatrixStore(dim, mats)
-        pairs = [late_interaction_score(Q, D, similarity) for D in mats.values()]
-        assert pairs == [_loop_late_interaction(Q, D, similarity) for D in mats.values()]
+        pairs = [late_interaction_score(Q, D) for D in mats.values()]
+        assert pairs == [_loop_late_interaction(Q, D) for D in mats.values()]
 
         longest = max(len(D) for D in mats.values())
         # three passages per block: blocks of 3, 3, 3 and 1
@@ -257,7 +238,7 @@ class TestLateInteraction:
         monkeypatch.setattr(
             rankers, "_late_interaction_block", lambda Q, D, lengths: blocks.append(len(lengths)) or block(Q, D, lengths)
         )
-        scorer = LateInteractionScorer(q_store, p_store, similarity)
+        scorer = LateInteractionScorer(q_store, p_store)
         assert scorer.score_batch("q", p_store.ids).tolist() == pairs
         assert blocks == [3, 3, 3, 1]
 
@@ -283,22 +264,25 @@ class TestLateInteraction:
         with np.errstate(over="ignore", invalid="ignore"):
             assert late_interaction_score(Q, D) == _loop_late_interaction(Q, D) == math.inf
 
-    @pytest.mark.parametrize("head", ["late_interaction", "kernel"])
-    def test_zero_norm_passage_row_named_within_its_passage(self, head):
+    def test_zero_norm_passage_row_named_within_its_passage(self):
         bad, long, short = np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((5, 2)), np.ones((2, 2))
         long[4], short[0] = 0.0, 0.0
         q_store = TokenMatrixStore(2, {"q": np.array([[1.0, 0.0]])})
         p_store = TokenMatrixStore(2, {"ok": np.ones((3, 2)), "bad": bad, "long": long, "short": short})
-        scorer = (
-            LateInteractionScorer(q_store, p_store, "cosine")
-            if head == "late_interaction"
-            else KernelScorer(q_store, p_store, KernelBank.default(), KernelWeights(np.ones(11), 0.0))
-        )
+        weights = KernelWeights(np.ones(11), 0.0)
+        scorer = KernelScorer(q_store, p_store, KernelBank.default(), weights)
         # the kernel head gathers the shorter passage first; the error still
         # names the zero row of the first candidate that has one
         for pids, index in ((["ok", "bad"], 1), (["long", "short"], 4), (["short", "long"], 0)):
             with pytest.raises(ValueError, match=f"zero-norm passage token row at index {index}"):
                 scorer.score_batch("q", pids)
+
+    def test_zero_norm_passage_rows_are_scored_by_dot(self):
+        # under dot a zero row is legal: it offers every query row a 0 match
+        Q = [[1.0, 0.0], [-1.0, 0.5]]
+        _check_late(Q, {"mixed": [[1.0, 0.0], [0.0, 0.0]], "zero": [[0.0, 0.0]], "one": [[-2.0, 1.0]]})
+        assert late_interaction_score(np.array(Q), np.array([[1.0, 0.0], [0.0, 0.0]])) == 1.0
+        assert late_interaction_score(np.array(Q), np.zeros((2, 2))) == 0.0
 
     def test_sign_of_a_zero_maximum_is_the_first_rows(self):
         # every dot product is a zero; max() over the rows keeps the first
@@ -317,28 +301,21 @@ class TestLateInteraction:
         assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, w) for w in want]
 
 
-def _check_late(Q, passages, similarities=("dot", "cosine")):
+def _check_late(Q, passages):
     """Every passage's late-interaction score, through the public function
     and, for float32 inputs, through a scorer over stores, against the
     nested loop, bit for bit (the sign of a zero too)."""
     Q = np.asarray(Q, dtype=np.float64)
     passages = {p: np.asarray(D, dtype=np.float64) for p, D in passages.items()}
     float32 = all(np.array_equal(M.astype(np.float32), M) for M in (Q, *passages.values()))
-    wanted = {}
-    for similarity in similarities:
-        want = wanted[similarity] = [
-            _loop_late_interaction(Q, D, similarity).hex() for D in passages.values()
-        ]
-        got = [late_interaction_score(Q, D, similarity).hex() for D in passages.values()]
-        assert got == want, similarity
-        if float32:
-            dim = Q.shape[1]
-            scorer = LateInteractionScorer(
-                TokenMatrixStore(dim, {"q": Q}), TokenMatrixStore(dim, passages), similarity
-            )
-            got = [x.hex() for x in scorer.score_batch("q", list(passages)).tolist()]
-            assert got == want, similarity
-    return wanted
+    want = [_loop_late_interaction(Q, D).hex() for D in passages.values()]
+    assert [late_interaction_score(Q, D).hex() for D in passages.values()] == want
+    if float32:
+        dim = Q.shape[1]
+        queries, store = TokenMatrixStore(dim, {"q": Q}), TokenMatrixStore(dim, passages)
+        scorer = LateInteractionScorer(queries, store)
+        assert [x.hex() for x in scorer.score_batch("q", list(passages)).tolist()] == want
+    return want
 
 
 class TestLateInteractionScreen:
@@ -354,7 +331,7 @@ class TestLateInteractionScreen:
         Q = np.vstack([np.ones(dim), np.full(dim, -1.0), np.eye(dim)[3]])
         want = _check_late(Q, {"all": D, "half": D[:32], "one": D[:1]})
         top = 1.0 + 63 * 2.0**-23
-        assert want["dot"][0] == math.fsum([8 * top, -8.0, top]).hex()
+        assert want[0] == math.fsum([8 * top, -8.0, top]).hex()
 
     def test_float32_products_that_overflow(self):
         # every row's float64 products are finite; the float32 ones overflow:
@@ -369,7 +346,7 @@ class TestLateInteractionScreen:
             "nan": [nan],
         }
         want = _check_late(q, passages)
-        assert [float.fromhex(x) for x in want["dot"]] == [5.0, 5.0, 2e39 + 0.0, 2e39 + 0.0, 0.0]
+        assert [float.fromhex(x) for x in want] == [5.0, 5.0, 2e39 + 0.0, 2e39 + 0.0, 0.0]
 
     def test_components_below_float32_smallest_normal(self):
         # a's float32 products, 0.49 of the smallest subnormal, round to 0,
@@ -387,8 +364,7 @@ class TestLateInteractionScreen:
             _check_late([[1.0, 1.0]], {"p": rows})
         assert late_interaction_score([[1.0, 1.0]], [b, a]) == 0.98 * 2.0**-149
 
-    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
-    def test_float32_error_that_grows_with_dim(self, similarity):
+    def test_float32_error_that_grows_with_dim(self):
         dim = 1024
         # equal components, consecutive float32 values: the exact dot products
         # are 1024 x, one float32 step of x apart, while a float32 sum of 1024
@@ -405,24 +381,22 @@ class TestLateInteractionScreen:
         below = [1.0 + m * 2.0**-23 for m in range(1, int((exact - 1.0) * 2.0**23) + 1)]
         for m, value in enumerate(below[-120:]):
             passages[f"b{m}"] = np.vstack([np.eye(dim)[0] * value, d])
-        _check_late(np.vstack([np.ones(dim), d]), passages, (similarity,))
+        _check_late(np.vstack([np.ones(dim), d]), passages)
 
-    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
-    def test_float64_inputs_not_float32_representable(self, similarity):
+    def test_float64_inputs_not_float32_representable(self):
         # q[1] rounds to 1.0 in float32; there b's float32 dot product
         # 7 + 5 * 2^-24 rounds up to 7 + 2^-21, above a's 7, while exactly a
         # is first
         q = [[1.0, 1.0 + 2.0**-24 - 2.0**-40]]
         a, b, c = [0.0, 7.0], [7.0, 5 * 2.0**-24], [6.0, 0.0]
         passages = {"ab": [a, b], "ba": [b, a], "cba": [c, b, a]}
-        want = _check_late(q, passages, (similarity,))
-        if similarity == "dot":
-            assert want["dot"][1] == _loop_late_interaction(q, [a]).hex()
+        want = _check_late(q, passages)
+        assert want[1] == _loop_late_interaction(q, [a]).hex()
         # float64 rows one float64 ulp apart, equal in float32
         rng = np.random.default_rng(42)
         base = rng.standard_normal(16)
         rows = np.vstack([base + j * np.spacing(base) for j in range(6)])
-        _check_late(np.vstack([base, -base]), {"p": rows[rng.permutation(6)]}, (similarity,))
+        _check_late(np.vstack([base, -base]), {"p": rows[rng.permutation(6)]})
 
 
 class TestKernelBank:
@@ -472,24 +446,21 @@ class TestKernelFeatures:
             expected = _loop_kernel_features(Q, D, bank)
             np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-9)
 
+    def test_features_do_not_depend_on_row_lengths(self):
+        # the match matrix is cosine: rescaling any row leaves it unchanged
+        rng = np.random.default_rng(9)
+        bank = KernelBank.default()
+        Q = rng.standard_normal((3, 5))
+        D = rng.standard_normal((4, 5))
+        base = kernel_features(Q, D, bank)
+        scaled = kernel_features(Q * [[7.0], [0.2], [3.0]], D * [[0.5], [40.0], [1.0], [1e-3]], bank)
+        np.testing.assert_allclose(scaled, base, rtol=1e-9, atol=1e-12)
+
     def test_zero_norm_row_named(self):
         Q = np.array([[1.0, 0.0], [0.0, 0.0]])
         D = np.array([[1.0, 1.0]])
         with pytest.raises(ValueError, match="query token row at index 1"):
             kernel_features(Q, D, KernelBank.default())
-
-    def test_raw_dot_match_matrix_selectable(self):
-        # with raw dot products the zero-norm row is legal and scaling matters
-        Q = np.array([[2.0, 0.0], [0.0, 0.0]])
-        D = np.array([[2.0, 0.0]])
-        bank = KernelBank((1.0,), (0.5,))
-        feats = kernel_features(Q, D, bank, similarity="dot")
-        import math
-
-        expected = math.log(1e-10 + math.exp(-((4.0 - 1.0) ** 2) / 0.5)) + math.log(
-            1e-10 + math.exp(-1.0 / 0.5)
-        )
-        assert feats[0] == pytest.approx(expected, rel=1e-9)
 
 
 class TestKernelScore:
@@ -781,14 +752,13 @@ class TestScoreBatch:
             for qid in fx.query_matrices.ids
             for pid in fx.passage_matrices.ids
         }
-        scorers = [ExternalScoreScorer(scores), GradeOracleScorer(small_qrels)]
-        for similarity in ("dot", "cosine"):
-            scorers += [
-                DenseScorer(fx.query_vectors, fx.passage_vectors, similarity),
-                LateInteractionScorer(fx.query_matrices, fx.passage_matrices, similarity),
-                KernelScorer(fx.query_matrices, fx.passage_matrices, bank, weights, similarity),
-            ]
-        return scorers
+        return [
+            ExternalScoreScorer(scores),
+            GradeOracleScorer(small_qrels),
+            DenseScorer(fx.query_vectors, fx.passage_vectors),
+            LateInteractionScorer(fx.query_matrices, fx.passage_matrices),
+            KernelScorer(fx.query_matrices, fx.passage_matrices, bank, weights),
+        ]
 
     def test_batch_equals_per_pair_bitwise(self, heads, small_fixture):
         rng = np.random.default_rng(22)
@@ -887,18 +857,24 @@ class TestScoreBatch:
             draw = lambda most: terms[rng.integers(0, 12, int(rng.integers(1, most)))]
             q_store = TokenMatrixStore(dim, {f"q{i}": draw(5) for i in range(4)})
             p_store = TokenMatrixStore(dim, {f"p{i}": np.vstack([draw(6)] * 2) for i in range(30)})
-            for similarity in ("dot", "cosine"):
-                scorer = LateInteractionScorer(q_store, p_store, similarity)
-                for qid in q_store.ids:
-                    got = scorer.score_batch(qid, p_store.ids).tolist()
-                    want = [
-                        _loop_late_interaction(q_store.matrix(qid), p_store.matrix(p), similarity)
-                        for p in p_store.ids
-                    ]
-                    assert [x.hex() for x in got] == [x.hex() for x in want]
+            scorer = LateInteractionScorer(q_store, p_store)
+            for qid in q_store.ids:
+                got = scorer.score_batch(qid, p_store.ids).tolist()
+                want = [
+                    _loop_late_interaction(q_store.matrix(qid), p_store.matrix(p))
+                    for p in p_store.ids
+                ]
+                assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestScorers:
+    def test_no_head_takes_a_similarity(self):
+        # each head fixes its convention: dense and colbert dot, kernel cosine
+        heads = (dense_score, dense_retrieve, late_interaction_score, kernel_features,
+                 DenseScorer, LateInteractionScorer, KernelScorer)
+        for head in heads:
+            assert "similarity" not in inspect.signature(head).parameters, head.__name__
+
     def test_late_interaction_scorer(self):
         q_store = TokenMatrixStore(2, {"q1": np.array([[1.0, 0.0], [0.0, 1.0]])})
         p_store = TokenMatrixStore(2, {"d1": np.array([[1.0, 0.0], [0.5, 0.5]])})
