@@ -306,14 +306,14 @@ class InvertedIndex:
         meta = _read_json(meta_path)
         check_kind(meta, dict, f"{meta_path}: the header")
         if meta.get("format") != INDEX_FORMAT:
-            raise ValueError(f"{directory}: unexpected index format {meta.get('format')!r}")
+            raise ValueError(f"{meta_path}: unexpected index format {meta.get('format')!r}")
         if meta.get("version") == 1:
             raise ValueError(
-                f"{directory}: index version 1 (JSON postings) is no longer readable; "
+                f"{meta_path}: index version 1 (JSON postings) is no longer readable; "
                 "rebuild it with `clickrank index build`"
             )
         if meta.get("version") != INDEX_VERSION:
-            raise ValueError(f"{directory}: unsupported index version {meta.get('version')!r}")
+            raise ValueError(f"{meta_path}: unsupported index version {meta.get('version')!r}")
         kinds = {"k1": float, "b": float, "doc_count": int, "avg_doc_length": float}
         for key, kind in kinds.items():
             check_kind(meta.get(key), kind, f"{meta_path}: {key}")

@@ -18,6 +18,7 @@ An id may not hold whitespace, which run and qrels lines are split on.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from functools import cached_property
 from pathlib import Path
@@ -34,10 +35,10 @@ _U32 = struct.Struct("<I")
 _F32 = np.dtype("<f4")
 
 # Upper bound on the bytes of the largest array formed for one block of a
-# store's rows: here the float64 rows of ``row_norms``; in ``rankers`` the
-# dense head's float64 products, late interaction's gathered passage rows and
-# (query tokens, passage tokens) float64 screen bounds, and the kernel head's
-# (kernels, passages, query tokens, tokens) values.
+# store's rows: here the float64 rows of ``row_norms``; in ``rankers`` late
+# interaction's gathered passage rows and (query tokens, passage tokens)
+# float64 screen bounds, and the kernel head's (kernels, passages, query
+# tokens, tokens) values. The dense head's products take smaller blocks.
 BLOCK_BYTES = 1 << 23
 
 
@@ -95,10 +96,15 @@ class TokenMatrixStore:
         self.offsets.flags.writeable = False
         self._rows = rows
         tokens = self.tokens
-        # min and max are NaN or infinite when any component is, and need no
-        # (total_tokens, dim) mask; only a failing store pays for one
-        if tokens.size and not (np.isfinite(tokens.min()) and np.isfinite(tokens.max())):
-            row = np.argmin(np.isfinite(tokens).all(axis=1))
+        # the sum is NaN or infinite when any component is, and needs no
+        # (total_tokens, dim) mask; only a store whose sum is not finite pays
+        # for one, and a finite store whose float32 sum overflowed passes it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(tokens.sum()):
+                return
+        finite_rows = np.isfinite(tokens).all(axis=1)
+        if not finite_rows.all():
+            row = np.argmin(finite_rows)
             bad = ids[np.searchsorted(self.offsets, row, side="right") - 1]
             if path is None:
                 raise ValueError(f"{self._kind} {bad!r} contains a non-finite component")
@@ -186,51 +192,57 @@ def _write_id(f, ident: str) -> None:
 
 
 class _Reader:
-    """Cursor with size checking over a whole embedding file, placed after
-    the ``magic | u32 count | u32 dim`` header both formats start with."""
+    """A whole embedding file mapped read-only, placed after the ``magic |
+    u32 count | u32 dim`` header both formats start with; a context manager
+    that closes the mapping. The loaders walk the rest with
+    ``_U32.unpack_from``, checking each field against ``size`` before they
+    read it, and copy the rows out of the mapping once."""
 
     def __init__(self, path: str | Path, magic: bytes, what: str):
         self.path = Path(path)
-        self.data = self.path.read_bytes()
-        self.pos = 0
-        self.id_offsets: list[int] = []
-        if self.take(4) != magic:
-            raise ValueError(f"{self.path}: not a {what} file (bad magic)")
-        self.count = self.u32()
-        self.dim = self.u32()
-        if self.dim < 1:
-            raise ValueError(f"{self.path}: header dim must be >= 1, got {self.dim}")
-
-    def skip(self, n: int) -> int:
-        """Move past ``n`` bytes; returns the offset they start at."""
-        if self.pos + n > len(self.data):
-            raise ValueError(
-                f"{self.path}: truncated file (needed {n} bytes at offset {self.pos})"
-            )
-        self.pos += n
-        return self.pos - n
-
-    def take(self, n: int) -> bytes:
-        return self.data[self.skip(n) : self.pos]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def ident(self) -> str:
-        start = self.skip(self.u32())
-        self.id_offsets.append(start)
+        with open(self.path, "rb") as f:
+            try:
+                self.data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            except ValueError:  # mmap refuses an empty file, which has no magic
+                raise self.truncated(4, 0) from None
+            except OSError as exc:
+                raise ValueError(f"{self.path}: cannot map the file ({exc.strerror})") from None
+        self.size = len(self.data)
         try:
-            return self.data[start : self.pos].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{self.path}: id at offset {start} is not valid UTF-8") from None
+            if self.size < 4:
+                raise self.truncated(4, 0)
+            if self.data[:4] != magic:
+                raise ValueError(f"{self.path}: not a {what} file (bad magic)")
+            if self.size < 12:
+                raise self.truncated(4, 4 if self.size < 8 else 8)
+            self.count, self.dim = struct.unpack_from("<II", self.data, 4)
+            if self.dim < 1:
+                raise ValueError(f"{self.path}: header dim must be >= 1, got {self.dim}")
+        except BaseException:
+            self.data.close()
+            raise
 
-    def done(self, ids: list[str]) -> None:
-        """Check that the file ends here and that no id read holds whitespace."""
-        if self.pos != len(self.data):
-            raise ValueError(
-                f"{self.path}: {len(self.data) - self.pos} trailing bytes after payload"
-            )
-        reject_spaced_ids(self.path, ids, self.id_offsets)
+    def __enter__(self) -> "_Reader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.data.close()
+
+    def truncated(self, n: int, pos: int) -> ValueError:
+        return ValueError(f"{self.path}: truncated file (needed {n} bytes at offset {pos})")
+
+    def ident(self, pos: int, end: int) -> str:
+        """The id held in bytes ``pos:end``."""
+        try:
+            return str(self.data[pos:end], "utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{self.path}: id at offset {pos} is not valid UTF-8") from None
+
+    def done(self, pos: int, ids: list[str], id_offsets: list[int]) -> None:
+        """Check that the file ends at ``pos`` and that no id holds whitespace."""
+        if pos != self.size:
+            raise ValueError(f"{self.path}: {self.size - pos} trailing bytes after payload")
+        reject_spaced_ids(self.path, ids, id_offsets)
 
 
 def write_vectors(store: VectorStore, path: str | Path) -> None:
@@ -242,10 +254,24 @@ def write_vectors(store: VectorStore, path: str | Path) -> None:
 
 
 def load_vectors(path: str | Path) -> VectorStore:
-    reader = _Reader(path, VECTOR_MAGIC, "vector")
-    ids = [reader.ident() for _ in range(reader.count)]
-    rows = reader.take(reader.count * reader.dim * 4)
-    reader.done(ids)
+    with _Reader(path, VECTOR_MAGIC, "vector") as reader:
+        data, size, pos = reader.data, reader.size, 12
+        ids, id_offsets = [], []
+        for _ in range(reader.count):
+            if pos + 4 > size:
+                raise reader.truncated(4, pos)
+            end = pos + 4 + _U32.unpack_from(data, pos)[0]
+            pos += 4
+            if end > size:
+                raise reader.truncated(end - pos, pos)
+            ids.append(reader.ident(pos, end))
+            id_offsets.append(pos)
+            pos = end
+        n = reader.count * reader.dim * 4
+        if pos + n > size:
+            raise reader.truncated(n, pos)
+        reader.done(pos + n, ids, id_offsets)
+        rows = data[pos : pos + n]
     return VectorStore.from_rows(
         ids, np.ones(reader.count, dtype=np.int64), reader.dim, rows, reader.path
     )
@@ -261,17 +287,31 @@ def write_token_matrices(store: TokenMatrixStore, path: str | Path) -> None:
 
 
 def load_token_matrices(path: str | Path) -> TokenMatrixStore:
-    reader = _Reader(path, MATRIX_MAGIC, "token-matrix")
-    dim = reader.dim
-    # one pass over the entry headers, then one copy of all the payloads
-    ids, lengths, payloads = [], [], []
-    for _ in range(reader.count):
-        ids.append(reader.ident())
-        lengths.append(reader.u32())
-        if lengths[-1] < 1:
-            raise ValueError(f"{reader.path}: entry {ids[-1]!r} has zero tokens")
-        payloads.append(reader.skip(lengths[-1] * dim * 4))
-    reader.done(ids)
-    view = memoryview(reader.data)
-    rows = b"".join(view[start : start + n * dim * 4] for start, n in zip(payloads, lengths))
-    return TokenMatrixStore.from_rows(ids, lengths, dim, rows, reader.path)
+    with _Reader(path, MATRIX_MAGIC, "token-matrix") as reader:
+        data, size, pos, row_bytes = reader.data, reader.size, 12, reader.dim * 4
+        # one pass over the entry headers, then one copy of all the payloads
+        ids, id_offsets, lengths, payloads = [], [], [], []
+        for _ in range(reader.count):
+            if pos + 4 > size:
+                raise reader.truncated(4, pos)
+            end = pos + 4 + _U32.unpack_from(data, pos)[0]
+            pos += 4
+            if end > size:
+                raise reader.truncated(end - pos, pos)
+            ids.append(reader.ident(pos, end))
+            id_offsets.append(pos)
+            if end + 4 > size:
+                raise reader.truncated(4, end)
+            n = _U32.unpack_from(data, end)[0]
+            if n < 1:
+                raise ValueError(f"{reader.path}: entry {ids[-1]!r} has zero tokens")
+            pos = end + 4
+            if pos + n * row_bytes > size:
+                raise reader.truncated(n * row_bytes, pos)
+            lengths.append(n)
+            payloads.append(pos)
+            pos += n * row_bytes
+        reader.done(pos, ids, id_offsets)
+        with memoryview(data) as view:
+            rows = b"".join([view[p : p + n * row_bytes] for p, n in zip(payloads, lengths)])
+    return TokenMatrixStore.from_rows(ids, lengths, reader.dim, rows, reader.path)

@@ -443,6 +443,10 @@ class TestErrorHandling:
             "meta-k1-infinity": (
                 "meta.json", lambda blob: re.sub(rb'"k1": [^,\n]+', b'"k1": Infinity', blob)
             ),
+            # a header of another format
+            "meta-other-format": (
+                "meta.json", lambda blob: re.sub(rb'"format": "[^"]*"', b'"format": "other"', blob)
+            ),
         }
         for case, (name, corrupt) in corruptions.items():
             index_dir = tmp_path / case / "index"

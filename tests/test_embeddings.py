@@ -1,4 +1,7 @@
+import os
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,3 +350,108 @@ def test_invalid_utf8_id_names_the_file_and_offset(tmp_path, loader, blob):
     start = len(blob) - 2
     blob += b"\0" * 8
     assert _error(loader, path, blob) == f"{path}: id at offset {start} is not valid UTF-8"
+
+
+VALID_FILES = {
+    "vectors": (load_vectors, _vector_file_bytes(TestVectorStore.ENTRIES, 3)),
+    "token-matrices": (load_token_matrices, _matrix_file_bytes(TestTokenMatrixLoader.ENTRIES, 3)),
+}
+
+
+def _still_mapped(path) -> bool:
+    """Whether this process maps ``path``, where the OS lists the mappings."""
+    maps = Path("/proc/self/maps")
+    return maps.exists() and str(path) in maps.read_text()
+
+
+@pytest.mark.parametrize("loader, blob", VALID_FILES.values(), ids=VALID_FILES)
+def test_every_truncation_is_one_error_naming_the_file(tmp_path, loader, blob):
+    path = tmp_path / "e.bin"
+    # mmap refuses an empty file, so a zero-byte file takes its own path
+    assert _error(loader, path, b"") == f"{path}: truncated file (needed 4 bytes at offset 0)"
+    for cut in range(1, len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError) as exc:
+            loader(path)
+        assert str(exc.value).startswith(f"{path}: ") and "\n" not in str(exc.value), cut
+        # the traceback keeps the loader's frames alive: only a close has unmapped the file
+        assert not _still_mapped(path), cut
+    path.write_bytes(blob)
+    store = loader(path)
+    assert len(store) == 3 and not _still_mapped(path)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="opens a FIFO read-write, which Linux allows")
+@pytest.mark.parametrize("loader", [load_vectors, load_token_matrices])
+def test_a_file_that_cannot_be_mapped_is_one_error_naming_it(tmp_path, loader):
+    path = tmp_path / "e.fifo"
+    os.mkfifo(path)
+    # holding both ends open lets the loader's open return without a writer
+    fd = os.open(path, os.O_RDWR)
+    try:
+        with pytest.raises(ValueError) as exc:
+            loader(path)
+    finally:
+        os.close(fd)
+    assert str(exc.value).startswith(f"{path}: cannot map the file (")
+
+
+def _buffer(store) -> object:
+    """The object that owns the memory of ``store.tokens``."""
+    owner = store.tokens
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    return owner
+
+
+class TestFinitenessScreen:
+    # the float32 sum of these components overflows, though each is finite
+    BIG = 3e38
+
+    def test_finite_store_whose_sum_overflows_loads(self, tmp_path):
+        entries = {"a": [self.BIG, self.BIG], "bb": [self.BIG, -1.0], "c": [1.0, self.BIG]}
+        path = tmp_path / "v.tkv"
+        path.write_bytes(_vector_file_bytes(entries, 2))
+        store = load_vectors(path)
+        with np.errstate(over="ignore"):
+            assert np.isinf(store.tokens.sum())
+        assert store.tokens.tolist() == np.array(list(entries.values()), dtype=np.float32).tolist()
+        rows = {"m": [[self.BIG, self.BIG], [self.BIG, self.BIG]]}
+        path = tmp_path / "m.tkm"
+        path.write_bytes(_matrix_file_bytes(rows, 2))
+        assert load_token_matrices(path).matrix("m").tolist() == np.float32(rows["m"]).tolist()
+        assert TokenMatrixStore(2, {"m": np.float32(rows["m"])}).tokens.tolist() == np.float32(rows["m"]).tolist()
+
+    @pytest.mark.parametrize(
+        "values, bad",
+        [
+            ({"a": [BIG, BIG], "b": [BIG, np.nan], "c": [1.0, 1.0]}, "b"),
+            ({"a": [BIG, BIG], "b": [1.0, 1.0], "c": [-np.inf, 1.0]}, "c"),
+            # the two infinities sum to NaN; the first one is named
+            ({"a": [1.0, 1.0], "b": [np.inf, 0.0], "c": [-np.inf, 0.0]}, "b"),
+            ({"a": [BIG, BIG], "b": [-BIG, -BIG], "c": [0.0, np.inf]}, "c"),
+        ],
+        ids=["nan-after-overflow", "minus-inf-after-overflow", "inf-minus-inf", "inf-after-cancelling"],
+    )
+    def test_non_finite_component_is_named_whatever_the_sum(self, tmp_path, values, bad):
+        path = tmp_path / "v.tkv"
+        assert _error(load_vectors, path, _vector_file_bytes(values, 2)) == (
+            f"{path}: vector for id '{bad}' has a non-finite component"
+        )
+        with pytest.raises(ValueError) as exc:
+            TokenMatrixStore(2, {k: [v] for k, v in values.items()})
+        assert str(exc.value) == f"matrix '{bad}' contains a non-finite component"
+
+
+@pytest.mark.parametrize("loader, blob", VALID_FILES.values(), ids=VALID_FILES)
+def test_a_load_copies_the_rows_out_of_the_file(tmp_path, loader, blob):
+    path = tmp_path / "e.bin"
+    path.write_bytes(blob)
+    store = loader(path)
+    before = store.tokens.copy()
+    buffer = _buffer(store)
+    assert type(buffer) is bytes and len(buffer) == len(store.tokens) * store.dim * 4 == before.nbytes
+    # rewritten in place, so a store still reading the file would see the new rows
+    with open(path, "r+b") as f:
+        f.write(blob[:12] + bytes(len(blob) - 12))
+    assert np.array_equal(store.tokens, before) and before.any()

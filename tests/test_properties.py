@@ -324,6 +324,45 @@ def test_token_matrix_store_round_trip(data, dim):
         assert np.array_equal(_bits(loaded.tokens[start : start + length]), _bits(matrices[mid]))
 
 
+def _embedding_file(write, store) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        write(store, Path(tmp) / "e.bin")
+        return (Path(tmp) / "e.bin").read_bytes()
+
+
+_EMBEDDING_FILES = {
+    "vectors": (
+        load_vectors,
+        _embedding_file(write_vectors, VectorStore(3, {"a": [1, 2, 3], "bb": [4, 5, 6], "c": [0, -1, 0.5]})),
+    ),
+    "token-matrices": (
+        load_token_matrices,
+        _embedding_file(
+            write_token_matrices,
+            TokenMatrixStore(3, {"a": [[1, 2, 3]], "bb": [[4, 5, 6], [7, 8, 9]], "c": [[0, -1, 0.5]]}),
+        ),
+    ),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(sorted(_EMBEDDING_FILES)))
+def test_an_embedding_file_with_one_byte_replaced_loads_or_names_itself(data, kind):
+    loader, blob = _EMBEDDING_FILES[kind]
+    offset = data.draw(st.integers(0, len(blob) - 1))
+    damaged = bytearray(blob)
+    damaged[offset] = data.draw(st.integers(0, 255))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.bin"
+        path.write_bytes(damaged)
+        try:
+            store = loader(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
+        else:
+            assert store.offsets[-1] == len(store.tokens) and store.tokens.nbytes < len(blob)
+
+
 # ---------------------------------------------------------------------------
 # dense retrieval: the exhaustive scan, scorer equality and permutation oracles
 # ---------------------------------------------------------------------------
@@ -376,10 +415,18 @@ def _dense_case(data, dim, n, component):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(1, 24))
-def test_dense_retrieve_equals_an_exhaustive_scan(data, dim, n):
+@given(
+    data=st.data(),
+    dim=st.integers(1, 6),
+    n=st.integers(1, 24),
+    # rows per block of ``_dense_dots``; None keeps its default blocks
+    block_rows=st.sampled_from([1, 3, None]),
+)
+def test_dense_retrieve_equals_an_exhaustive_scan(data, dim, n, block_rows):
     vectors, q, k = _dense_case(data, dim, n, _query_component)
-    got = dense_retrieve(VectorStore(dim, vectors), q, k)
+    block_bytes = rankers._DOT_BLOCK_BYTES if block_rows is None else 8 * dim * block_rows
+    with mock.patch.object(rankers, "_DOT_BLOCK_BYTES", block_bytes):
+        got = dense_retrieve(VectorStore(dim, vectors), q, k)
     assert _hex(got) == _hex(_dense_scan(vectors, q, k))
     for pid, score in got:
         assert score == dense_score(q, vectors[pid])
