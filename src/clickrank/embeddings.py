@@ -192,13 +192,13 @@ def _write_id(f, ident: str) -> None:
 
 
 class _Reader:
-    """A whole embedding file mapped read-only, placed after the ``magic |
-    u32 count | u32 dim`` header both formats start with; a context manager
-    that closes the mapping. The loaders walk the rest with
+    """A whole embedding file mapped read-only; a context manager that
+    closes the mapping. ``header`` checks the ``magic | u32 count | u32 dim``
+    header both formats start with. The loaders walk the rest with
     ``_U32.unpack_from``, checking each field against ``size`` before they
     read it, and copy the rows out of the mapping once."""
 
-    def __init__(self, path: str | Path, magic: bytes, what: str):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
         with open(self.path, "rb") as f:
             try:
@@ -208,19 +208,17 @@ class _Reader:
             except OSError as exc:
                 raise ValueError(f"{self.path}: cannot map the file ({exc.strerror})") from None
         self.size = len(self.data)
-        try:
-            if self.size < 4:
-                raise self.truncated(4, 0)
-            if self.data[:4] != magic:
-                raise ValueError(f"{self.path}: not a {what} file (bad magic)")
-            if self.size < 12:
-                raise self.truncated(4, 4 if self.size < 8 else 8)
-            self.count, self.dim = struct.unpack_from("<II", self.data, 4)
-            if self.dim < 1:
-                raise ValueError(f"{self.path}: header dim must be >= 1, got {self.dim}")
-        except BaseException:
-            self.data.close()
-            raise
+
+    def header(self, magic: bytes, what: str) -> None:
+        if self.size < 4:
+            raise self.truncated(4, 0)
+        if self.data[:4] != magic:
+            raise ValueError(f"{self.path}: not a {what} file (bad magic)")
+        if self.size < 12:
+            raise self.truncated(4, 4 if self.size < 8 else 8)
+        self.count, self.dim = struct.unpack_from("<II", self.data, 4)
+        if self.dim < 1:
+            raise ValueError(f"{self.path}: header dim must be >= 1, got {self.dim}")
 
     def __enter__(self) -> "_Reader":
         return self
@@ -254,7 +252,8 @@ def write_vectors(store: VectorStore, path: str | Path) -> None:
 
 
 def load_vectors(path: str | Path) -> VectorStore:
-    with _Reader(path, VECTOR_MAGIC, "vector") as reader:
+    with _Reader(path) as reader:
+        reader.header(VECTOR_MAGIC, "vector")
         data, size, pos = reader.data, reader.size, 12
         ids, id_offsets = [], []
         for _ in range(reader.count):
@@ -287,7 +286,8 @@ def write_token_matrices(store: TokenMatrixStore, path: str | Path) -> None:
 
 
 def load_token_matrices(path: str | Path) -> TokenMatrixStore:
-    with _Reader(path, MATRIX_MAGIC, "token-matrix") as reader:
+    with _Reader(path) as reader:
+        reader.header(MATRIX_MAGIC, "token-matrix")
         data, size, pos, row_bytes = reader.data, reader.size, 12, reader.dim * 4
         # one pass over the entry headers, then one copy of all the payloads
         ids, id_offsets, lengths, payloads = [], [], [], []

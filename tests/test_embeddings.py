@@ -396,14 +396,6 @@ def test_a_file_that_cannot_be_mapped_is_one_error_naming_it(tmp_path, loader):
     assert str(exc.value).startswith(f"{path}: cannot map the file (")
 
 
-def _buffer(store) -> object:
-    """The object that owns the memory of ``store.tokens``."""
-    owner = store.tokens
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    return owner
-
-
 class TestFinitenessScreen:
     # the float32 sum of these components overflows, though each is finite
     BIG = 3e38
@@ -419,8 +411,9 @@ class TestFinitenessScreen:
         rows = {"m": [[self.BIG, self.BIG], [self.BIG, self.BIG]]}
         path = tmp_path / "m.tkm"
         path.write_bytes(_matrix_file_bytes(rows, 2))
-        assert load_token_matrices(path).matrix("m").tolist() == np.float32(rows["m"]).tolist()
-        assert TokenMatrixStore(2, {"m": np.float32(rows["m"])}).tokens.tolist() == np.float32(rows["m"]).tolist()
+        want = np.float32(rows["m"]).tolist()
+        assert load_token_matrices(path).matrix("m").tolist() == want
+        assert TokenMatrixStore(2, rows).tokens.tolist() == want
 
     @pytest.mark.parametrize(
         "values, bad",
@@ -449,8 +442,10 @@ def test_a_load_copies_the_rows_out_of_the_file(tmp_path, loader, blob):
     path.write_bytes(blob)
     store = loader(path)
     before = store.tokens.copy()
-    buffer = _buffer(store)
-    assert type(buffer) is bytes and len(buffer) == len(store.tokens) * store.dim * 4 == before.nbytes
+    owner = store.tokens  # the object that owns the rows' memory
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert type(owner) is bytes and len(owner) == len(store.tokens) * store.dim * 4 == before.nbytes
     # rewritten in place, so a store still reading the file would see the new rows
     with open(path, "r+b") as f:
         f.write(blob[:12] + bytes(len(blob) - 12))
